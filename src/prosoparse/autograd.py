@@ -34,10 +34,6 @@ class Parameter:
     def zero_grad(self):
         self.grad[...] = 0
 
-    def astype(self, dtype):
-        clone = Parameter(self.name, self.value.astype(dtype))
-        return clone
-
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
@@ -418,23 +414,6 @@ def concat(vars_, axis):
                 _accum(v, out.grad[lo:hi])
             else:
                 _accum(v, out.grad[:, lo:hi])
-
-    tape._record(bwd)
-    return out
-
-
-def slice_rows(x, lo, hi):
-    tape = x.tape
-    if x.value.ndim != 2 or not (0 <= lo <= hi <= x.value.shape[0]):
-        raise ShapeError("slice_rows", x.value.shape, (lo, hi))
-    out = Var(x.value[lo:hi], tape)
-
-    def bwd():
-        if out.grad is None:
-            return
-        g = np.zeros_like(x.value)
-        g[lo:hi] = out.grad
-        _accum(x, g)
 
     tape._record(bwd)
     return out

@@ -108,8 +108,6 @@ def score_spans(tape, encoded, scorer, vocab):
 class DecodedTree:
     tree: object
     total_score: float
-    chart: np.ndarray
-    cells: list  # (a, b, label_index) of every chart cell in the argmax tree
 
 
 def _decode_cells(dense):
@@ -138,7 +136,7 @@ def _decode_cells(dense):
             stack.append((k, b))
             stack.append((a, k))
     cells.sort()
-    return cells, float(total), best
+    return cells, float(total)
 
 
 def cky_decode(scores, leaves):
@@ -148,19 +146,16 @@ def cky_decode(scores, leaves):
     Cells assigned the empty label vanish on reconstruction; unary chains
     collapsed in composite labels are expanded back.
     """
-    dense = scores.dense if isinstance(scores, SpanScores) else np.asarray(scores)
-    T = dense.shape[0] - 1
+    T = scores.dense.shape[0] - 1
     if T < 1 or len(leaves) != T:
         raise DataError(f"scores cover {T} words but {len(leaves)} leaves given")
-    vocab = scores.vocab if isinstance(scores, SpanScores) else None
-    cells, total, best = _decode_cells(dense)
+    cells, total = _decode_cells(scores.dense)
     spans = []
     for a, b, li in cells:
-        label = vocab.value(li) if vocab is not None else str(li)
+        label = scores.vocab.value(li)
         if li != 0 and label != EMPTY_LABEL:
             spans.append(LabeledSpan(a, b, label))
-    tree = spans_to_tree(spans, leaves)
-    return DecodedTree(tree=tree, total_score=total, chart=best, cells=cells)
+    return DecodedTree(tree=spans_to_tree(spans, leaves), total_score=total)
 
 
 def _check_gold_spans(gold_spans, T):
@@ -183,7 +178,6 @@ def _check_gold_spans(gold_spans, T):
 class MarginInfo:
     loss: float
     delta: float
-    pred_cells: list
     correct: bool
 
 
@@ -210,7 +204,7 @@ def margin_loss(scores, gold_spans):
         augment[a, b, 0] = HAMMING_COST
         augment[a, b, li] = 0.0
 
-    cells, _, _ = _decode_cells(scores.dense + augment)
+    cells, _ = _decode_cells(scores.dense + augment)
     pred_raw = sum(scores.dense[a, b, li] for a, b, li in cells if li != 0)
     delta = sum(augment[a, b, li] for a, b, li in cells)
     gold_raw = sum(scores.dense[a, b, li] for (a, b), li in gold_idx.items())
@@ -222,7 +216,6 @@ def margin_loss(scores, gold_spans):
     info = MarginInfo(
         loss=max(0.0, float(loss_value)),
         delta=float(delta),
-        pred_cells=cells,
         correct=correct,
     )
     tape = scores.matrix.tape

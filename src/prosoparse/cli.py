@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, NumericError, ProsoparseError
 from .model import ParserModel
 from .prosody import read_alignment_file, read_frame_track_file
 from .training import fine_tune, median_report, train
-from .treebank import parse_ptb, read_tree_file, write_tree_file
+from .treebank import parse_ptb, read_tree_file, speechify, write_tree_file
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -37,18 +37,16 @@ def _read_tracks(track_dir):
     return tracks
 
 
-def _feature_inputs(cfg):
-    alignments = read_alignment_file(cfg.data.alignments)
-    tracks = _read_tracks(cfg.data.frame_tracks)
-    return alignments, tracks
-
-
 def _cache_path(cfg):
     return cfg.data.features_cache or os.path.join(cfg.output_dir, "features.bin")
 
 
-def _attach_features(cfg, sentences, save=True):
-    """Prosodic features from the cache when fresh, else recomputed."""
+def _attach_features(cfg, sentences, save=True, force=False):
+    """Prosodic features from the cache when fresh, else recomputed.
+
+    ``force`` recomputes (and, with ``save``, rewrites the cache) even when
+    the cache is fresh.  Returns True when the features were recomputed.
+    """
     cache = _cache_path(cfg)
     if cfg.data.alignments and cfg.data.frame_tracks:
         paths = [cfg.data.alignments] + sorted(
@@ -57,17 +55,16 @@ def _attach_features(cfg, sentences, save=True):
         want_hash = corpus_mod.content_hash(
             paths, extra=f"{cfg.features.context_s}:{cfg.features.max_frames}"
         )
-        if os.path.exists(cache):
+        if not force and os.path.exists(cache):
             meta = corpus_mod.load_feature_cache(cache, sentences)
             if meta.get("content_hash") == want_hash and all(
                 s.prosody is not None for s in sentences
             ):
                 return False
-        alignments, tracks = _feature_inputs(cfg)
         corpus_mod.featurize(
             sentences,
-            alignments,
-            tracks,
+            read_alignment_file(cfg.data.alignments),
+            _read_tracks(cfg.data.frame_tracks),
             context_s=cfg.features.context_s,
             max_frames=cfg.features.max_frames,
         )
@@ -105,14 +102,11 @@ def _load_corpora(cfg):
     ids are assigned by that correspondence.  Returns
     (train corpora list, dev sentences or None, test sentences or None).
     """
-    from .treebank import read_tree_file as _read, speechify as _speechify
-
-    paths = _configured_tree_files(cfg)
     per_file = []
-    for p in paths:
-        trees = _read(p)
+    for p in _configured_tree_files(cfg):
+        trees = read_tree_file(p)
         if cfg.data.speechify:
-            trees = [_speechify(t) for t in trees]
+            trees = [speechify(t) for t in trees]
         per_file.append(trees)
     total = sum(len(t) for t in per_file)
     if cfg.data.alignments:
@@ -147,31 +141,10 @@ def cmd_features(cfg, args):
     validate_paths(cfg, need=("train", "dev", "test"))
     if not (cfg.data.alignments and cfg.data.frame_tracks):
         raise ConfigError("features needs data.alignments and data.frame_tracks")
-    alignments, tracks = _feature_inputs(cfg)
     corpora, dev, test = _load_corpora(cfg)
     sentences = [s for c in corpora for s in c] + (dev or []) + (test or [])
-    corpus_mod.featurize(
-        sentences,
-        alignments,
-        tracks,
-        context_s=cfg.features.context_s,
-        max_frames=cfg.features.max_frames,
-    )
-    cache = _cache_path(cfg)
-    os.makedirs(os.path.dirname(cache) or ".", exist_ok=True)
-    paths = [cfg.data.alignments] + sorted(
-        glob.glob(os.path.join(cfg.data.frame_tracks, "*.csv"))
-    )
-    corpus_mod.save_feature_cache(
-        cache,
-        sentences,
-        meta={
-            "content_hash": corpus_mod.content_hash(
-                paths, extra=f"{cfg.features.context_s}:{cfg.features.max_frames}"
-            )
-        },
-    )
-    print(f"wrote {len(sentences)} sentences of features to {cache}")
+    _attach_features(cfg, sentences, force=True)
+    print(f"wrote {len(sentences)} sentences of features to {_cache_path(cfg)}")
     return 0
 
 
@@ -340,7 +313,7 @@ def cmd_significance(cfg, args):
         pred_a,
         pred_b,
         n_resamples=args.resamples or cfg.eval.n_resamples,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
         delete_punctuation=cfg.eval.delete_punctuation,
     )
     marker = ev.significance_marker(result.p_value)
@@ -371,7 +344,10 @@ def cmd_report(cfg, args):
         med_dev, med_test = "—", "—"
         if os.path.exists(median):
             with open(median, encoding="utf-8") as fh:
-                parts = fh.read().strip().splitlines()[1].split("\t")
+                lines = fh.read().strip().splitlines()
+            parts = lines[1].split("\t") if len(lines) > 1 else []
+            if len(parts) < 2:
+                raise DataError(f"{median}: no chosen_seed/dev_f1 row under the header")
             med_dev = parts[1]
             med_test = parts[2] if len(parts) > 2 and parts[2] else "—"
         rows.append(
@@ -394,10 +370,8 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="YAML experiment config")
-        p.add_argument("--seed", type=int, default=None, help="override the seed list")
-        p.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+    def common(p):
+        p.add_argument("--config", required=True, help="YAML experiment config")
 
     p = sub.add_parser("features", help="precompute prosodic feature cache")
     common(p)
@@ -405,6 +379,8 @@ def build_parser():
 
     p = sub.add_parser("train", help="multi-seed training run")
     common(p)
+    p.add_argument("--seed", type=int, default=None, help="train this seed only")
+    p.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
     p.add_argument("--fine-tune-from", default="", help="checkpoint to fine-tune")
     p.set_defaults(func=cmd_train)
 
@@ -424,6 +400,7 @@ def build_parser():
 
     p = sub.add_parser("significance", help="paired bootstrap between two systems")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="bootstrap resampling seed")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred-a", required=True)
     p.add_argument("--pred-b", required=True)

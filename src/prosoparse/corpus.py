@@ -116,29 +116,6 @@ def featurize(
     return warnings
 
 
-def load_corpus(trees_path, alignments=None, speechify_trees=False):
-    """Sentences from a tree file, optionally paired with alignments.
-
-    When alignments are given, sentence ids follow the alignment file's
-    order (which must correspond one-to-one with the tree file lines);
-    otherwise ids are positional.
-    """
-    from .treebank import read_tree_file, speechify
-
-    trees = read_tree_file(trees_path)
-    if speechify_trees:
-        trees = [speechify(t) for t in trees]
-    ids = None
-    if alignments is not None:
-        ids = list(alignments.keys())
-        if len(ids) != len(trees):
-            raise DataError(
-                f"{trees_path}: {len(trees)} trees but alignments cover "
-                f"{len(ids)} sentences"
-            )
-    return sentences_from_trees(trees, ids=ids)
-
-
 def content_hash(paths, extra=""):
     """sha256 over the raw bytes of the input files plus a parameter string."""
     h = hashlib.sha256()

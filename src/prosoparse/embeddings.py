@@ -64,10 +64,24 @@ class VectorStore:
     def __len__(self):
         return len(self.sentences)
 
-    def coverage(self, sentence_ids):
-        """(covered, total) over the given sentence ids."""
-        ids = list(sentence_ids)
-        return sum(1 for sid in ids if sid in self.sentences), len(ids)
+
+def _count(path, lineno, what, text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise FormatError(
+            f"{path}:{lineno}: {what} must be a non-negative integer, got {text!r}"
+        )
+    return n
+
+
+def _vector(path, lineno, fields):
+    try:
+        return np.array(fields, dtype=np.float32)
+    except ValueError:
+        raise FormatError(f"{path}:{lineno}: non-numeric vector value") from None
 
 
 def load_vector_store(path):
@@ -77,32 +91,32 @@ def load_vector_store(path):
     "sentence <id> <T>" followed by T lines of d floats.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    lines = [ln for ln in lines if ln.strip()]
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         _warnings.warn(f"{path}: empty vector store")
         return VectorStore(dim=0)
-    head = dict(
-        part.split("=", 1) for part in lines[0].split() if "=" in part
-    )
+    head_no, head_line = lines[0]
+    head = dict(part.split("=", 1) for part in head_line.split() if "=" in part)
     if "dim" not in head:
-        raise FormatError(f"{path}: header must declare dim=<d>, got {lines[0]!r}")
-    dim = int(head["dim"])
+        raise FormatError(f"{path}: header must declare dim=<d>, got {head_line!r}")
+    dim = _count(path, head_no, "dim", head["dim"])
     store = VectorStore(dim=dim, producer=head.get("producer", ""))
     i = 1
     while i < len(lines):
-        parts = lines[i].split()
+        lineno, line = lines[i]
+        parts = line.split()
         if len(parts) != 3 or parts[0] != "sentence":
-            raise FormatError(f"{path}: expected 'sentence <id> <T>', got {lines[i]!r}")
-        sid, t = parts[1], int(parts[2])
+            raise FormatError(f"{path}:{lineno}: expected 'sentence <id> <T>', got {line!r}")
+        sid, t = parts[1], _count(path, lineno, "row count", parts[2])
         if i + 1 + t > len(lines):
             raise FormatError(f"{path}: sentence {sid} truncated ({t} rows declared)")
         rows = []
-        for j in range(t):
-            row = np.array(lines[i + 1 + j].split(), dtype=np.float32)
+        for j, (row_no, row_line) in enumerate(lines[i + 1 : i + 1 + t]):
+            row = _vector(path, row_no, row_line.split())
             if row.shape[0] != dim:
                 raise FormatError(
-                    f"{path}: sentence {sid} row {j} has {row.shape[0]} dims, header says {dim}"
+                    f"{path}:{row_no}: sentence {sid} row {j} has {row.shape[0]} "
+                    f"dims, header says {dim}"
                 )
             rows.append(row)
         store.sentences[sid] = np.stack(rows) if rows else np.zeros((0, dim), np.float32)
@@ -130,7 +144,7 @@ def load_word_vectors(path):
             parts = line.rstrip("\n").split()
             if not parts:
                 continue
-            vec = np.array(parts[1:], dtype=np.float32)
+            vec = _vector(path, lineno, parts[1:])
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:

@@ -124,14 +124,6 @@ def _xavier(rng, fan_in, fan_out, dtype):
     return (rng.standard_normal((fan_in, fan_out)) * scale).astype(dtype)
 
 
-def _zeros(*shape, dtype):
-    return np.zeros(shape, dtype=dtype)
-
-
-def _ones(*shape, dtype):
-    return np.ones(shape, dtype=dtype)
-
-
 class _StreamAttention:
     def __init__(self, name, dim, rng, dtype):
         self.dim = dim
@@ -146,8 +138,8 @@ class _StreamAttention:
 
 class _StreamNorm:
     def __init__(self, name, dim, dtype):
-        self.gain = ag.Parameter(f"{name}.gain", _ones(dim, dtype=dtype))
-        self.bias = ag.Parameter(f"{name}.bias", _zeros(dim, dtype=dtype))
+        self.gain = ag.Parameter(f"{name}.gain", np.ones(dim, dtype=dtype))
+        self.bias = ag.Parameter(f"{name}.bias", np.zeros(dim, dtype=dtype))
 
     def parameters(self):
         yield from (self.gain, self.bias)
@@ -169,9 +161,9 @@ class _Layer:
         self.norm2 = [_StreamNorm(f"{name}.norm2.{s}", d, dtype) for s, d in zip(names, dims)]
         d_total = config.d_total
         self.ff_w1 = ag.Parameter(f"{name}.ff.w1", _xavier(rng, d_total, config.d_ff, dtype))
-        self.ff_b1 = ag.Parameter(f"{name}.ff.b1", _zeros(config.d_ff, dtype=dtype))
+        self.ff_b1 = ag.Parameter(f"{name}.ff.b1", np.zeros(config.d_ff, dtype=dtype))
         self.ff_w2 = ag.Parameter(f"{name}.ff.w2", _xavier(rng, config.d_ff, d_total, dtype))
-        self.ff_b2 = ag.Parameter(f"{name}.ff.b2", _zeros(d_total, dtype=dtype))
+        self.ff_b2 = ag.Parameter(f"{name}.ff.b2", np.zeros(d_total, dtype=dtype))
 
     def parameters(self):
         for group in (*self.attn, *self.norm1, *self.norm2):
@@ -197,7 +189,7 @@ class Encoder:
             "encoder.input.content.w", _xavier(rng, embed_dim, config.d_content, dt)
         )
         self.b_content = ag.Parameter(
-            "encoder.input.content.b", _zeros(config.d_content, dtype=dt)
+            "encoder.input.content.b", np.zeros(config.d_content, dtype=dt)
         )
         self.pos_table = ag.Parameter(
             "encoder.positions",
@@ -223,7 +215,7 @@ class Encoder:
                 )
                 bias = ag.Parameter(
                     f"encoder.cnn.w{w}.bias",
-                    _zeros(cnn_config.filters_per_width, dtype=dt),
+                    np.zeros(cnn_config.filters_per_width, dtype=dt),
                 )
                 self.cnn_filters.append((wmat, bias))
             pros_in = PHI_DIM + cnn_config.output_dim
@@ -231,7 +223,7 @@ class Encoder:
                 "encoder.input.prosody.w", _xavier(rng, pros_in, config.d_prosody, dt)
             )
             self.b_prosody = ag.Parameter(
-                "encoder.input.prosody.b", _zeros(config.d_prosody, dtype=dt)
+                "encoder.input.prosody.b", np.zeros(config.d_prosody, dtype=dt)
             )
 
         self.layers = [

@@ -223,19 +223,3 @@ def format_aligned(rows):
                       for i, (cell, w) in enumerate(zip(row, widths))).rstrip()
         )
     return "\n".join(lines) + "\n"
-
-
-def format_grid(cells, row_names, col_names, markers=None, title=""):
-    """Cross-condition F1 grid; missing cells render as an em dash."""
-    markers = markers or {}
-    rows = [[title, *col_names]]
-    for r in row_names:
-        row = [r]
-        for c in col_names:
-            val = cells.get((r, c))
-            if val is None:
-                row.append("—")
-            else:
-                row.append(f"{val:.2f}{markers.get((r, c), '')}")
-        rows.append(row)
-    return format_aligned(rows)

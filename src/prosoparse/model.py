@@ -9,7 +9,7 @@ as a correctness check and as a warm-start path between the two variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import autograd as ag
 from .chart import SpanScorer, cky_decode, margin_loss, score_spans
 from .embeddings import EmbeddingProvider, WordVocab
 from .encoder import CnnConfig, Encoder, EncoderConfig
-from .errors import AlignmentError, CheckpointError, DataError
+from .errors import AlignmentError, CheckpointError, ConfigError, DataError
 from .tensorfile import read_tensors, write_tensors
 from .treebank import LabelVocab
 
@@ -32,33 +32,13 @@ class ModelConfig:
     span_hidden: int = 256
 
     def to_dict(self):
-        enc = self.encoder
-        return {
-            "encoder": {
-                "layers": enc.layers,
-                "heads": enc.heads,
-                "d_content": enc.d_content,
-                "d_position": enc.d_position,
-                "d_prosody": enc.d_prosody,
-                "d_ff": enc.d_ff,
-                "dropout": enc.dropout,
-                "max_len": enc.max_len,
-            },
-            "cnn": {
-                "widths": list(self.cnn.widths),
-                "filters_per_width": self.cnn.filters_per_width,
-            },
-            "span_hidden": self.span_hidden,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
         return cls(
             encoder=EncoderConfig(**d["encoder"]),
-            cnn=CnnConfig(
-                widths=tuple(d["cnn"]["widths"]),
-                filters_per_width=d["cnn"]["filters_per_width"],
-            ),
+            cnn=CnnConfig(**d["cnn"]),
             span_hidden=d["span_hidden"],
         )
 
@@ -146,28 +126,30 @@ class ParserModel:
             raise CheckpointError(f"{path}: not a parser checkpoint")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version")
-        config = ModelConfig.from_dict(meta["model"])
-        emb = meta["embedding"]
-        if emb["mode"] == "frozen":
+        try:
+            config = ModelConfig.from_dict(meta["model"])
+            emb = meta["embedding"]
+            mode, dim, words = emb["mode"], emb["dim"], emb["words"]
+            labels = meta["labels"][1:]
+        except (KeyError, TypeError, ConfigError) as exc:
+            raise CheckpointError(f"{path}: bad checkpoint metadata ({exc!r})") from None
+        if mode == "frozen":
             if store is None:
                 raise CheckpointError(
                     f"{path}: frozen-embedding checkpoint needs a vector store"
                 )
-            if store.dim != emb["dim"]:
+            if store.dim != dim:
                 raise CheckpointError(
-                    f"{path}: store dim {store.dim} != checkpoint dim {emb['dim']}"
+                    f"{path}: store dim {store.dim} != checkpoint dim {dim}"
                 )
             provider = EmbeddingProvider.frozen(store)
         else:
-            vocab = WordVocab(emb["words"][1:])  # index 0 is UNK already
+            vocab = WordVocab(words[1:])  # index 0 is UNK already
             table = ag.Parameter(
-                "embeddings.table",
-                np.zeros((len(vocab), emb["dim"]), dtype=dtype),
+                "embeddings.table", np.zeros((len(vocab), dim), dtype=dtype)
             )
-            provider = EmbeddingProvider(
-                emb["mode"], emb["dim"], vocab=vocab, table=table
-            )
-        label_vocab = LabelVocab(meta["labels"][1:])
+            provider = EmbeddingProvider(mode, dim, vocab=vocab, table=table)
+        label_vocab = LabelVocab(labels)
         model = cls(config, provider, label_vocab, seed=0, dtype=dtype)
         load_parameters(model, tensors, source=str(path))
         return model, meta
@@ -257,20 +239,7 @@ def zero_prosody_pathway(model):
 def build_text_twin(model, seed=0):
     """Text-only model carrying the text-stream weights of a prosody model."""
     cfg = model.config
-    text_cfg = ModelConfig(
-        encoder=EncoderConfig(
-            layers=cfg.encoder.layers,
-            heads=cfg.encoder.heads,
-            d_content=cfg.encoder.d_content,
-            d_position=cfg.encoder.d_position,
-            d_prosody=0,
-            d_ff=cfg.encoder.d_ff,
-            dropout=cfg.encoder.dropout,
-            max_len=cfg.encoder.max_len,
-        ),
-        cnn=cfg.cnn,
-        span_hidden=cfg.span_hidden,
-    )
+    text_cfg = replace(cfg, encoder=replace(cfg.encoder, d_prosody=0))
     twin = ParserModel(
         text_cfg, model.provider, model.label_vocab, seed=seed, dtype=model.dtype
     )

@@ -10,6 +10,8 @@ feature cache and checkpoint round-trip tests rely on.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -54,28 +56,55 @@ def write_tensors(path, tensors, meta=None):
             fh.write(blob)
 
 
+def _check_index(path, header):
+    """(meta, tensor index) of a decoded metadata line; FormatError if malformed."""
+    if not isinstance(header, dict) or not isinstance(header.get("meta", {}), dict):
+        raise FormatError(f"{path}: metadata line is not an object with a meta object")
+    index = header.get("tensors")
+    if not isinstance(index, list):
+        raise FormatError(f"{path}: metadata line lacks the 'tensors' list")
+    names = set()
+    for entry in index:
+        ok = (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and entry["name"] not in names
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"])
+        )
+        if not ok:
+            raise FormatError(f"{path}: bad tensor index entry {entry!r}")
+        if entry.get("dtype") not in _DTYPES:
+            raise FormatError(f"{path}: unknown dtype {entry.get('dtype')!r}")
+        names.add(entry["name"])
+    return header.get("meta", {}), index
+
+
 def read_tensors(path):
-    """Returns (meta, {name: array})."""
+    """Returns (meta, {name: array}); any malformed file raises FormatError."""
     with open(path, "rb") as fh:
         magic = fh.readline().decode("ascii", errors="replace").strip()
         parts = magic.split()
         if len(parts) != 2 or parts[0] != MAGIC:
             raise FormatError(f"{path}: not a {MAGIC} file (header {magic!r})")
-        if int(parts[1]) != VERSION:
-            raise FormatError(f"{path}: unsupported format version {parts[1]}")
+        if parts[1] != str(VERSION):
+            raise FormatError(f"{path}: unsupported format version {parts[1]!r}")
         try:
             header = json.loads(fh.readline().decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
             raise FormatError(f"{path}: bad metadata line: {exc}") from None
+        meta, index = _check_index(path, header)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
         tensors = {}
-        for entry in header["tensors"]:
-            dtype = _DTYPES.get(entry["dtype"])
-            if dtype is None:
-                raise FormatError(f"{path}: unknown dtype {entry['dtype']!r}")
+        for entry in index:
+            dtype = _DTYPES[entry["dtype"]]
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * dtype.itemsize)
-            if len(raw) != count * dtype.itemsize:
+            nbytes = math.prod(shape) * dtype.itemsize
+            if nbytes > left:
                 raise FormatError(f"{path}: truncated data for {entry['name']!r}")
+            left -= nbytes
+            raw = fh.read(nbytes)
             tensors[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        return header.get("meta", {}), tensors
+        if left:
+            raise FormatError(f"{path}: {left} bytes after the last tensor")
+        return meta, tensors

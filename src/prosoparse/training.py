@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -71,7 +70,6 @@ class TrainConfig:
     patience: int = 5
     corpus_weights: tuple = (1.0,)
     fine_tune_lr_scale: float = 0.1
-    objective: str = "margin"  # field reserved for future objectives
     beta1: float = 0.9
     beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -79,11 +77,6 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
         object.__setattr__(self, "corpus_weights", tuple(self.corpus_weights))
-        if self.objective != "margin":
-            raise ConfigError(
-                f"unsupported training objective {self.objective!r}; "
-                "only 'margin' is implemented"
-            )
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if self.patience < 1:
@@ -105,7 +98,6 @@ class RunRecord:
     best_f1: float = float("-inf")
     best_epoch: int = 0
     checkpoint_path: str = ""
-    wall_clock_s: float = 0.0
     error: str = ""
 
 
@@ -195,7 +187,6 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
     record = RunRecord(seed=seed)
     record.checkpoint_path = os.path.join(seed_dir, "best.ckpt")
     stale = 0
-    t0 = time.perf_counter()
     log_path = os.path.join(seed_dir, "metrics.log")
     with open(log_path, "w", encoding="utf-8") as log:
         for epoch in range(1, config.max_epochs + 1):
@@ -242,7 +233,6 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
                 stale += 1
                 if stale >= config.patience:
                     break
-    record.wall_clock_s = time.perf_counter() - t0
     return record
 
 
@@ -300,9 +290,7 @@ def train(train_config, model_config, embedding_spec, corpora, dev_sentences,
 class MedianSummary:
     chosen_seed: int
     chosen_record: RunRecord
-    sorted_f1: list
     test_f1: float = None
-    test_report: object = None
     predictions: list = None
 
 
@@ -313,17 +301,11 @@ def median_report(records, test_sentences=None, store=None):
         raise DataError("no successful seeds to report")
     ordered = sorted(ok, key=lambda r: (r.best_f1, r.seed))
     chosen = ordered[(len(ordered) - 1) // 2]
-    summary = MedianSummary(
-        chosen_seed=chosen.seed,
-        chosen_record=chosen,
-        sorted_f1=[r.best_f1 for r in ordered],
-    )
+    summary = MedianSummary(chosen_seed=chosen.seed, chosen_record=chosen)
     if test_sentences:
         model, _ = ParserModel.load(chosen.checkpoint_path, store=store)
         preds = [model.parse_sentence(s).tree for s in test_sentences]
-        report = parseval([s.tree for s in test_sentences], preds)
-        summary.test_f1 = report.f1
-        summary.test_report = report
+        summary.test_f1 = parseval([s.tree for s in test_sentences], preds).f1
         summary.predictions = preds
     return summary
 

@@ -111,16 +111,9 @@ class InternalNode(Node):
         return hash((self.label, self.children))
 
 
-Tree = Node  # public alias: gold and predicted parses are plain Nodes
-
-
 def sentence_of(tree):
     """(word, pos_tag) pairs of the tree's leaves, left to right."""
     return [(leaf.word, leaf.pos_tag) for leaf in tree.leaves()]
-
-
-def sentence_length(tree):
-    return sum(1 for _ in tree.leaves())
 
 
 def _strip_function_tags(label):

@@ -269,17 +269,58 @@ class TestCliWorkflow:
             for sub in ("features", "train", "parse", "evaluate", "significance", "report"):
                 assert sub in out.stdout
 
-    def test_load_corpus_contract(self, cli_workspace):
-        from prosoparse.corpus import load_corpus
+    def test_load_corpora_ids_follow_alignments(self, cli_workspace):
+        from prosoparse.config import load_config
         from prosoparse.errors import DataError
         from prosoparse.prosody import read_alignment_file
 
         ws = cli_workspace
         alignments = read_alignment_file(ws["corpus"] / "alignments.tsv")
-        sentences = load_corpus(ws["corpus"] / "all.trees", alignments)
+        corpora, dev, test = cli._load_corpora(load_config(ws["config"]))
+        sentences = corpora[0] + dev + test
         assert [s.sentence_id for s in sentences] == list(alignments.keys())
-        with pytest.raises(DataError):
-            load_corpus(ws["corpus"] / "train.trees", alignments)  # 16 vs 24
+        only_train = write_cfg(
+            ws, {"data": {"dev_trees": "", "test_trees": ""}}, "exp_train_only.yaml"
+        )
+        with pytest.raises(DataError):  # 16 trees vs 24 alignment blocks
+            cli._load_corpora(load_config(only_train))
+
+    def test_report_header_only_median_is_data_error(self, cli_workspace, capsys):
+        run = cli_workspace["root"] / "run_header_only"
+        run.mkdir()
+        (run / "summary.tsv").write_text("seed\tbest_dev_f1\tbest_epoch\tcheckpoint\terror\n")
+        (run / "median.tsv").write_text("chosen_seed\tdev_f1\ttest_f1\n")
+        rc = cli.main(["report", "--config", str(cli_workspace["config"]), "--runs", str(run)])
+        assert rc == cli.EXIT_DATA
+        assert "median.tsv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "trailing", "meta-key"])
+    def test_corrupt_checkpoint_is_data_error(self, cli_workspace, tmp_path, damage):
+        ws = cli_workspace
+        good = (ws["root"] / "run1" / "seed1" / "best.ckpt").read_bytes()
+        bad = {
+            "garbage": b"\x00" * 64,
+            "truncated": good[: len(good) // 2],
+            "trailing": good + b"\x00",
+            "meta-key": good.replace(b'"model":', b'"modxl":', 1),
+        }[damage]
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(bad)
+        rc = cli.main([
+            "parse", "--config", str(ws["config"]),
+            "--checkpoint", str(ckpt), "--input", str(ws["corpus"] / "test.trees"),
+        ])
+        assert rc == cli.EXIT_DATA
+
+    def test_jobs_and_seed_only_where_read(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["features", "--config", "x.yaml", "--jobs", "2"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--jobs" in out and "--seed" in out
 
     def test_missing_path_exit_code(self, cli_workspace):
         ws = cli_workspace

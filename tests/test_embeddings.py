@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prosoparse import autograd as ag
 from prosoparse.embeddings import (
@@ -30,13 +32,28 @@ class TestVectorStore:
         store = load_vector_store(path)
         assert store.dim == 3 and len(store) == 2
         np.testing.assert_allclose(store.sentences["s1"][1], [4, 5, 6])
-        assert store.coverage(["s1", "s2", "s3"]) == (2, 3)
 
     def test_dim_mismatch_rejected(self, tmp_path):
         path = store_text(
             tmp_path, "dim=3 producer=test\nsentence s1 1\n1 2 3 4\n"
         )
         with pytest.raises(FormatError, match="dims"):
+            load_vector_store(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("dim=three\nsentence s1 1\n1 2 3\n", ":1: dim"),
+            ("dim=3\n\nsentence s1 two\n1 2 3\n", ":3: row count"),
+            ("dim=3\nsentence s1 1\n1 2 x\n", ":3: non-numeric"),
+            # a negative count used to send the reader back a line, forever
+            ("dim=3\nsentence s1 -1\n", ":2: row count"),
+        ],
+        ids=["dim", "count", "value", "negative-count"],
+    )
+    def test_non_numeric_fields_are_format_errors(self, tmp_path, text, where):
+        path = store_text(tmp_path, text)
+        with pytest.raises(FormatError, match=f"store.vec{where}"):
             load_vector_store(path)
 
     def test_empty_file_warns(self, tmp_path):
@@ -113,6 +130,12 @@ class TestProviders:
         path = tmp_path / "glove.txt"
         path.write_text("cat 1 0\ndog 0 1 2\n")
         with pytest.raises(FormatError):
+            load_word_vectors(path)
+
+    def test_word_vector_non_numeric_value(self, tmp_path):
+        path = tmp_path / "glove.txt"
+        path.write_text("cat 1 0\ndog 0 one\n")
+        with pytest.raises(FormatError, match="glove.txt:2: non-numeric"):
             load_word_vectors(path)
 
     def test_unk_dropout_only_in_training(self):
@@ -195,3 +218,48 @@ class TestTensorFile:
         path.write_bytes(data[:-8])
         with pytest.raises(FormatError, match="truncated"):
             read_tensors(path)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"prosoparse-tensors x\n{}\n",
+            b'prosoparse-tensors 1\n{"meta":{}}\n',
+            b"prosoparse-tensors 1\n[1, 2]\n",
+            b'prosoparse-tensors 1\n{"meta":[],"tensors":[]}\n',
+            b'prosoparse-tensors 1\n{"tensors":[{"dtype":"<f4","shape":[1]}]}\n\0\0\0\0',
+            b'prosoparse-tensors 1\n{"tensors":[{"name":"a","dtype":"<f4","shape":["1"]}]}\n',
+            b'prosoparse-tensors 1\n{"tensors":[{"name":"a","dtype":"<f2","shape":[]}]}\n',
+            b'prosoparse-tensors 1\n{"tensors":[{"name":"a","dtype":"<f4","shape":[1]},'
+            b'{"name":"a","dtype":"<f4","shape":[1]}]}\n' + bytes(8),
+            b'prosoparse-tensors 1\n{"tensors":[{"name":"a","dtype":"<f4","shape":[1]}]}\n'
+            + bytes(5),
+        ],
+        ids=[
+            "version", "no-index", "list-header", "meta-not-object", "entry-no-name",
+            "shape-not-int", "dtype", "duplicate-name", "trailing-bytes",
+        ],
+    )
+    def test_malformed_container(self, tmp_path, blob):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            read_tensors(path)
+
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_file_loads_or_is_format_error(self, tmp_path_factory, edits):
+        path = tmp_path_factory.getbasetemp() / "mutated.bin"
+        arrays = {
+            "a.x": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "b": np.array([1, 2], dtype=np.int64),
+            "c": np.array(True),
+        }
+        write_tensors(path, arrays, meta={"sentence_ids": ["s1"]})
+        data = bytearray(path.read_bytes())
+        for pos, byte in edits:
+            data[pos % len(data)] = byte
+        path.write_bytes(bytes(data))
+        try:
+            read_tensors(path)
+        except FormatError:
+            pass

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from prosoparse.errors import (
     NumericError,
 )
 from prosoparse.model import (
+    ModelConfig,
     ParserModel,
     build_text_twin,
     clone_model,
@@ -212,6 +215,17 @@ class TestFactorization:
             b = sent_scores(twin, sent).dense
             np.testing.assert_allclose(a, b, atol=1e-6)
 
+    def test_text_twin_config_drops_only_prosody(self, featurized_corpus):
+        model = build_tiny_model(featurized_corpus.sentences, prosody=True)
+        twin = build_text_twin(model)
+        enc, twin_enc = model.config.encoder, twin.config.encoder
+        assert twin_enc.d_prosody == 0
+        for name in ("layers", "heads", "d_content", "d_position", "d_ff", "dropout",
+                     "max_len"):
+            assert getattr(twin_enc, name) == getattr(enc, name)
+        assert (twin.config.cnn, twin.config.span_hidden) == (
+            model.config.cnn, model.config.span_hidden)
+
     def test_without_surgery_scores_differ(self, featurized_corpus):
         sents = featurized_corpus.sentences
         model = build_tiny_model(sents, prosody=True)
@@ -255,6 +269,28 @@ class TestCheckpoints:
         np.testing.assert_array_equal(
             sent_scores(model, sent).dense, sent_scores(back, sent).dense
         )
+
+    def test_config_dict_round_trip(self):
+        cfg = ModelConfig(
+            encoder=EncoderConfig(layers=3, heads=2, d_content=20, d_position=6,
+                                  d_prosody=0, d_ff=40, dropout=0.3, max_len=77),
+            cnn=CnnConfig(widths=(2, 7), filters_per_width=5),
+            span_hidden=19,
+        )
+        assert ModelConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_saved_model_meta_is_pinned(self, featurized_corpus, tmp_path):
+        path = tmp_path / "m.ckpt"
+        build_tiny_model(featurized_corpus.sentences).save(path)
+        _, meta = ParserModel.load(path)
+        assert meta["model"] == {
+            "encoder": {
+                "layers": 2, "heads": 2, "d_content": 16, "d_position": 8,
+                "d_prosody": 8, "d_ff": 32, "dropout": 0.0, "max_len": 40,
+            },
+            "cnn": {"widths": [3, 5], "filters_per_width": 4},
+            "span_hidden": 24,
+        }
 
     def test_architecture_mismatch_lists_shapes(self, featurized_corpus, tmp_path):
         sents = featurized_corpus.sentences

@@ -4,7 +4,6 @@ import pytest
 from prosoparse.chart import SpanScores, cky_decode
 from prosoparse.errors import AlignmentError, DataError
 from prosoparse.evaluation import (
-    format_grid,
     length_bucket,
     paired_bootstrap,
     parseval,
@@ -205,13 +204,3 @@ class TestReports:
         assert significance_marker(0.01) == "*"
         assert significance_marker(0.03) == "†"
         assert significance_marker(0.2) == ""
-
-    def test_grid_missing_cell(self):
-        text = format_grid(
-            {("SWBD", "text"): 92.86, ("CSR", "text"): 80.60},
-            row_names=["SWBD", "CSR"],
-            col_names=["text", "prosody"],
-            markers={("SWBD", "text"): "*"},
-        )
-        assert "—" in text
-        assert "92.86*" in text
