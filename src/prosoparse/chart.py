@@ -2,9 +2,11 @@
 
 A sentence's spans are scored in one batch: the fencepost difference
 r(a, b) = fencepost(b) - fencepost(a) feeds a two-layer network producing
-one score per constituent label.  The empty label (index 0) is pinned to
-score 0; it marks chart cells that vanish when the binarized tree is
-reassembled into an n-ary one.  Decoding maximizes the additive span score
+one score per constituent label.  The first layer is linear in r(a, b), so it
+is applied to the T + 1 fenceposts before the difference is taken: a matmul
+over T + 1 rows instead of one over all T(T + 1)/2 spans.  The empty label
+(index 0) is pinned to score 0; it marks chart cells that vanish when the
+binarized tree is reassembled into an n-ary one.  Decoding maximizes the additive span score
 exactly; training minimizes a hinge against the cost-augmented argmax.
 """
 
@@ -29,14 +31,14 @@ class SpanScores:
     ``dense[a, b, l]`` is meaningful for a < b; the empty-label column is
     identically 0.  ``matrix`` holds the same scores as a tape Var of shape
     [n_spans, n_labels] for gradient flow (None for detached score tensors),
-    with ``row_of`` mapping (a, b) to its row.
+    with ``row_of[a, b]`` its row for a < b (an int array of shape [T+1, T+1]).
     """
 
     dense: np.ndarray
     vocab: object
     n_words: int
     matrix: ag.Var | None = None
-    row_of: dict | None = None
+    row_of: np.ndarray | None = None
 
     @property
     def n_labels(self):
@@ -44,11 +46,12 @@ class SpanScores:
 
 
 def span_index(n_words):
-    """All (a, b) with 0 <= a < b <= T in lexicographic order."""
-    pairs = [(a, b) for a in range(n_words) for b in range(a + 1, n_words + 1)]
-    starts = np.array([p[0] for p in pairs], dtype=np.int64)
-    ends = np.array([p[1] for p in pairs], dtype=np.int64)
-    return pairs, starts, ends
+    """(starts, ends) of all spans 0 <= a < b <= T in lexicographic order,
+    plus ``row_of`` with ``row_of[starts, ends] = arange(len(starts))``."""
+    starts, ends = np.triu_indices(n_words + 1, 1)
+    row_of = np.full((n_words + 1, n_words + 1), -1, dtype=np.int64)
+    row_of[starts, ends] = np.arange(len(starts))
+    return starts, ends, row_of
 
 
 class SpanScorer:
@@ -78,12 +81,12 @@ class SpanScorer:
 def score_spans(tape, encoded, scorer, vocab):
     """Score every span of an encoded sentence: returns SpanScores."""
     T = encoded.n_words
-    pairs, starts, ends = span_index(T)
-    reps = ag.sub(
-        ag.take_rows(encoded.fenceposts, ends),
-        ag.take_rows(encoded.fenceposts, starts),
+    starts, ends, row_of = span_index(T)
+    proj = ag.matmul(encoded.fenceposts, tape.watch(scorer.w1))
+    h = ag.add_bias(
+        ag.sub(ag.take_rows(proj, ends), ag.take_rows(proj, starts)),
+        tape.watch(scorer.b1),
     )
-    h = ag.add_bias(ag.matmul(reps, tape.watch(scorer.w1)), tape.watch(scorer.b1))
     h = ag.add_bias(
         ag.mul(ag.layer_norm(h), tape.watch(scorer.ln_gain)), tape.watch(scorer.ln_bias)
     )
@@ -100,7 +103,7 @@ def score_spans(tape, encoded, scorer, vocab):
         vocab=vocab,
         n_words=T,
         matrix=matrix,
-        row_of={p: i for i, p in enumerate(pairs)},
+        row_of=row_of,
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import prosody as pros
 from .encoder import N_DURATION_SCALARS, ProsodyInputs
-from .errors import AlignmentError, DataError
+from .errors import AlignmentError, DataError, FormatError
 from .prosody import DurationStats, FramePatch
 from .tensorfile import read_tensors, write_tensors
 from .treebank import sentence_of, tree_to_spans
@@ -150,33 +150,57 @@ def save_feature_cache(path, sentences, meta=None):
     write_tensors(path, tensors, meta)
 
 
+_CACHE_TENSORS = ("pause_before", "pause_after", "dur", "frames", "mask", "patch_lens")
+
+
+def _cached_prosody(where, arrays):
+    """ProsodyInputs from one sentence's cache arrays; FormatError if they disagree."""
+    lens, frames, mask = arrays["patch_lens"], arrays["frames"], arrays["mask"]
+    if lens.ndim != 1 or lens.dtype.kind != "i" or (lens < 0).any():
+        raise FormatError(f"{where}: patch_lens are not non-negative frame counts")
+    if frames.ndim != 2 or mask.ndim != 1 or not lens.sum() == len(frames) == len(mask):
+        raise FormatError(
+            f"{where}: patch_lens sum to {lens.sum()} but frames have shape "
+            f"{frames.shape} and mask {mask.shape}"
+        )
+    T = len(lens)
+    if arrays["pause_before"].shape != (T,) or arrays["pause_after"].shape != (T,):
+        raise FormatError(f"{where}: pause arrays do not hold {T} words")
+    if arrays["dur"].shape != (T, N_DURATION_SCALARS):
+        raise FormatError(f"{where}: bad duration block")
+    patches = []
+    off = 0
+    for n in lens:
+        patches.append(
+            FramePatch(frames=frames[off : off + n], word_interior_mask=mask[off : off + n])
+        )
+        off += int(n)
+    return ProsodyInputs(
+        pause_before=arrays["pause_before"],
+        pause_after=arrays["pause_after"],
+        duration_scalars=arrays["dur"].astype(np.float32),
+        patches=patches,
+    )
+
+
 def load_feature_cache(path, sentences):
-    """Attach cached ProsodyInputs to the given sentences (matched by id)."""
+    """Attach cached ProsodyInputs to the given sentences (matched by id).
+
+    A cache that lacks a listed sentence's tensors, or whose tensors disagree
+    on word or frame counts, raises FormatError.
+    """
     meta, tensors = read_tensors(path)
+    ids = meta.get("sentence_ids", [])
+    if not isinstance(ids, list) or not all(isinstance(sid, str) for sid in ids):
+        raise FormatError(f"{path}: sentence_ids is not a list of strings")
     by_id = {s.sentence_id: s for s in sentences}
-    for sid in meta.get("sentence_ids", []):
+    for sid in ids:
         sent = by_id.get(sid)
         if sent is None:
             continue
-        lens = tensors[f"{sid}.patch_lens"]
-        frames = tensors[f"{sid}.frames"]
-        mask = tensors[f"{sid}.mask"]
-        patches = []
-        off = 0
-        for n in lens:
-            patches.append(
-                FramePatch(
-                    frames=frames[off : off + n], word_interior_mask=mask[off : off + n]
-                )
-            )
-            off += int(n)
-        dur = tensors[f"{sid}.dur"]
-        if dur.shape != (len(lens), N_DURATION_SCALARS):
-            raise DataError(f"{path}: bad duration block for sentence {sid!r}")
-        sent.prosody = ProsodyInputs(
-            pause_before=tensors[f"{sid}.pause_before"],
-            pause_after=tensors[f"{sid}.pause_after"],
-            duration_scalars=dur.astype(np.float32),
-            patches=patches,
-        )
+        missing = [k for k in _CACHE_TENSORS if f"{sid}.{k}" not in tensors]
+        if missing:
+            raise FormatError(f"{path}: sentence {sid!r} lacks tensors {missing}")
+        arrays = {k: tensors[f"{sid}.{k}"] for k in _CACHE_TENSORS}
+        sent.prosody = _cached_prosody(f"{path}: sentence {sid!r}", arrays)
     return meta

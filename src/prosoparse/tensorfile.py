@@ -4,14 +4,17 @@ Layout: one ASCII magic/version line, one JSON metadata line (free-form
 ``meta`` dict plus an ordered tensor index of name/dtype/shape), then the
 raw little-endian array bytes concatenated in index order.  Writing the
 same arrays and metadata twice produces byte-identical files, which the
-feature cache and checkpoint round-trip tests rely on.
+feature cache and checkpoint round-trip tests rely on.  A write replaces the
+target atomically: readers see the old file or the new one, never a part.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import secrets
 
 import numpy as np
 
@@ -48,12 +51,24 @@ def write_tensors(path, tensors, meta=None):
         sort_keys=True,
         separators=(",", ":"),
     )
-    with open(path, "wb") as fh:
-        fh.write(f"{MAGIC} {VERSION}\n".encode("ascii"))
-        fh.write(header.encode("utf-8"))
-        fh.write(b"\n")
-        for blob in blobs:
-            fh.write(blob)
+    # written beside the target and renamed over it, so a crash mid-write
+    # leaves the previous file intact
+    tmp = f"{os.fspath(path)}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(f"{MAGIC} {VERSION}\n".encode("ascii"))
+            fh.write(header.encode("utf-8"))
+            fh.write(b"\n")
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _check_index(path, header):

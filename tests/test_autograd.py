@@ -121,6 +121,29 @@ class TestOpSemantics:
         out = ag.layer_norm(t.constant(np.full((2, 5), 3.7)))
         np.testing.assert_allclose(out.value, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_bit_identical_to_textbook(self, dtype):
+        rng = np.random.default_rng(8)
+        v = (3.0 * rng.standard_normal((37, 19)) + 1.5).astype(dtype)
+        g = rng.standard_normal((37, 19)).astype(dtype)
+        t = ag.Tape(dtype=dtype)
+        x = t.constant(v)
+        out = ag.layer_norm(x)
+        loss = ag.sum_all(ag.mul(out, t.constant(g)))
+        t.backward(loss)
+
+        v64 = v.astype(np.float64)
+        mu = v64.mean(axis=-1, keepdims=True)
+        std = np.sqrt(v64.var(axis=-1, keepdims=True) + 1e-5)
+        y = (v64 - mu) / std
+        g64 = g.astype(np.float64)
+        gm = g64.mean(axis=-1, keepdims=True)
+        gym = (g64 * y).mean(axis=-1, keepdims=True)
+        dx = (g64 - gm - y * gym) / std
+        assert out.value.dtype == x.grad.dtype == dtype
+        assert out.value.tobytes() == y.astype(dtype).tobytes()
+        assert x.grad.tobytes() == dx.astype(dtype).tobytes()
+
     def test_conv1d_width1_identity(self):
         t = tape64()
         x = t.constant(np.random.default_rng(0).standard_normal((7, 2)))

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from prosoparse import autograd as ag
-from prosoparse._kernels import cky_fill_numba, cky_fill_numpy
+from prosoparse._kernels import _cky_fill_loops, cky_fill_numba, cky_fill_numpy
 from prosoparse.chart import (
+    SpanScorer,
     SpanScores,
     cky_decode,
     margin_loss,
+    score_spans,
     span_index,
     tree_score,
 )
+from prosoparse.encoder import EncodedSentence
 from prosoparse.errors import CrossingSpanError, DataError
 from prosoparse.treebank import LabelVocab, LabeledSpan, tree_to_spans
 
@@ -33,16 +36,27 @@ def random_dense(rng, T, n_labels):
 def attached_scores(dense, vocab):
     """Wrap a dense tensor as SpanScores with a differentiable matrix."""
     T = dense.shape[0] - 1
-    pairs, starts, ends = span_index(T)
+    starts, ends, row_of = span_index(T)
     tape = ag.Tape(dtype=np.float64)
     matrix = tape.constant(dense[starts, ends])
     return SpanScores(
-        dense=dense,
-        vocab=vocab,
-        n_words=T,
-        matrix=matrix,
-        row_of={p: i for i, p in enumerate(pairs)},
+        dense=dense, vocab=vocab, n_words=T, matrix=matrix, row_of=row_of
     )
+
+
+def encoded_and_scorer(T, d_in=6, hidden=5, n_labels=4, seed=0):
+    """Random float64 fenceposts (as a Parameter) and span scorer."""
+    rng = np.random.default_rng(seed)
+    fenceposts = ag.Parameter("fenceposts", rng.standard_normal((T + 1, d_in)))
+    scorer = SpanScorer(d_in, n_labels, hidden=hidden, rng=rng, dtype=np.float64)
+    scorer.b1.value[...] = rng.standard_normal(hidden)
+    scorer.ln_gain.value[...] = 1.0 + 0.1 * rng.standard_normal(hidden)
+    return fenceposts, scorer
+
+
+def score_with(tape, fenceposts, scorer, T):
+    encoded = EncodedSentence(fenceposts=tape.watch(fenceposts), n_words=T)
+    return score_spans(tape, encoded, scorer, LabelVocab(["S", "NP", "VP"]))
 
 
 # ----------------------------------------------------------------------
@@ -136,6 +150,19 @@ class TestKernels:
             nb_best, nb_split = cky_fill_numba(label_best)
             np.testing.assert_array_equal(np_best, nb_best)
             np.testing.assert_array_equal(np_split, nb_split)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 17, 40, 80])
+    @pytest.mark.parametrize("chart", ["random", "integer"])
+    def test_numpy_fill_equals_loop_reference(self, T, chart):
+        rng = np.random.default_rng(T)
+        if chart == "random":
+            label_best = rng.standard_normal((T + 1, T + 1))
+        else:  # few distinct values: most cells have tied split candidates
+            label_best = rng.integers(-2, 3, size=(T + 1, T + 1)).astype(np.float64)
+        np_best, np_split = cky_fill_numpy(label_best)
+        ref_best, ref_split = _cky_fill_loops(label_best)
+        assert np_best.tobytes() == ref_best.tobytes()
+        assert np_split.tobytes() == ref_split.tobytes()
 
     def test_split_tie_breaks_smallest(self):
         label_best = np.zeros((4, 4))
@@ -308,3 +335,44 @@ class TestMarginLoss:
         dense = np.zeros((4, 4, len(VOCAB5)))
         with pytest.raises(DataError):
             margin_loss(SpanScores(dense, VOCAB5, 3), self.gold())
+
+
+class TestScoreSpans:
+    def test_span_index_order_and_rows(self):
+        starts, ends, row_of = span_index(4)
+        pairs = [(a, b) for a in range(4) for b in range(a + 1, 5)]
+        assert list(zip(starts.tolist(), ends.tolist())) == pairs
+        assert [row_of[p] for p in pairs] == list(range(len(pairs)))
+
+    def test_factored_first_layer_matches_span_differences(self):
+        T = 9
+        fenceposts, scorer = encoded_and_scorer(T)
+        tape = ag.Tape(dtype=np.float64)
+        scores = score_with(tape, fenceposts, scorer, T)
+        starts, ends, _ = span_index(T)
+        f = fenceposts.value
+        h = (f[ends] - f[starts]) @ scorer.w1.value + scorer.b1.value
+        mu = h.mean(axis=-1, keepdims=True)
+        h = (h - mu) / np.sqrt(h.var(axis=-1, keepdims=True) + 1e-5)
+        h = np.maximum(h * scorer.ln_gain.value + scorer.ln_bias.value, 0.0)
+        explicit = h @ scorer.w2.value + scorer.b2.value
+        np.testing.assert_allclose(scores.matrix.value, explicit, rtol=0, atol=1e-12)
+        expected = np.zeros_like(scores.dense)
+        expected[starts, ends] = explicit
+        expected[:, :, 0] = 0.0
+        np.testing.assert_allclose(scores.dense, expected, rtol=0, atol=1e-12)
+
+    def test_grad_check_fenceposts_and_first_layer(self):
+        T = 6
+        fenceposts, scorer = encoded_and_scorer(T, seed=4)
+        weights = np.random.default_rng(5).standard_normal(
+            (T * (T + 1) // 2, scorer.n_labels)
+        )
+
+        def f():
+            tape = ag.Tape(dtype=np.float64)
+            scores = score_with(tape, fenceposts, scorer, T)
+            return ag.sum_all(ag.mul(scores.matrix, tape.constant(weights)))
+
+        err = ag.grad_check(f, [fenceposts, scorer.w1], n_samples=40, h=1e-5)
+        assert err < 1e-5, f"gradient error {err}"

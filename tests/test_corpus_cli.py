@@ -4,8 +4,46 @@ import yaml
 
 from prosoparse import cli
 from prosoparse.corpus import content_hash, load_feature_cache, save_feature_cache
+from prosoparse.errors import FormatError
 from prosoparse.synthdata import overfit_corpus, write_corpus
+from prosoparse.tensorfile import read_tensors, write_tensors
 from prosoparse.treebank import read_tree_file, write_tree_file
+
+
+def _negative_first_len(lens):
+    lens = lens.copy()
+    lens[1] += lens[0] + 1  # the sum still matches the stored frames
+    lens[0] = -1
+    return lens
+
+
+# each rewrites the first sentence's tensors in a saved feature cache:
+# damage name -> (edit of {suffix: array}, expected error text)
+CACHE_DAMAGE = {
+    "missing-tensor": (lambda t: t.pop("mask"), "lacks tensors"),
+    "negative-length": (
+        lambda t: t.update(patch_lens=_negative_first_len(t["patch_lens"])),
+        "not non-negative frame counts",
+    ),
+    "lens-exceed-frames": (
+        lambda t: t.update(patch_lens=t["patch_lens"] + 1000), "sum to"
+    ),
+    "mask-shorter": (lambda t: t.update(mask=t["mask"][:-1]), "sum to"),
+    "pause-length": (lambda t: t.update(pause_after=t["pause_after"][:-1]), "pause arrays"),
+}
+
+
+def damage_cache(path, damage, sid):
+    """Rewrite a saved cache with one sentence's tensors damaged; returns the
+    error text loading it should give."""
+    meta, tensors = read_tensors(path)
+    mine = {k.split(".", 1)[1]: v for k, v in tensors.items() if k.startswith(f"{sid}.")}
+    edit, expected = CACHE_DAMAGE[damage]
+    edit(mine)
+    tensors = {k: v for k, v in tensors.items() if not k.startswith(f"{sid}.")}
+    tensors.update({f"{sid}.{k}": v for k, v in mine.items()})
+    write_tensors(path, tensors, meta)
+    return expected
 
 
 class TestFeaturize:
@@ -36,6 +74,17 @@ class TestFeaturize:
         save_feature_cache(p1, sents, meta={"content_hash": "h"})
         save_feature_cache(p2, sents, meta={"content_hash": "h"})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("damage", sorted(CACHE_DAMAGE))
+    def test_malformed_cache_is_format_error(self, featurized_corpus, tmp_path, damage):
+        sents = featurized_corpus.sentences
+        path = tmp_path / "feat.bin"
+        save_feature_cache(path, sents, meta={"content_hash": "h"})
+        sid = sents[0].sentence_id
+        expected = damage_cache(path, damage, sid)
+        stripped = [type(s)(sentence_id=s.sentence_id, tokens=s.tokens) for s in sents]
+        with pytest.raises(FormatError, match=f"{sid}'.*{expected}"):
+            load_feature_cache(path, stripped)
 
     def test_content_hash_sensitive(self, tmp_path):
         f = tmp_path / "x"
@@ -321,6 +370,19 @@ class TestCliWorkflow:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--jobs" in out and "--seed" in out
+
+    @pytest.mark.parametrize("damage", ["missing-tensor", "lens-exceed-frames"])
+    def test_malformed_feature_cache_is_data_error(self, cli_workspace, capsys, damage):
+        ws = cli_workspace
+        out_dir = ws["root"] / f"run_badcache_{damage}"
+        cfg = write_cfg(ws, {"output_dir": str(out_dir)}, f"exp_badcache_{damage}.yaml")
+        assert cli.main(["features", "--config", str(cfg)]) == 0
+        cache = out_dir / "features.bin"
+        expected = damage_cache(cache, damage, read_tensors(cache)[0]["sentence_ids"][0])
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and expected in err
 
     def test_missing_path_exit_code(self, cli_workspace):
         ws = cli_workspace

@@ -205,6 +205,51 @@ class TestTensorFile:
         write_tensors(p2, arrays, meta={"n": 1})
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bytes_pinned(self, tmp_path):
+        path = tmp_path / "t.bin"
+        a = np.array([[1.5, -2.0]], dtype=np.float32)
+        write_tensors(path, {"b": np.array([True]), "a": a}, meta={"k": 1})
+        assert path.read_bytes() == (
+            b"prosoparse-tensors 1\n"
+            b'{"meta":{"k":1},"tensors":[{"dtype":"<f4","name":"a","shape":[1,2]},'
+            b'{"dtype":"|b1","name":"b","shape":[1]}]}\n'
+            + a.astype("<f4").tobytes()
+            + b"\x01"
+        )
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        from prosoparse import tensorfile
+
+        path = tmp_path / "t.bin"
+        write_tensors(path, {"a": np.ones((4, 4), dtype=np.float32)})
+        before = path.read_bytes()
+
+        class FailAfterHeader:
+            """File whose writes fail once the magic and metadata lines are out."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 3:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(
+            tensorfile, "open", lambda p, mode: FailAfterHeader(open(p, mode)), raising=False
+        )
+        with pytest.raises(OSError, match="No space"):
+            write_tensors(path, {"a": np.zeros((8, 8), dtype=np.float32)})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.bin"]
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not a tensor file\n{}\n")
