@@ -1,7 +1,17 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-A ``Tape`` records every op applied to its ``Var`` nodes as a flat list of
-backward closures; ``Tape.backward`` replays the list in reverse.  Storage
+A recording ``Tape`` (the default) keeps one backward closure per op in a
+flat list; ``Tape.backward`` replays the list in reverse, accumulates into
+each watched ``Parameter``'s ``grad`` and then releases the tape.  The
+closures hold their ``Var`` operands and every ``Var`` holds its tape, so
+until it is released a tape is a reference cycle that keeps every array of
+its forward pass until the cyclic garbage collector runs.  A tape whose
+loss needs no backward (a zero loss) is released with ``Tape.release``.  A
+non-recording tape (``record=False``, for inference) keeps no closures and
+no watched leaves, so its arrays are freed as soon as nothing references
+them; ``backward`` on it raises.
+
+``train`` is independent of recording: it only turns dropout on.  Storage
 is float32 by default (float64 available for gradient checking); softmax
 and layer_norm reduce in float64 regardless.  There is no broadcasting
 beyond bias/vector-over-rows; shapes are validated on every op.
@@ -54,12 +64,17 @@ class Var:
 
 
 class Tape:
-    """One recorded computation (typically: one sentence's forward pass)."""
+    """One computation (typically: one sentence's forward pass).
 
-    def __init__(self, rng=None, train=False, dtype=np.float32):
+    ``record=False`` gives an inference tape that keeps no backward closures
+    and no watched leaves; ``backward`` on it raises NumericError.
+    """
+
+    def __init__(self, rng=None, train=False, dtype=np.float32, record=True):
         self.rng = rng
         self.train = train
         self.dtype = np.dtype(dtype)
+        self.record = record
         self._ops = []
         self._watched = {}
 
@@ -68,6 +83,8 @@ class Tape:
 
     def watch(self, param):
         """Leaf Var for a Parameter; backward() accumulates into param.grad."""
+        if not self.record:
+            return Var(param.value, self)
         entry = self._watched.get(id(param))
         if entry is None:
             entry = (param, Var(param.value, self))
@@ -75,10 +92,14 @@ class Tape:
         return entry[1]
 
     def _record(self, fn):
-        self._ops.append(fn)
+        if self.record:
+            self._ops.append(fn)
 
     def backward(self, loss, seed=1.0):
-        """Backpropagate d(seed * loss) into every watched Parameter's grad."""
+        """Backpropagate d(seed * loss) into every watched Parameter's grad,
+        then release the tape."""
+        if not self.record:
+            raise NumericError("backward() on a tape that does not record")
         if loss.tape is not self:
             raise NumericError("backward() on a Var from a different tape")
         if loss.value.shape != ():
@@ -89,6 +110,16 @@ class Tape:
         for param, var in self._watched.values():
             if var.grad is not None:
                 param.grad += var.grad
+        self.release()
+
+    def release(self):
+        """Drop the backward closures and watched leaves.
+
+        This breaks the tape -> closure -> Var -> tape cycle, so the forward
+        pass's arrays are freed as soon as the caller drops its Vars.
+        """
+        self._ops = []
+        self._watched = {}
 
 
 def _accum(var, g):
@@ -309,58 +340,77 @@ def dropout(x, rate):
 
 
 def conv1d(x, w, b):
-    """Same-padded 1-D convolution over time.
+    """Same-padded 1-D convolution over time, one per item.
 
-    x: [time, in_ch]; w: [width, in_ch, out_ch]; b: [out_ch] -> [time, out_ch].
-    Zero padding of (width-1)//2 left and width//2 right guarantees at least
-    one output position for any input length.
+    x: [items, time, in_ch]; w: [width, in_ch, out_ch]; b: [out_ch]
+    -> [items, time, out_ch].  Zero padding of (width-1)//2 left and
+    width//2 right guarantees at least one output position for any input
+    length.  An item whose trailing frames are zeros therefore gives, at its
+    leading frames, exactly what it gives without them.
     """
     tape = _same_tape("conv1d", x, w, b)
-    if x.value.ndim != 2 or w.value.ndim != 3 or x.value.shape[1] != w.value.shape[1]:
+    if x.value.ndim != 3 or w.value.ndim != 3 or x.value.shape[2] != w.value.shape[1]:
         raise ShapeError("conv1d", x.value.shape, w.value.shape)
     if b.value.ndim != 1 or b.value.shape[0] != w.value.shape[2]:
         raise ShapeError("conv1d bias", b.value.shape, w.value.shape)
-    t, cin = x.value.shape
+    n, t, cin = x.value.shape
     width, _, cout = w.value.shape
     pad_l = (width - 1) // 2
     pad_r = width // 2
-    xp = np.zeros((t + pad_l + pad_r, cin), dtype=x.value.dtype)
-    xp[pad_l : pad_l + t] = x.value
-    cols = np.empty((t, width * cin), dtype=x.value.dtype)
+    xp = np.zeros((n, t + pad_l + pad_r, cin), dtype=x.value.dtype)
+    xp[:, pad_l : pad_l + t] = x.value
+    rows = n * t
+    # one spare zero row: numpy computes a one-row product with gemv, which
+    # rounds differently from gemm, so without it a lone one-frame item would
+    # not give the bits it gives inside a batch
+    spare = np.zeros((rows + 1, width * cin), dtype=x.value.dtype)
+    cols = spare[:rows]
+    windows = cols.reshape(n, t, width * cin)
     for k in range(width):
-        cols[:, k * cin : (k + 1) * cin] = xp[k : k + t]
+        windows[:, :, k * cin : (k + 1) * cin] = xp[:, k : k + t]
     w2d = w.value.reshape(width * cin, cout)
-    out = Var(cols @ w2d + b.value[None, :], tape)
+    out = Var(((spare @ w2d)[:rows] + b.value[None, :]).reshape(n, t, cout), tape)
 
     def bwd():
         if out.grad is None:
             return
-        g = out.grad
+        g = out.grad.reshape(rows, cout)
         _accum(b, g.sum(axis=0))
         _accum(w, (cols.T @ g).reshape(width, cin, cout))
-        dcols = g @ w2d.T
+        dcols = (g @ w2d.T).reshape(n, t, width * cin)
         dxp = np.zeros_like(xp)
         for k in range(width):
-            dxp[k : k + t] += dcols[:, k * cin : (k + 1) * cin]
-        _accum(x, dxp[pad_l : pad_l + t])
+            dxp[:, k : k + t] += dcols[:, :, k * cin : (k + 1) * cin]
+        _accum(x, dxp[:, pad_l : pad_l + t])
 
     tape._record(bwd)
     return out
 
 
-def max_pool_time(x):
-    """Max over the time axis: [time, ch] -> [1, ch] (first max wins)."""
+def max_pool_time(x, lengths):
+    """Max over time of each item's first ``lengths[i]`` frames.
+
+    x: [items, time, ch] -> [items, ch].  Frames past an item's length never win and get zero gradient; among
+    equal values the first frame wins.
+    """
     tape = x.tape
-    if x.value.ndim != 2:
-        raise ShapeError("max_pool_time", x.value.shape)
-    idx = x.value.argmax(axis=0)
-    out = Var(x.value[idx, np.arange(x.value.shape[1])][None, :], tape)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if x.value.ndim != 3 or lengths.shape != x.value.shape[:1]:
+        raise ShapeError("max_pool_time", x.value.shape, lengths.shape)
+    n, t, c = x.value.shape
+    if n and (lengths.min() < 1 or lengths.max() > t):
+        raise NumericError(f"max_pool_time: item lengths must lie in [1, {t}]")
+    padded = np.arange(t)[None, :, None] >= lengths[:, None, None]
+    idx = np.where(padded, -np.inf, x.value).argmax(axis=1)
+    items = np.arange(n)[:, None]
+    chans = np.arange(c)[None, :]
+    out = Var(x.value[items, idx, chans], tape)
 
     def bwd():
         if out.grad is None:
             return
         g = np.zeros_like(x.value)
-        g[idx, np.arange(x.value.shape[1])] = out.grad[0]
+        g[items, idx, chans] = out.grad
         _accum(x, g)
 
     tape._record(bwd)

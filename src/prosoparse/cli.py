@@ -53,7 +53,9 @@ def _attach_features(cfg, sentences, save=True, force=False):
             glob.glob(os.path.join(cfg.data.frame_tracks, "*.csv"))
         )
         want_hash = corpus_mod.content_hash(
-            paths, extra=f"{cfg.features.context_s}:{cfg.features.max_frames}"
+            paths,
+            extra=f"{corpus_mod.FEATURES_VERSION}:{cfg.features.context_s}:"
+            f"{cfg.features.max_frames}",
         )
         if not force and os.path.exists(cache):
             meta = corpus_mod.load_feature_cache(cache, sentences)

@@ -21,6 +21,11 @@ from .tensorfile import read_tensors, write_tensors
 from .treebank import sentence_of, tree_to_spans
 
 
+# Part of every feature-cache key: bump it whenever featurize computes
+# different features from the same inputs, so that older caches are stale.
+FEATURES_VERSION = 1
+
+
 @dataclass
 class Sentence:
     sentence_id: str
@@ -156,8 +161,8 @@ _CACHE_TENSORS = ("pause_before", "pause_after", "dur", "frames", "mask", "patch
 def _cached_prosody(where, arrays):
     """ProsodyInputs from one sentence's cache arrays; FormatError if they disagree."""
     lens, frames, mask = arrays["patch_lens"], arrays["frames"], arrays["mask"]
-    if lens.ndim != 1 or lens.dtype.kind != "i" or (lens < 0).any():
-        raise FormatError(f"{where}: patch_lens are not non-negative frame counts")
+    if lens.ndim != 1 or lens.dtype.kind != "i" or (lens < 1).any():
+        raise FormatError(f"{where}: patch_lens are not positive frame counts")
     if frames.ndim != 2 or mask.ndim != 1 or not lens.sum() == len(frames) == len(mask):
         raise FormatError(
             f"{where}: patch_lens sum to {lens.sum()} but frames have shape "

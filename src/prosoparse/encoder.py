@@ -257,23 +257,27 @@ class Encoder:
     # ------------------------------------------------------------------
     # prosodic feature sub-networks
 
-    def prosody_cnn(self, tape, patch):
-        """CNN summary of one word's frame patch: [1 x widths*filters].
+    def prosody_cnn(self, tape, patches):
+        """CNN summaries of the words' frame patches: [T x widths*filters].
 
-        Energy, f0 and the word-interior mask enter as three channels; each
-        filter width is convolved (same padding), rectified and max-pooled
-        over time, and the per-width outputs are concatenated in ascending
-        width order.
+        Energy, f0 and the word-interior mask enter as three channels.  The
+        T patches are zero-padded at their end to the longest one, so each
+        filter width is one convolution (same padding), rectification and
+        max-pool over time for the whole sentence.  Each word pools over its
+        own frames only, and the zero padding is exactly its per-word same
+        padding, so its row equals what its patch gives alone.  The
+        per-width outputs are concatenated in ascending width order.
         """
-        x = np.concatenate(
-            [patch.frames, patch.word_interior_mask[:, None].astype(patch.frames.dtype)],
-            axis=1,
-        )
+        lengths = np.array([p.n_frames for p in patches], dtype=np.int64)
+        x = np.zeros((len(patches), lengths.max(), CNN_IN_CHANNELS), dtype=tape.dtype)
+        for i, p in enumerate(patches):
+            x[i, : p.n_frames, :2] = p.frames
+            x[i, : p.n_frames, 2] = p.word_interior_mask
         x_var = tape.constant(x)
         pieces = []
         for wmat, bias in self.cnn_filters:
             conv = ag.conv1d(x_var, tape.watch(wmat), tape.watch(bias))
-            pieces.append(ag.max_pool_time(ag.relu(conv)))
+            pieces.append(ag.max_pool_time(ag.relu(conv), lengths))
         return ag.concat(pieces, axis=1)
 
     def phi_matrix(self, tape, prosody):
@@ -285,10 +289,7 @@ class Encoder:
 
     def prosody_stream(self, tape, prosody):
         phi = self.phi_matrix(tape, prosody)
-        s_rows = ag.concat(
-            [self.prosody_cnn(tape, patch) for patch in prosody.patches], axis=0
-        )
-        joint = ag.concat([phi, s_rows], axis=1)
+        joint = ag.concat([phi, self.prosody_cnn(tape, prosody.patches)], axis=1)
         return ag.add_bias(
             ag.matmul(joint, tape.watch(self.w_prosody)), tape.watch(self.b_prosody)
         )

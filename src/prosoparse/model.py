@@ -93,7 +93,7 @@ class ParserModel:
         return score_spans(tape, encoded, self.scorer, self.label_vocab)
 
     def parse_sentence(self, sent):
-        tape = ag.Tape(train=False, dtype=self.dtype)
+        tape = ag.Tape(train=False, record=False, dtype=self.dtype)
         scores = self.score_sentence(tape, sent)
         return cky_decode(scores, sent.tokens)
 

@@ -90,6 +90,8 @@ class FramePatch:
             raise DataError(f"patch must be [n_frames, 2], got {self.frames.shape}")
         if len(self.word_interior_mask) != len(self.frames):
             raise DataError("mask length does not match frame count")
+        if len(self.frames) < 1:
+            raise DataError("patch has no frames")
 
     @property
     def n_frames(self):

@@ -214,6 +214,8 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
                     epoch_loss += info.loss
                     if info.loss > 0.0:
                         tape.backward(loss_var, seed=scale)
+                    else:
+                        tape.release()
                 n_sentences += len(batch)
                 opt.step()
             train_loss = epoch_loss / max(n_sentences, 1)

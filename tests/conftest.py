@@ -1,9 +1,12 @@
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 import prosoparse
+from prosoparse import autograd as ag
 from prosoparse.corpus import featurize
 from prosoparse.embeddings import EmbeddingProvider
 from prosoparse.encoder import CnnConfig, EncoderConfig
@@ -68,3 +71,22 @@ def child_env():
     root = os.path.dirname(os.path.dirname(prosoparse.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture
+def tape_refs(monkeypatch):
+    """Weak references to every Tape created in the test, with the cyclic
+    garbage collector off, so a tape is dead only once refcounting frees it."""
+    refs = []
+    init = ag.Tape.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(ag.Tape, "__init__", tracked)
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        gc.enable()

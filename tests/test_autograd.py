@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prosoparse import autograd as ag
-from prosoparse.errors import ShapeError
+from prosoparse.errors import NumericError, ShapeError
 
 
 def tape64():
@@ -67,11 +67,26 @@ class TestOpGradients:
     def test_conv1d_and_pool(self):
         check_op(
             lambda tape, ps: ag.sum_all(
-                ag.max_pool_time(ag.conv1d(ps[0], ps[1], ps[2]))
+                ag.max_pool_time(ag.conv1d(ps[0], ps[1], ps[2]), [9, 9])
             ),
-            [((9, 2), 0.0), ((3, 2, 4), 0.0), ((4,), 0.0)],
+            [((2, 9, 2), 0.0), ((3, 2, 4), 0.0), ((4,), 0.0)],
             tol=1e-5,
         )
+
+    def test_conv1d_and_pool_ragged_lengths(self):
+        lengths = [1, 6, 9]
+        convs = []
+
+        def build(tape, ps):
+            convs.append(ag.conv1d(ps[0], ps[1], ps[2]))
+            return ag.sum_all(ag.max_pool_time(convs[-1], lengths))
+
+        check_op(build, [((3, 9, 2), 0.0), ((4, 2, 5), 0.0), ((5,), 0.0)], tol=1e-5)
+        # the conv output of the first f() call, whose tape ran backward
+        grad = convs[0].grad
+        for i, n in enumerate(lengths):
+            assert (grad[i, n:] == 0).all()
+            assert (grad[i, :n] != 0).any()
 
     def test_take_rows_concat_slice(self):
         def build(tape, ps):
@@ -146,7 +161,7 @@ class TestOpSemantics:
 
     def test_conv1d_width1_identity(self):
         t = tape64()
-        x = t.constant(np.random.default_rng(0).standard_normal((7, 2)))
+        x = t.constant(np.random.default_rng(0).standard_normal((2, 7, 2)))
         w = t.constant(np.eye(2)[None, :, :])  # width 1, identity across channels
         b = t.constant(np.zeros(2))
         out = ag.conv1d(x, w, b)
@@ -154,10 +169,26 @@ class TestOpSemantics:
 
     def test_conv1d_short_input_still_valid(self):
         t = tape64()
-        x = t.constant(np.ones((1, 2)))
+        x = t.constant(np.ones((1, 1, 2)))
         w = t.constant(np.ones((5, 2, 3)))
         b = t.constant(np.zeros(3))
-        assert ag.conv1d(x, w, b).value.shape == (1, 3)
+        assert ag.conv1d(x, w, b).value.shape == (1, 1, 3)
+
+    def test_max_pool_time_ignores_padding_first_max_wins(self):
+        t = tape64()
+        x = t.constant(
+            np.array([[[1.0], [3.0], [3.0], [9.0]], [[2.0], [2.0], [0.0], [0.0]]])
+        )
+        out = ag.max_pool_time(x, [3, 2])
+        np.testing.assert_array_equal(out.value, [[3.0], [2.0]])
+        t.backward(ag.sum_all(out))
+        np.testing.assert_array_equal(x.grad[:, :, 0], [[0, 1, 0, 0], [1, 0, 0, 0]])
+
+    @pytest.mark.parametrize("lengths", [[0, 4], [4, 5], [4]])
+    def test_max_pool_time_rejects_bad_lengths(self, lengths):
+        x = tape64().constant(np.ones((2, 4, 3)))
+        with pytest.raises((NumericError, ShapeError), match="max_pool_time"):
+            ag.max_pool_time(x, lengths)
 
     def test_dropout_eval_mode_identity(self):
         t = ag.Tape(train=False, dtype=np.float64)
@@ -198,6 +229,16 @@ class TestOpSemantics:
         loss = ag.sum_all(ag.mul(w, w))
         t.backward(loss)
         np.testing.assert_allclose(p.grad, 2.0)
+
+    def test_non_recording_tape_keeps_nothing_and_cannot_backward(self):
+        p = ag.Parameter("w", np.ones((2, 2)))
+        t = ag.Tape(record=False)
+        loss = ag.sum_all(ag.mul(t.watch(p), t.watch(p)))
+        assert float(loss.value) == 4.0
+        assert t._ops == [] and t._watched == {}
+        with pytest.raises(NumericError, match="does not record"):
+            t.backward(loss)
+        np.testing.assert_array_equal(p.grad, 0.0)
 
     def test_backward_scaled_seed(self):
         p = ag.Parameter("w", np.ones(3).reshape(1, 3))

@@ -3,6 +3,7 @@ import pytest
 import yaml
 
 from prosoparse import cli
+from prosoparse import corpus as corpus_mod
 from prosoparse.corpus import content_hash, load_feature_cache, save_feature_cache
 from prosoparse.errors import FormatError
 from prosoparse.synthdata import overfit_corpus, write_corpus
@@ -10,10 +11,10 @@ from prosoparse.tensorfile import read_tensors, write_tensors
 from prosoparse.treebank import read_tree_file, write_tree_file
 
 
-def _negative_first_len(lens):
+def _first_len(lens, n):
     lens = lens.copy()
-    lens[1] += lens[0] + 1  # the sum still matches the stored frames
-    lens[0] = -1
+    lens[1] += lens[0] - n  # the sum still matches the stored frames
+    lens[0] = n
     return lens
 
 
@@ -22,8 +23,12 @@ def _negative_first_len(lens):
 CACHE_DAMAGE = {
     "missing-tensor": (lambda t: t.pop("mask"), "lacks tensors"),
     "negative-length": (
-        lambda t: t.update(patch_lens=_negative_first_len(t["patch_lens"])),
-        "not non-negative frame counts",
+        lambda t: t.update(patch_lens=_first_len(t["patch_lens"], -1)),
+        "not positive frame counts",
+    ),
+    "zero-length": (
+        lambda t: t.update(patch_lens=_first_len(t["patch_lens"], 0)),
+        "not positive frame counts",
     ),
     "lens-exceed-frames": (
         lambda t: t.update(patch_lens=t["patch_lens"] + 1000), "sum to"
@@ -371,7 +376,7 @@ class TestCliWorkflow:
         out = capsys.readouterr().out
         assert "--jobs" in out and "--seed" in out
 
-    @pytest.mark.parametrize("damage", ["missing-tensor", "lens-exceed-frames"])
+    @pytest.mark.parametrize("damage", ["missing-tensor", "lens-exceed-frames", "zero-length"])
     def test_malformed_feature_cache_is_data_error(self, cli_workspace, capsys, damage):
         ws = cli_workspace
         out_dir = ws["root"] / f"run_badcache_{damage}"
@@ -383,6 +388,36 @@ class TestCliWorkflow:
         assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and expected in err
+
+    def test_cache_of_another_features_version_is_recomputed(
+        self, cli_workspace, monkeypatch
+    ):
+        ws = cli_workspace
+        out_dir = ws["root"] / "run_version"
+        cfg_path = write_cfg(ws, {"output_dir": str(out_dir)}, "exp_version.yaml")
+        cfg = cli.load_config(str(cfg_path))
+        cache = out_dir / "features.bin"
+
+        def fresh_sentences():
+            corpora, dev, test = cli._load_corpora(cfg)
+            return [s for c in corpora for s in c] + dev + test
+
+        monkeypatch.setattr(corpus_mod, "FEATURES_VERSION", corpus_mod.FEATURES_VERSION + 1)
+        assert cli._attach_features(cfg, fresh_sentences()) is True
+        old_meta, tensors = read_tensors(cache)
+        # a reused cache would now be visible as all-zero durations
+        write_tensors(
+            cache,
+            {k: np.zeros_like(v) if k.endswith(".dur") else v for k, v in tensors.items()},
+            old_meta,
+        )
+        monkeypatch.undo()
+        sentences = fresh_sentences()
+        assert cli._attach_features(cfg, sentences) is True
+        assert all(s.prosody.duration_scalars.any() for s in sentences)
+        new_meta, _ = read_tensors(cache)
+        assert new_meta["content_hash"] != old_meta["content_hash"]
+        assert cli._attach_features(cfg, fresh_sentences()) is False
 
     def test_missing_path_exit_code(self, cli_workspace):
         ws = cli_workspace

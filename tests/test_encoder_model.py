@@ -5,6 +5,7 @@ import pytest
 
 from conftest import build_tiny_model
 from prosoparse import autograd as ag
+from prosoparse.chart import cky_decode
 from prosoparse.encoder import CnnConfig, Encoder, EncoderConfig
 from prosoparse.errors import (
     CheckpointError,
@@ -120,15 +121,43 @@ class TestProsodyCnn:
     def test_output_dim_is_widths_times_filters(self):
         enc = self.encoder(widths=(3, 5, 10), n=32)
         tape = ag.Tape()
-        out = enc.prosody_cnn(tape, self.patch(np.random.default_rng(0).standard_normal((12, 2)).astype(np.float32)))
+        out = enc.prosody_cnn(tape, [self.patch(np.random.default_rng(0).standard_normal((12, 2)).astype(np.float32))])
         assert out.value.shape == (1, 96)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batched_equals_each_patch_alone(self, dtype):
+        enc = Encoder(
+            EncoderConfig(layers=1, heads=2, d_content=8, d_position=4, d_prosody=4,
+                          d_ff=8, dropout=0.0, max_len=20),
+            CnnConfig(), embed_dim=6, rng=np.random.default_rng(4), dtype=dtype,
+        )
+        rng = np.random.default_rng(5)
+        patches = [
+            FramePatch(frames=rng.standard_normal((n, 2)), word_interior_mask=rng.random(n) < 0.6)
+            for n in (23, 1, 100, 7, 54, 2)
+        ]
+        tape = ag.Tape(dtype=dtype)
+        batched = enc.prosody_cnn(tape, patches).value
+        assert batched.shape == (len(patches), CnnConfig().output_dim)
+        for row, p in zip(batched, patches):
+            x = tape.constant(
+                np.concatenate([p.frames, p.word_interior_mask[:, None]], axis=1)[None]
+            )
+            alone = [
+                ag.max_pool_time(
+                    ag.relu(ag.conv1d(x, tape.watch(w), tape.watch(b))), [p.n_frames]
+                ).value[0]
+                for w, b in enc.cnn_filters
+            ]
+            assert row.dtype == dtype
+            assert row.tobytes() == np.concatenate(alone).tobytes()
 
     def test_zero_patch_zero_bias_gives_zeros(self):
         enc = self.encoder()
         frames = np.zeros((8, 2), dtype=np.float32)
         patch = FramePatch(frames=frames, word_interior_mask=np.zeros(8, dtype=bool))
         tape = ag.Tape()
-        out = enc.prosody_cnn(tape, patch)
+        out = enc.prosody_cnn(tape, [patch])
         np.testing.assert_array_equal(out.value, 0.0)
 
     def test_time_reversal_with_symmetric_filters(self):
@@ -140,9 +169,9 @@ class TestProsodyCnn:
         mask = np.zeros(9, dtype=bool)
         mask[2:7] = True  # symmetric mask so the reversed patch is well-formed
         tape = ag.Tape()
-        fwd = enc.prosody_cnn(tape, FramePatch(frames=frames, word_interior_mask=mask))
+        fwd = enc.prosody_cnn(tape, [FramePatch(frames=frames, word_interior_mask=mask)])
         rev = enc.prosody_cnn(
-            tape, FramePatch(frames=frames[::-1].copy(), word_interior_mask=mask[::-1].copy())
+            tape, [FramePatch(frames=frames[::-1].copy(), word_interior_mask=mask[::-1].copy())]
         )
         np.testing.assert_allclose(fwd.value, rev.value, atol=1e-5)
 
@@ -255,6 +284,35 @@ class TestFullModelGradients:
 
         err = ag.grad_check(f, params, n_samples=6, h=1e-5)
         assert err < 1e-3, f"max relative gradient error {err}"
+
+
+class TestInference:
+    def test_parse_equals_decoding_recorded_scores(self, featurized_corpus):
+        sents = featurized_corpus.sentences
+        model = build_tiny_model(sents)
+        for sent in sents[:8]:
+            got = model.parse_sentence(sent)
+            want = cky_decode(sent_scores(model, sent), sent.tokens)
+            assert got.tree.linearize() == want.tree.linearize()
+            assert got.total_score == want.total_score
+
+    def test_parse_frees_its_tape_without_the_cycle_collector(
+        self, featurized_corpus, tape_refs
+    ):
+        sents = featurized_corpus.sentences
+        model = build_tiny_model(sents)
+        model.parse_sentence(max(sents, key=len))
+        assert len(tape_refs) == 1 and tape_refs[0]() is None
+
+    def test_recorded_loss_backward_frees_its_tape(self, featurized_corpus, tape_refs):
+        sents = featurized_corpus.sentences
+        model = build_tiny_model(sents)
+        tape = ag.Tape(dtype=model.dtype)
+        loss, info = model.sentence_loss(tape, max(sents, key=len))
+        assert info.loss > 0.0
+        tape.backward(loss)
+        del tape, loss
+        assert len(tape_refs) == 1 and tape_refs[0]() is None
 
 
 class TestCheckpoints:

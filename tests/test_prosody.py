@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from prosoparse.errors import AlignmentError, DataError, FormatError
 from prosoparse.prosody import (
     DurationStats,
+    FramePatch,
     FrameTrack,
     WordAlignment,
     compute_pause_duration,
@@ -84,6 +85,10 @@ class TestPauseDuration:
 
 
 class TestFramePatch:
+    def test_patch_needs_a_frame(self):
+        with pytest.raises(DataError, match="no frames"):
+            FramePatch(frames=np.zeros((0, 2)), word_interior_mask=np.zeros(0, dtype=bool))
+
     def test_exact_frame_count_no_context(self):
         t = track()
         patch = extract_frame_patch(t, WordAlignment("w", 0.50, 0.60), 0.0, 100)

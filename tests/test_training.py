@@ -3,8 +3,10 @@ import pytest
 
 from conftest import tiny_model_config
 from prosoparse import training
+from prosoparse.chart import MarginInfo
 from prosoparse.errors import ConfigError, DataError, TrainingDivergedError, VocabularyError
 from prosoparse.model import ParserModel
+from prosoparse.treebank import LabelVocab
 from prosoparse.training import (
     Adam,
     EmbeddingSpec,
@@ -156,6 +158,28 @@ class TestTrainLoop:
         recs = train(cfg, tiny_model_config(), SPEC, [c], c[:4], tmp_path / "r")
         assert not recs[0].error and recs[0].dev_f1
         assert "seed 2" in recs[1].error
+
+    def test_zero_loss_sentences_free_their_tapes(
+        self, featurized_corpus, tmp_path, monkeypatch, tape_refs
+    ):
+        real = ParserModel.sentence_loss
+
+        def zero_loss(self, tape, sent):
+            loss, info = real(self, tape, sent)
+            return tape.constant(0.0), MarginInfo(loss=0.0, delta=info.delta, correct=True)
+
+        monkeypatch.setattr(ParserModel, "sentence_loss", zero_loss)
+        c = featurized_corpus.sentences
+        model = ParserModel(
+            tiny_model_config(), training.build_provider(SPEC, c[:8]),
+            LabelVocab.from_trees([s.tree for s in c]),
+        )
+        training._optimize(
+            model, [c[:8]], tiny_train_config(max_epochs=1), c[:2], 1,
+            str(tmp_path / "seed1"), 4e-3,
+        )
+        assert len(tape_refs) == 8 + 2  # one per training and per dev sentence
+        assert all(ref() is None for ref in tape_refs)
 
     def test_empty_corpus_rejected(self, tmp_path):
         with pytest.raises(DataError):
