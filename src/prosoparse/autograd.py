@@ -12,9 +12,9 @@ no watched leaves, so its arrays are freed as soon as nothing references
 them; ``backward`` on it raises.
 
 ``train`` is independent of recording: it only turns dropout on.  Storage
-is float32 by default (float64 available for gradient checking); softmax
-and layer_norm reduce in float64 regardless.  There is no broadcasting
-beyond bias/vector-over-rows; shapes are validated on every op.
+is float32 by default (float64 available for gradient checking); softmax,
+layer_norm and span_hidden reduce in float64 regardless.  There is no
+broadcasting beyond bias/vector-over-rows; shapes are validated on every op.
 
 Independent tapes share nothing except read-only parameter values, so
 separate sentences can be processed concurrently.
@@ -312,6 +312,81 @@ def layer_norm(x, eps=1e-5):
         g -= y64 * gym
         g /= std
         _accum(x, g.astype(x.value.dtype, copy=False))
+
+    tape._record(bwd)
+    return out
+
+
+def span_hidden(proj, b1, gain, beta):
+    """The span scorer's hidden layer over every fencepost pair a < b:
+    ``relu(layer_norm(proj[b] - proj[a] + b1) * gain + beta)``.
+
+    proj: [T+1, h] first-layer fenceposts -> [T(T+1)/2, h], one row per span
+    in ``np.triu_indices(T + 1, 1)`` order (by start, then end).  Each span's
+    mean and variance come from float64 statistics of the T+1 fenceposts: with
+    P = proj and Q = proj + b1, centered by their row means as Pc and Qc, a
+    span's mean is mean(Q[b]) - mean(P[a]) and its variance is
+    (|Qc[b]|^2 + |Pc[a]|^2 - 2 Pc[a].Qc[b]) / h, so no float64 [spans, h]
+    buffer is built on the way forward.  Backward sums each start's block of
+    span gradients back onto its fenceposts.
+    """
+    tape = _same_tape("span_hidden", proj, b1, gain, beta)
+    if proj.value.ndim != 2 or any(
+        v.value.shape != proj.value.shape[1:] for v in (b1, gain, beta)
+    ):
+        raise ShapeError("span_hidden", proj.value.shape, b1.value.shape)
+    n, h = proj.value.shape
+    starts, ends = np.triu_indices(n, 1)
+    p64 = proj.value.astype(np.float64)
+    q64 = p64 + b1.value
+    p_mean = p64.mean(axis=-1)
+    q_mean = q64.mean(axis=-1)
+    p64 -= p_mean[:, None]
+    q64 -= q_mean[:, None]
+    gram = p64 @ q64.T
+    var = (
+        np.square(q64).sum(axis=-1)[ends]
+        + np.square(p64).sum(axis=-1)[starts]
+        - 2.0 * gram[starts, ends]
+    ) / h
+    # cancellation guard: the three terms may leave a tiny negative variance
+    std = np.sqrt(np.maximum(var, 0.0) + 1e-5)
+    dt = proj.value.dtype
+    # the span rows in the tape dtype, as proj[ends] - proj[starts] + b1 gives them
+    y = proj.value[ends]
+    y -= proj.value[starts]
+    y += b1.value
+    y -= (q_mean[ends] - p_mean[starts]).astype(dt)[:, None]
+    y *= (1.0 / std).astype(dt)[:, None]
+    out = Var(y * gain.value, tape)
+    out.value += beta.value
+    np.maximum(out.value, 0, out=out.value)
+
+    def bwd():
+        if out.grad is None:
+            return
+        g = out.grad * (out.value > 0)
+        _accum(beta, g.sum(axis=0))
+        _accum(gain, (g * y).sum(axis=0))
+        g *= gain.value
+        # layer-norm backward per span in float64, as in layer_norm
+        g64 = g.astype(np.float64)
+        gm = g64.mean(axis=-1, keepdims=True)
+        gym = (g64 * y).mean(axis=-1, keepdims=True)
+        g64 -= gm
+        g64 -= y * gym
+        g64 /= std[:, None]
+        dx = g64.astype(dt, copy=False)
+        _accum(b1, dx.sum(axis=0))
+        # rows of start a are contiguous and end at a+1..T
+        dproj = np.zeros_like(proj.value)
+        lo = 0
+        for a in range(n - 1):
+            block = dx[lo : lo + n - 1 - a]
+            dproj[a] -= block.sum(axis=0)
+            dproj[a + 1 :] += block
+            lo += n - 1 - a
+        _accum(proj, dproj)
 
     tape._record(bwd)
     return out

@@ -4,7 +4,10 @@ A sentence's spans are scored in one batch: the fencepost difference
 r(a, b) = fencepost(b) - fencepost(a) feeds a two-layer network producing
 one score per constituent label.  The first layer is linear in r(a, b), so it
 is applied to the T + 1 fenceposts before the difference is taken: a matmul
-over T + 1 rows instead of one over all T(T + 1)/2 spans.  The empty label
+over T + 1 rows instead of one over all T(T + 1)/2 spans.  Its layer norm
+takes each span's mean and variance from statistics of those T + 1 rows
+(``autograd.span_hidden``), so the only per-span work is forming, normalizing
+and rectifying the span rows in the tape dtype.  The empty label
 (index 0) is pinned to score 0; it marks chart cells that vanish when the
 binarized tree is reassembled into an n-ary one.  Decoding maximizes the additive span score
 exactly; training minimizes a hinge against the cost-augmented argmax.
@@ -83,14 +86,12 @@ def score_spans(tape, encoded, scorer, vocab):
     T = encoded.n_words
     starts, ends, row_of = span_index(T)
     proj = ag.matmul(encoded.fenceposts, tape.watch(scorer.w1))
-    h = ag.add_bias(
-        ag.sub(ag.take_rows(proj, ends), ag.take_rows(proj, starts)),
+    h = ag.span_hidden(
+        proj,
         tape.watch(scorer.b1),
+        tape.watch(scorer.ln_gain),
+        tape.watch(scorer.ln_bias),
     )
-    h = ag.add_bias(
-        ag.mul(ag.layer_norm(h), tape.watch(scorer.ln_gain)), tape.watch(scorer.ln_bias)
-    )
-    h = ag.relu(h)
     matrix = ag.add_bias(ag.matmul(h, tape.watch(scorer.w2)), tape.watch(scorer.b2))
 
     n_labels = scorer.n_labels

@@ -45,7 +45,8 @@ def _attach_features(cfg, sentences, save=True, force=False):
     """Prosodic features from the cache when fresh, else recomputed.
 
     ``force`` recomputes (and, with ``save``, rewrites the cache) even when
-    the cache is fresh.  Returns True when the features were recomputed.
+    the cache is fresh.  Recomputing prints each speaker-normalization
+    warning to stderr.  Returns True when the features were recomputed.
     """
     cache = _cache_path(cfg)
     if cfg.data.alignments and cfg.data.frame_tracks:
@@ -63,13 +64,15 @@ def _attach_features(cfg, sentences, save=True, force=False):
                 s.prosody is not None for s in sentences
             ):
                 return False
-        corpus_mod.featurize(
+        warnings = corpus_mod.featurize(
             sentences,
             read_alignment_file(cfg.data.alignments),
             _read_tracks(cfg.data.frame_tracks),
             context_s=cfg.features.context_s,
             max_frames=cfg.features.max_frames,
         )
+        for warning in warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         if save:
             os.makedirs(os.path.dirname(cache) or ".", exist_ok=True)
             corpus_mod.save_feature_cache(

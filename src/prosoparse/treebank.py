@@ -15,6 +15,7 @@ from typing import NamedTuple
 from .errors import (
     CrossingSpanError,
     DataError,
+    FormatError,
     RejectedSentenceError,
     TreeSyntaxError,
     VocabularyError,
@@ -24,6 +25,7 @@ CHAIN_JOIN = "+"
 EMPTY_LABEL = ""
 _WRAPPER_LABELS = {"ROOT", "TOP", "S1", ""}
 _TRACE_TAG = "-NONE-"
+MAX_TREE_DEPTH = 200
 # Tags whose leaves are dropped by speechify / optional EVALB-style deletion.
 PUNCT_TAGS = {",", ":", ".", "``", "''", "-LRB-", "-RRB-"}
 
@@ -154,16 +156,23 @@ def parse_ptb(text, strip_traces=True):
 
     ROOT/TOP wrappers are stripped, function tags removed from internal
     labels, and -NONE- trace subtrees deleted (with spans reindexed by
-    virtue of the leaves simply disappearing).
+    virtue of the leaves simply disappearing).  A tree nested deeper than
+    MAX_TREE_DEPTH levels is a TreeSyntaxError.
     """
     tokens = _tokenize(text)
     trees = []
     pos = 0
 
-    def parse_node(pos):
+    def parse_node(pos, depth):
         tok, off = tokens[pos]
         if tok != "(":
             raise TreeSyntaxError(f"expected '(' but found {tok!r}", off)
+        # keeps every recursive tree walk (here, _remove_traces and the
+        # Tree methods) far from Python's recursion limit
+        if depth > MAX_TREE_DEPTH:
+            raise TreeSyntaxError(
+                f"tree nested deeper than {MAX_TREE_DEPTH} levels", off
+            )
         pos += 1
         if pos >= len(tokens):
             raise TreeSyntaxError("unbalanced brackets: input ends inside a node", off)
@@ -185,7 +194,7 @@ def parse_ptb(text, strip_traces=True):
                 pos += 1
                 break
             if tok == "(":
-                child, pos = parse_node(pos)
+                child, pos = parse_node(pos, depth + 1)
                 children.append(child)
             else:
                 if word is not None or children:
@@ -207,7 +216,7 @@ def parse_ptb(text, strip_traces=True):
         tok, off = tokens[pos]
         if tok != "(":
             raise TreeSyntaxError(f"expected '(' between trees, found {tok!r}", off)
-        tree, pos = parse_node(pos)
+        tree, pos = parse_node(pos, 1)
         while (
             not tree.is_leaf()
             and tree.label in _WRAPPER_LABELS
@@ -235,12 +244,17 @@ def _remove_traces(node):
 
 
 def read_tree_file(path):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         return parse_ptb(text)
     except DataError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+        # prefix the path in place: the subclasses' constructors differ
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def write_tree_file(path, trees):
@@ -313,40 +327,46 @@ def spans_to_tree(spans, leaves):
     if root_key not in merged:
         raise DataError(f"no labeled span covers the whole sentence (0, {T})")
 
-    def expand_chain(label, children):
-        parts = label.split(CHAIN_JOIN)
-        node = InternalNode(parts[-1], children)
-        for part in reversed(parts[:-1]):
-            node = InternalNode(part, [node])
-        return node
-
-    def build(a, b, inner, leaf_nodes):
-        # inner: spans strictly inside (a, b), outermost-first
-        children = []
-        pos = a
-        i = 0
-        while pos < b:
-            if i < len(inner) and inner[i][0] == pos:
-                ca, cb = inner[i]
-                sub = []
-                i += 1
-                while i < len(inner) and inner[i][0] < cb:
-                    if inner[i][1] > cb:
-                        raise CrossingSpanError((ca, cb), inner[i])
-                    sub.append(inner[i])
-                    i += 1
-                children.append(
-                    expand_chain(merged[(ca, cb)], build(ca, cb, sub, leaf_nodes))
-                )
-                pos = cb
-            else:
-                children.append(leaf_nodes[pos])
-                pos += 1
-        return children
-
     leaf_nodes = [LeafNode(w, t) for w, t in leaves]
     inner = [key for key in order if key != root_key]
-    return expand_chain(merged[root_key], build(0, T, inner, leaf_nodes))
+    children = _children(0, T, inner, leaf_nodes, merged)
+    return _expand_chain(merged[root_key], children)
+
+
+def _expand_chain(label, children):
+    parts = label.split(CHAIN_JOIN)
+    node = InternalNode(parts[-1], children)
+    for part in reversed(parts[:-1]):
+        node = InternalNode(part, [node])
+    return node
+
+
+# module level rather than nested in spans_to_tree: a nested recursive
+# function refers to itself through its closure, so every call would leave a
+# reference cycle for the garbage collector
+def _children(a, b, inner, leaf_nodes, merged):
+    """Child nodes of span (a, b); ``inner`` holds the spans strictly inside
+    it, outermost-first, and ``merged`` maps each span to its label."""
+    children = []
+    pos = a
+    i = 0
+    while pos < b:
+        if i < len(inner) and inner[i][0] == pos:
+            ca, cb = inner[i]
+            sub = []
+            i += 1
+            while i < len(inner) and inner[i][0] < cb:
+                if inner[i][1] > cb:
+                    raise CrossingSpanError((ca, cb), inner[i])
+                sub.append(inner[i])
+                i += 1
+            grandchildren = _children(ca, cb, sub, leaf_nodes, merged)
+            children.append(_expand_chain(merged[(ca, cb)], grandchildren))
+            pos = cb
+        else:
+            children.append(leaf_nodes[pos])
+            pos += 1
+    return children
 
 
 def classify_fluency(tree):

@@ -15,7 +15,7 @@ from prosoparse.chart import (
     tree_score,
 )
 from prosoparse.encoder import EncodedSentence
-from prosoparse.errors import CrossingSpanError, DataError
+from prosoparse.errors import CrossingSpanError, DataError, ShapeError
 from prosoparse.treebank import LabelVocab, LabeledSpan, tree_to_spans
 
 VOCAB5 = LabelVocab(["S", "NP", "VP", "PP"])
@@ -91,6 +91,15 @@ def enumerate_shapes(a, b):
             for right in enumerate_shapes(k, b):
                 shapes.append(left | right | {(a, b)})
     return shapes
+
+
+def eight_op_span_hidden(proj, b1, gain, beta):
+    """The span scorer's hidden layer as the eight tape ops it replaced:
+    the oracle for ``ag.span_hidden``."""
+    starts, ends, _ = span_index(proj.value.shape[0] - 1)
+    h = ag.add_bias(ag.sub(ag.take_rows(proj, ends), ag.take_rows(proj, starts)), b1)
+    h = ag.add_bias(ag.mul(ag.layer_norm(h), gain), beta)
+    return ag.relu(h)
 
 
 def literal_best_score(dense):
@@ -374,5 +383,48 @@ class TestScoreSpans:
             scores = score_with(tape, fenceposts, scorer, T)
             return ag.sum_all(ag.mul(scores.matrix, tape.constant(weights)))
 
-        err = ag.grad_check(f, [fenceposts, scorer.w1], n_samples=40, h=1e-5)
+        params = [fenceposts, scorer.w1, scorer.b1, scorer.ln_gain, scorer.ln_bias]
+        err = ag.grad_check(f, params, n_samples=40, h=1e-5)
         assert err < 1e-5, f"gradient error {err}"
+
+    @pytest.mark.parametrize("T", [1, 2, 7, 40])
+    @pytest.mark.parametrize("equal_fenceposts", [False, True])
+    def test_span_hidden_matches_eight_op_chain(self, T, equal_fenceposts):
+        rng = np.random.default_rng(T)
+        hidden = 8
+        params = [
+            ag.Parameter("proj", rng.standard_normal((T + 1, hidden))),
+            ag.Parameter("b1", rng.standard_normal(hidden)),
+            ag.Parameter("gain", 1.0 + 0.1 * rng.standard_normal(hidden)),
+            ag.Parameter("beta", 0.5 * rng.standard_normal(hidden)),
+        ]
+        if equal_fenceposts:
+            # span (0, 1) has the row proj[1] - proj[0] + b1 = 0: zero variance
+            params[0].value[1] = params[0].value[0]
+            params[1].value[...] = 0.0
+        weights = rng.standard_normal((T * (T + 1) // 2, hidden))
+
+        def run(op):
+            for p in params:
+                p.zero_grad()
+            tape = ag.Tape(dtype=np.float64)
+            out = op(*(tape.watch(p) for p in params))
+            tape.backward(ag.sum_all(ag.mul(out, tape.constant(weights))))
+            return [out.value] + [p.grad.copy() for p in params]
+
+        got, want = run(ag.span_hidden), run(eight_op_span_hidden)
+        if equal_fenceposts:
+            np.testing.assert_array_equal(want[0][0], np.maximum(params[3].value, 0.0))
+        # a variance of ~0 from the fencepost statistics carries a float64
+        # rounding error of ~1e-16 that 1/sqrt(var + 1e-5) scales by ~1e5
+        for name, g, w in zip(["out", "proj", "b1", "gain", "beta"], got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12, err_msg=name)
+
+    def test_span_hidden_checks_shapes(self):
+        tape = ag.Tape()
+        proj = tape.constant(np.zeros((4, 3)))
+        vec = tape.constant(np.zeros(3))
+        with pytest.raises(ShapeError):
+            ag.span_hidden(proj, tape.constant(np.zeros(2)), vec, vec)
+        with pytest.raises(ShapeError):
+            ag.span_hidden(tape.constant(np.zeros(3)), vec, vec, vec)

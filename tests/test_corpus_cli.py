@@ -1,3 +1,6 @@
+import shutil
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import yaml
@@ -6,6 +9,7 @@ from prosoparse import cli
 from prosoparse import corpus as corpus_mod
 from prosoparse.corpus import content_hash, load_feature_cache, save_feature_cache
 from prosoparse.errors import FormatError
+from prosoparse.prosody import read_frame_track_file, write_frame_track_file
 from prosoparse.synthdata import overfit_corpus, write_corpus
 from prosoparse.tensorfile import read_tensors, write_tensors
 from prosoparse.treebank import read_tree_file, write_tree_file
@@ -176,6 +180,25 @@ class TestCliWorkflow:
         assert (run / "summary.tsv").exists()
         assert (run / "median.tsv").exists()
         assert (run / "test_predictions.trees").exists()
+
+    def test_unvoiced_speaker_warns_and_the_run_succeeds(self, cli_workspace, tmp_path,
+                                                         capsys):
+        ws = cli_workspace
+        tracks = tmp_path / "tracks"
+        shutil.copytree(ws["corpus"] / "tracks", tracks)
+        unvoiced = sorted(tracks.glob("*.csv"))[0]
+        track = read_frame_track_file(unvoiced)
+        write_frame_track_file(unvoiced, replace(track, f0=np.zeros_like(track.f0)))
+        run = tmp_path / "run"
+        updates = {"data": {"frame_tracks": str(tracks)}, "output_dir": str(run),
+                   "train": {"max_epochs": 1}}
+        cfg = write_cfg(ws, updates, "unvoiced.yaml")
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        warning = (f"warning: speaker {unvoiced.stem!r} has no voiced frames; "
+                   "f0 left unscaled")
+        assert warning in capsys.readouterr().err.splitlines()
+        assert "warning" not in (run / "seed1" / "metrics.log").read_text()
 
     def test_train_reruns_identical_logs(self, cli_workspace):
         ws = cli_workspace

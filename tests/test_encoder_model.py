@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -303,6 +304,19 @@ class TestInference:
         model = build_tiny_model(sents)
         model.parse_sentence(max(sents, key=len))
         assert len(tape_refs) == 1 and tape_refs[0]() is None
+
+    def test_parse_leaves_no_reference_cycles(self, featurized_corpus):
+        sents = featurized_corpus.sentences
+        model = build_tiny_model(sents)
+        sent = max(sents, key=len)
+        model.parse_sentence(sent)  # first-call set-up is not per-parse garbage
+        gc.collect()
+        gc.disable()
+        try:
+            model.parse_sentence(sent)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_recorded_loss_backward_frees_its_tape(self, featurized_corpus, tape_refs):
         sents = featurized_corpus.sentences

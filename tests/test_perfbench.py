@@ -17,7 +17,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["parse-long", "train-long"])
+@pytest.mark.parametrize("workload", ["parse-long", "train-long", "train-short"])
 def test_traced_run_is_correct(child_env, workload):
     r = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,14 @@ from prosoparse.errors import (
 )
 from prosoparse.synthdata import random_tree
 from prosoparse.treebank import (
+    MAX_TREE_DEPTH,
     InternalNode,
     LabelVocab,
     LabeledSpan,
     LeafNode,
     classify_fluency,
     parse_ptb,
+    read_tree_file,
     sentence_of,
     spans_to_tree,
     speechify,
@@ -67,6 +71,23 @@ class TestParsePtb:
         trees = parse_ptb("(S (NN a))\n(S (NN b))")
         assert len(trees) == 2
 
+    def test_depth_limit(self):
+        def nested(depth):
+            return "(S " * (depth - 1) + "(NN x)" + ")" * (depth - 1)
+
+        assert parse_one(nested(MAX_TREE_DEPTH)).linearize() == nested(MAX_TREE_DEPTH)
+        with pytest.raises(TreeSyntaxError, match="deeper than"):
+            parse_ptb(nested(MAX_TREE_DEPTH + 1))
+        with pytest.raises(TreeSyntaxError, match="deeper than"):
+            parse_ptb(nested(5000))
+
+    def test_file_error_keeps_its_type_and_names_the_path(self, tmp_path):
+        path = tmp_path / "bad.trees"
+        path.write_text("(S (NP (PRP i))\n")
+        with pytest.raises(TreeSyntaxError, match="bad.trees: unbalanced") as info:
+            read_tree_file(path)
+        assert info.value.offset == 16
+
     def test_round_trip_serialization(self):
         text = "(S (NP (PRP i)) (VP (VBP agree)))"
         assert parse_one(text).linearize() == text
@@ -116,6 +137,17 @@ class TestSpans:
     def test_missing_root_span(self):
         with pytest.raises(DataError):
             spans_to_tree({LabeledSpan(0, 1, "NP")}, [("a", "X"), ("b", "X")])
+
+    def test_rebuild_leaves_no_reference_cycles(self):
+        t = random_tree(np.random.default_rng(2), max_words=40)
+        spans, leaves = tree_to_spans(t), sentence_of(t)
+        gc.collect()
+        gc.disable()
+        try:
+            assert spans_to_tree(spans, leaves) == t
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_random_round_trip(self):
         rng = np.random.default_rng(0)
