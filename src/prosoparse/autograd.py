@@ -1,15 +1,15 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 A recording ``Tape`` (the default) keeps one backward closure per op in a
-flat list; ``Tape.backward`` replays the list in reverse, accumulates into
-each watched ``Parameter``'s ``grad`` and then releases the tape.  The
-closures hold their ``Var`` operands and every ``Var`` holds its tape, so
-until it is released a tape is a reference cycle that keeps every array of
-its forward pass until the cyclic garbage collector runs.  A tape whose
-loss needs no backward (a zero loss) is released with ``Tape.release``.  A
-non-recording tape (``record=False``, for inference) keeps no closures and
-no watched leaves, so its arrays are freed as soon as nothing references
-them; ``backward`` on it raises.
+flat list; ``Tape.backward`` replays the list in reverse and then releases
+the tape.  A watched ``Parameter``'s leaf shares the parameter's ``grad``
+array, so gradients accumulate straight into it.  The closures hold their
+``Var`` operands and every ``Var`` holds its tape, so until it is released
+a tape is a reference cycle that keeps every array of its forward pass
+until the cyclic garbage collector runs.  A tape whose loss needs no
+backward (a zero loss) is released with ``Tape.release``.  A non-recording
+tape (``record=False``, for inference) keeps no closures, so its arrays are
+freed as soon as nothing references them; ``backward`` on it raises.
 
 ``train`` is independent of recording: it only turns dropout on.  Storage
 is float32 by default (float64 available for gradient checking); softmax,
@@ -66,8 +66,8 @@ class Var:
 class Tape:
     """One computation (typically: one sentence's forward pass).
 
-    ``record=False`` gives an inference tape that keeps no backward closures
-    and no watched leaves; ``backward`` on it raises NumericError.
+    ``record=False`` gives an inference tape that keeps no backward
+    closures; ``backward`` on it raises NumericError.
     """
 
     def __init__(self, rng=None, train=False, dtype=np.float32, record=True):
@@ -76,20 +76,17 @@ class Tape:
         self.dtype = np.dtype(dtype)
         self.record = record
         self._ops = []
-        self._watched = {}
 
     def constant(self, value):
         return Var(np.asarray(value, dtype=self.dtype), self)
 
     def watch(self, param):
-        """Leaf Var for a Parameter; backward() accumulates into param.grad."""
-        if not self.record:
-            return Var(param.value, self)
-        entry = self._watched.get(id(param))
-        if entry is None:
-            entry = (param, Var(param.value, self))
-            self._watched[id(param)] = entry
-        return entry[1]
+        """Leaf Var for a Parameter; on a recording tape its grad is
+        ``param.grad``, so backward() accumulates into it in place."""
+        leaf = Var(param.value, self)
+        if self.record:
+            leaf.grad = param.grad
+        return leaf
 
     def _record(self, fn):
         if self.record:
@@ -107,19 +104,15 @@ class Tape:
         loss.grad = np.asarray(seed, dtype=self.dtype)
         for fn in reversed(self._ops):
             fn()
-        for param, var in self._watched.values():
-            if var.grad is not None:
-                param.grad += var.grad
         self.release()
 
     def release(self):
-        """Drop the backward closures and watched leaves.
+        """Drop the backward closures.
 
         This breaks the tape -> closure -> Var -> tape cycle, so the forward
         pass's arrays are freed as soon as the caller drops its Vars.
         """
         self._ops = []
-        self._watched = {}
 
 
 def _accum(var, g):

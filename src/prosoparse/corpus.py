@@ -79,10 +79,7 @@ def featurize(
     duration statistics are word-type means over all alignments.
     Returns the list of warnings from speaker normalization.
     """
-    normalized, warnings = pros.normalize_speaker(
-        {spk: [trk] for spk, trk in tracks.items()}
-    )
-    norm_tracks = {spk: trks[0] for spk, trks in normalized.items()}
+    norm_tracks, warnings = pros.normalize_speaker(tracks)
     all_alis = [a for alis in alignments.values() for a in alis]
     stats = DurationStats.from_alignments(all_alis)
 

@@ -211,48 +211,34 @@ def extract_frame_patch(
 
 
 def normalize_speaker(tracks):
-    """Z-score each speaker's tracks in place of raw values.
+    """Z-score each speaker's track in place of raw values.
 
-    Energy is normalized over all frames; f0 over voiced frames only
-    (f0 > 0), leaving unvoiced frames at 0.  Returns (normalized tracks,
-    warnings) where warnings lists speakers with no voiced frames.
+    ``tracks`` maps speaker -> FrameTrack.  Energy is normalized over all
+    frames; f0 over voiced frames only (f0 > 0), leaving unvoiced frames at
+    0.  Returns (normalized tracks, warnings) where warnings lists speakers
+    with no voiced frames.
     """
     normalized = {}
     warnings = []
-    for speaker, speaker_tracks in tracks.items():
-        speaker_tracks = list(speaker_tracks)
-        if not speaker_tracks or all(t.n_frames == 0 for t in speaker_tracks):
+    for speaker, track in tracks.items():
+        if track.n_frames == 0:
             raise DataError(f"speaker {speaker!r} has no frames")
-        energy_all = np.concatenate([t.energy for t in speaker_tracks]).astype(np.float64)
-        f0_all = np.concatenate([t.f0 for t in speaker_tracks]).astype(np.float64)
+        energy = track.energy.astype(np.float64)
+        f0 = track.f0.astype(np.float64)
         # 0 encodes unvoiced; != 0 (not > 0) keeps normalization idempotent,
         # since z-scored voiced frames may be negative
-        voiced = f0_all != 0
-
-        e_mu = energy_all.mean()
-        e_sd = max(energy_all.std(), SIGMA_FLOOR)
+        voiced = f0 != 0
         if voiced.any():
-            f_mu = f0_all[voiced].mean()
-            f_sd = max(f0_all[voiced].std(), SIGMA_FLOOR)
+            f = f0[voiced]
+            f0[voiced] = (f - f.mean()) / max(f.std(), SIGMA_FLOOR)
         else:
-            f_mu, f_sd = 0.0, 1.0
             warnings.append(f"speaker {speaker!r} has no voiced frames; f0 left unscaled")
-
-        out = []
-        for t in speaker_tracks:
-            e = ((t.energy.astype(np.float64) - e_mu) / e_sd).astype(np.float32)
-            f = t.f0.astype(np.float64).copy()
-            v = f != 0
-            f[v] = (f[v] - f_mu) / f_sd
-            out.append(
-                FrameTrack(
-                    energy=e,
-                    f0=f.astype(np.float32),
-                    frame_period=t.frame_period,
-                    start_time=t.start_time,
-                )
-            )
-        normalized[speaker] = out
+        normalized[speaker] = FrameTrack(
+            energy=(energy - energy.mean()) / max(energy.std(), SIGMA_FLOOR),
+            f0=f0,
+            frame_period=track.frame_period,
+            start_time=track.start_time,
+        )
     return normalized, warnings
 
 

@@ -5,6 +5,10 @@ is either an ``InternalNode`` (label + children) or a ``LeafNode``
 (word + POS tag).  Fenceposts are 0-based: span ``(a, b)`` covers words
 ``a..b-1``.  Unary chains are collapsed into composite labels joined with
 ``+`` when converting to spans, and expanded again on the way back.
+
+Every traversal of a tree in memory goes through ``Node.walk``, an
+iterative depth-first walk, so trees of any depth print, compare, convert
+and score; only parsing bracketed text caps the depth (``MAX_TREE_DEPTH``).
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ CHAIN_JOIN = "+"
 EMPTY_LABEL = ""
 _WRAPPER_LABELS = {"ROOT", "TOP", "S1", ""}
 _TRACE_TAG = "-NONE-"
+# input check on tree files; it guards only parse_ptb's own recursion, since
+# every walk over a tree in memory is iterative
 MAX_TREE_DEPTH = 200
 # Tags whose leaves are dropped by speechify / optional EVALB-style deletion.
 PUNCT_TAGS = {",", ":", ".", "``", "''", "-LRB-", "-RRB-"}
@@ -41,14 +47,56 @@ class LabeledSpan(NamedTuple):
 class Node:
     __slots__ = ()
 
-    def is_leaf(self):
-        raise NotImplementedError
+    def walk(self):
+        """Depth-first over the tree with an explicit stack, so any depth works.
+
+        Yields ``(node, True)`` for each leaf and when an internal node
+        opens, and ``(node, False)`` when it closes; children come in order.
+        """
+        yield self, True
+        if self.is_leaf():
+            return
+        nodes, pending = [self], [iter(self.children)]  # the open path
+        while pending:
+            for child in pending[-1]:
+                yield child, True
+                if not child.is_leaf():
+                    nodes.append(child)
+                    pending.append(iter(child.children))
+                    break
+            else:
+                pending.pop()
+                yield nodes.pop(), False
 
     def leaves(self):
-        raise NotImplementedError
+        for node, _ in self.walk():
+            if node.is_leaf():
+                yield node
 
     def linearize(self):
-        raise NotImplementedError
+        # every opening and every leaf is preceded by one space: drop the root's
+        parts = []
+        for node, opening in self.walk():
+            if not opening:
+                parts.append(")")
+            elif node.is_leaf():
+                parts.append(f" ({node.pos_tag} {node.word})")
+            else:
+                parts.append(f" ({node.label}")
+        return "".join(parts)[1:]
+
+    def _key(self):
+        # the walk's events spell the bracketing, so equal keys mean equal trees
+        return tuple(
+            (node.word, node.pos_tag) if node.is_leaf() else node.label if opening else None
+            for node, opening in self.walk()
+        )
+
+    def __eq__(self, other):
+        return isinstance(other, Node) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return self.linearize()
@@ -64,22 +112,6 @@ class LeafNode(Node):
     def is_leaf(self):
         return True
 
-    def leaves(self):
-        yield self
-
-    def linearize(self):
-        return f"({self.pos_tag} {self.word})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LeafNode)
-            and self.word == other.word
-            and self.pos_tag == other.pos_tag
-        )
-
-    def __hash__(self):
-        return hash((self.word, self.pos_tag))
-
 
 class InternalNode(Node):
     __slots__ = ("label", "children")
@@ -93,24 +125,6 @@ class InternalNode(Node):
 
     def is_leaf(self):
         return False
-
-    def leaves(self):
-        for child in self.children:
-            yield from child.leaves()
-
-    def linearize(self):
-        body = " ".join(child.linearize() for child in self.children)
-        return f"({self.label} {body})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InternalNode)
-            and self.label == other.label
-            and self.children == other.children
-        )
-
-    def __hash__(self):
-        return hash((self.label, self.children))
 
 
 def sentence_of(tree):
@@ -162,61 +176,11 @@ def parse_ptb(text, strip_traces=True):
     tokens = _tokenize(text)
     trees = []
     pos = 0
-
-    def parse_node(pos, depth):
-        tok, off = tokens[pos]
-        if tok != "(":
-            raise TreeSyntaxError(f"expected '(' but found {tok!r}", off)
-        # keeps every recursive tree walk (here, _remove_traces and the
-        # Tree methods) far from Python's recursion limit
-        if depth > MAX_TREE_DEPTH:
-            raise TreeSyntaxError(
-                f"tree nested deeper than {MAX_TREE_DEPTH} levels", off
-            )
-        pos += 1
-        if pos >= len(tokens):
-            raise TreeSyntaxError("unbalanced brackets: input ends inside a node", off)
-        label, label_off = tokens[pos]
-        if label == ")":
-            raise TreeSyntaxError("empty node '()'", label_off)
-        if label == "(":
-            # anonymous wrapper: "( (S ...) )"
-            label = ""
-        else:
-            pos += 1
-        children = []
-        word = None
-        while True:
-            if pos >= len(tokens):
-                raise TreeSyntaxError("unbalanced brackets: missing ')'", len(text))
-            tok, off = tokens[pos]
-            if tok == ")":
-                pos += 1
-                break
-            if tok == "(":
-                child, pos = parse_node(pos, depth + 1)
-                children.append(child)
-            else:
-                if word is not None or children:
-                    raise TreeSyntaxError(
-                        f"unexpected token {tok!r} inside node {label!r}", off
-                    )
-                word = tok
-                pos += 1
-        if word is not None:
-            return LeafNode(word, label), pos
-        if not children:
-            raise TreeSyntaxError(f"node {label!r} has no children", label_off)
-        return _make_internal(label, children), pos
-
-    def _make_internal(label, children):
-        return InternalNode(_strip_function_tags(label), children)
-
     while pos < len(tokens):
         tok, off = tokens[pos]
         if tok != "(":
             raise TreeSyntaxError(f"expected '(' between trees, found {tok!r}", off)
-        tree, pos = parse_node(pos, 1)
+        tree, pos = _parse_node(tokens, pos, 1, len(text))
         while (
             not tree.is_leaf()
             and tree.label in _WRAPPER_LABELS
@@ -225,22 +189,81 @@ def parse_ptb(text, strip_traces=True):
         ):
             tree = tree.children[0]
         if strip_traces:
-            tree = _remove_traces(tree)
-            if tree is None:
-                raise RejectedSentenceError(
-                    "sentence is empty after trace removal"
-                )
+            tree = _prune(tree, _drop_trace, "trace removal")
         trees.append(tree)
     return trees
 
 
-def _remove_traces(node):
-    if node.is_leaf():
-        return None if node.pos_tag == _TRACE_TAG else node
-    kept = [c for c in (_remove_traces(ch) for ch in node.children) if c is not None]
-    if not kept:
-        return None
-    return InternalNode(node.label, kept)
+def _parse_node(tokens, pos, depth, text_len):
+    """The node whose "(" is ``tokens[pos]``, and the position after it."""
+    tok, off = tokens[pos]
+    if tok != "(":
+        raise TreeSyntaxError(f"expected '(' but found {tok!r}", off)
+    if depth > MAX_TREE_DEPTH:
+        raise TreeSyntaxError(f"tree nested deeper than {MAX_TREE_DEPTH} levels", off)
+    pos += 1
+    if pos >= len(tokens):
+        raise TreeSyntaxError("unbalanced brackets: input ends inside a node", off)
+    label, label_off = tokens[pos]
+    if label == ")":
+        raise TreeSyntaxError("empty node '()'", label_off)
+    if label == "(":
+        # anonymous wrapper: "( (S ...) )"
+        label = ""
+    else:
+        pos += 1
+    children = []
+    word = None
+    while True:
+        if pos >= len(tokens):
+            raise TreeSyntaxError("unbalanced brackets: missing ')'", text_len)
+        tok, off = tokens[pos]
+        if tok == ")":
+            pos += 1
+            break
+        if tok == "(":
+            child, pos = _parse_node(tokens, pos, depth + 1, text_len)
+            children.append(child)
+        else:
+            if word is not None or children:
+                raise TreeSyntaxError(
+                    f"unexpected token {tok!r} inside node {label!r}", off
+                )
+            word = tok
+            pos += 1
+    if word is not None:
+        return LeafNode(word, label), pos
+    if not children:
+        raise TreeSyntaxError(f"node {label!r} has no children", label_off)
+    return InternalNode(_strip_function_tags(label), children), pos
+
+
+def _prune(tree, keep_leaf, what):
+    """Copy of ``tree`` with each leaf replaced by ``keep_leaf(leaf)``.
+
+    A leaf mapped to None is dropped, and so is every internal node left
+    with no children.  Raises RejectedSentenceError, naming ``what`` pruned,
+    if nothing remains.
+    """
+    kept = [[]]  # children gathered so far, one list per open node
+    for node, opening in tree.walk():
+        if node.is_leaf():
+            new = keep_leaf(node)
+            if new is not None:
+                kept[-1].append(new)
+        elif opening:
+            kept.append([])
+        else:
+            children = kept.pop()
+            if children:
+                kept[-1].append(InternalNode(node.label, children))
+    if not kept[0]:
+        raise RejectedSentenceError(f"sentence is empty after {what}")
+    return kept[0][0]
+
+
+def _drop_trace(leaf):
+    return None if leaf.pos_tag == _TRACE_TAG else leaf
 
 
 def read_tree_file(path):
@@ -264,29 +287,38 @@ def write_tree_file(path, trees):
             fh.write("\n")
 
 
+def brackets(tree):
+    """``(a, b, label)`` of every internal node, parents before children.
+
+    Leaves produce no bracket; the members of a unary chain are consecutive
+    and share one ``(a, b)``.
+    """
+    out = []
+    open_at = []  # (index in out, start) of each open node
+    pos = 0
+    for node, opening in tree.walk():
+        if not opening:
+            i, start = open_at.pop()
+            out[i] = (start, pos, node.label)
+        elif node.is_leaf():
+            pos += 1
+        else:
+            open_at.append((len(out), pos))
+            out.append(None)
+    return out
+
+
 def tree_to_spans(tree):
     """Labeled spans of the tree with unary chains collapsed.
 
     Leaf POS tags produce no span.  A chain S -> VP over the same span
     becomes one span labeled "S+VP".
     """
-    spans = []
-
-    def walk(node, start):
-        if node.is_leaf():
-            return start + 1
-        labels = [node.label]
-        while len(node.children) == 1 and not node.children[0].is_leaf():
-            node = node.children[0]
-            labels.append(node.label)
-        end = start
-        for child in node.children:
-            end = walk(child, end)
-        spans.append(LabeledSpan(start, end, CHAIN_JOIN.join(labels)))
-        return end
-
-    walk(tree, 0)
-    return set(spans)
+    chains = {}
+    for a, b, label in brackets(tree):
+        key = (a, b)
+        chains[key] = chains[key] + CHAIN_JOIN + label if key in chains else label
+    return {LabeledSpan(a, b, label) for (a, b), label in chains.items()}
 
 
 def spans_to_tree(spans, leaves):
@@ -375,19 +407,20 @@ def classify_fluency(tree):
     Composite chain labels are split first, so a node labeled "EDITED+NP"
     counts as disfluent.
     """
-
-    def disfluent(node):
-        if node.is_leaf():
-            return False
-        if any(part in ("EDITED", "INTJ") for part in node.label.split(CHAIN_JOIN)):
-            return True
-        return any(disfluent(c) for c in node.children)
-
-    return "disfluent" if disfluent(tree) else "fluent"
+    for _, _, label in brackets(tree):
+        if any(part in ("EDITED", "INTJ") for part in label.split(CHAIN_JOIN)):
+            return "disfluent"
+    return "fluent"
 
 
-def _is_punct_leaf(leaf):
-    return leaf.pos_tag in PUNCT_TAGS or not _ALNUM_RE.search(leaf.word)
+def _speech_leaf(leaf):
+    if leaf.pos_tag in PUNCT_TAGS or not _ALNUM_RE.search(leaf.word):
+        return None
+    return LeafNode(leaf.word.lower(), leaf.pos_tag)
+
+
+def _drop_punct_tag(leaf):
+    return None if leaf.pos_tag in PUNCT_TAGS else leaf
 
 
 def speechify(tree):
@@ -396,38 +429,12 @@ def speechify(tree):
     Internal nodes left childless are pruned.  Raises RejectedSentenceError
     if nothing remains.
     """
-
-    def walk(node):
-        if node.is_leaf():
-            if _is_punct_leaf(node):
-                return None
-            return LeafNode(node.word.lower(), node.pos_tag)
-        kept = [c for c in (walk(ch) for ch in node.children) if c is not None]
-        if not kept:
-            return None
-        return InternalNode(node.label, kept)
-
-    out = walk(tree)
-    if out is None:
-        raise RejectedSentenceError("sentence is empty after punctuation removal")
-    return out
+    return _prune(tree, _speech_leaf, "punctuation removal")
 
 
 def strip_punctuation(tree):
     """EVALB-style punctuation deletion (tags only, words kept verbatim)."""
-
-    def walk(node):
-        if node.is_leaf():
-            return None if node.pos_tag in PUNCT_TAGS else node
-        kept = [c for c in (walk(ch) for ch in node.children) if c is not None]
-        if not kept:
-            return None
-        return InternalNode(node.label, kept)
-
-    out = walk(tree)
-    if out is None:
-        raise RejectedSentenceError("sentence is empty after punctuation deletion")
-    return out
+    return _prune(tree, _drop_punct_tag, "punctuation deletion")
 
 
 class LabelVocab:
@@ -478,16 +485,6 @@ def bracket_multiset(tree, ignore_punctuation=False):
     if ignore_punctuation:
         tree = strip_punctuation(tree)
     counts = {}
-
-    def walk(node, start):
-        if node.is_leaf():
-            return start + 1
-        end = start
-        for child in node.children:
-            end = walk(child, end)
-        key = (start, end, node.label)
+    for key in brackets(tree):
         counts[key] = counts.get(key, 0) + 1
-        return end
-
-    walk(tree, 0)
     return counts

@@ -235,10 +235,24 @@ class TestOpSemantics:
         t = ag.Tape(record=False)
         loss = ag.sum_all(ag.mul(t.watch(p), t.watch(p)))
         assert float(loss.value) == 4.0
-        assert t._ops == [] and t._watched == {}
+        assert t._ops == [] and t.watch(p).grad is None
         with pytest.raises(NumericError, match="does not record"):
             t.backward(loss)
         np.testing.assert_array_equal(p.grad, 0.0)
+
+    def test_watched_leaves_accumulate_straight_into_the_parameter(self):
+        p = ag.Parameter("w", np.ones((2, 2)))
+        p.grad[...] = 1.0
+        t = ag.Tape()
+        a, b = t.watch(p), t.watch(p)
+        assert a.grad is p.grad and b.grad is p.grad
+        t.backward(ag.sum_all(ag.mul(a, b)))  # one contribution per leaf
+        np.testing.assert_allclose(p.grad, 1.0 + 1.0 + 1.0)
+
+        unrun = ag.Tape()
+        ag.sum_all(ag.mul(unrun.watch(p), unrun.watch(p)))
+        unrun.release()
+        np.testing.assert_allclose(p.grad, 3.0)
 
     def test_backward_scaled_seed(self):
         p = ag.Parameter("w", np.ones(3).reshape(1, 3))

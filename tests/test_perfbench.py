@@ -17,13 +17,23 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["parse-long", "train-long", "train-short"])
-def test_traced_run_is_correct(child_env, workload):
+def run_bench(env, workload, seed, trace):
     r = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", "0", "--seconds", "0", "--trace", "1"],
-        cwd=ROOT, env=child_env, capture_output=True, text=True, timeout=600,
+         "--seed", str(seed), "--seconds", "0", "--trace", str(trace)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600,
     )
     assert r.returncode == 0, r.stderr
     result = json.loads(r.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+
+
+@pytest.mark.parametrize("workload", ["parse-long", "train-long", "train-short"])
+def test_traced_run_is_correct(child_env, workload):
+    run_bench(child_env, workload, 0, 1)
+
+
+def test_untraced_run_prints_a_parse_deeper_than_the_recursion_limit(child_env):
+    # seed 42's model nests a 156-word parse 366 levels deep, and the run
+    # digests every parse through linearize
+    run_bench(child_env, "parse-long", 42, 0)

@@ -141,12 +141,12 @@ class TestFramePatch:
 
 class TestNormalizeSpeaker:
     def test_moments_after_normalization(self):
-        tracks = {"sp1": [track(seed=1)], "sp2": [track(seed=2)]}
+        tracks = {"sp1": track(seed=1), "sp2": track(seed=2)}
         normed, warnings = normalize_speaker(tracks)
         assert warnings == []
-        for spk, tlist in normed.items():
-            e = np.concatenate([t.energy for t in tlist]).astype(np.float64)
-            f = np.concatenate([t.f0 for t in tlist]).astype(np.float64)
+        for spk, t in normed.items():
+            e = t.energy.astype(np.float64)
+            f = t.f0.astype(np.float64)
             voiced = f != 0
             assert abs(e.mean()) < 1e-6
             assert abs(e.std() - 1.0) < 1e-5
@@ -155,8 +155,8 @@ class TestNormalizeSpeaker:
 
     def test_constant_energy_zeroed(self):
         t = FrameTrack(energy=np.full(50, 3.3), f0=np.zeros(50))
-        normed, warnings = normalize_speaker({"s": [t]})
-        np.testing.assert_allclose(normed["s"][0].energy, 0.0, atol=1e-5)
+        normed, warnings = normalize_speaker({"s": t})
+        np.testing.assert_allclose(normed["s"].energy, 0.0, atol=1e-5)
         assert len(warnings) == 1  # no voiced frames
 
     def test_zscore_definition(self):
@@ -165,20 +165,18 @@ class TestNormalizeSpeaker:
         f0[:25] = 100.0
         f0[25:50] = 140.0
         t = FrameTrack(energy=np.ones(100), f0=f0)
-        normed, _ = normalize_speaker({"s": [t]})
-        out = normed["s"][0].f0
+        normed, _ = normalize_speaker({"s": t})
+        out = normed["s"].f0
         assert out[25] == pytest.approx(1.0)  # 140 with mean 120, sd 20
         assert out[0] == pytest.approx(-1.0)
         np.testing.assert_array_equal(out[50:], 0.0)  # unvoiced untouched
 
     def test_idempotent(self):
-        tracks = {"s": [track(seed=5)]}
+        tracks = {"s": track(seed=5)}
         once, _ = normalize_speaker(tracks)
         twice, _ = normalize_speaker(once)
-        np.testing.assert_allclose(
-            twice["s"][0].energy, once["s"][0].energy, atol=1e-6
-        )
-        np.testing.assert_allclose(twice["s"][0].f0, once["s"][0].f0, atol=1e-6)
+        np.testing.assert_allclose(twice["s"].energy, once["s"].energy, atol=1e-6)
+        np.testing.assert_allclose(twice["s"].f0, once["s"].f0, atol=1e-6)
 
 
 class TestFiles:

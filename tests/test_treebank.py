@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from prosoparse.errors import (
     RejectedSentenceError,
     TreeSyntaxError,
 )
+from prosoparse.evaluation import parseval
 from prosoparse.synthdata import random_tree
 from prosoparse.treebank import (
     MAX_TREE_DEPTH,
@@ -18,13 +20,16 @@ from prosoparse.treebank import (
     LabelVocab,
     LabeledSpan,
     LeafNode,
+    bracket_multiset,
     classify_fluency,
     parse_ptb,
     read_tree_file,
     sentence_of,
     spans_to_tree,
     speechify,
+    strip_punctuation,
     tree_to_spans,
+    write_tree_file,
 )
 
 
@@ -140,11 +145,17 @@ class TestSpans:
 
     def test_rebuild_leaves_no_reference_cycles(self):
         t = random_tree(np.random.default_rng(2), max_words=40)
-        spans, leaves = tree_to_spans(t), sentence_of(t)
+        spans, leaves, text = tree_to_spans(t), sentence_of(t), t.linearize()
         gc.collect()
         gc.disable()
         try:
             assert spans_to_tree(spans, leaves) == t
+            assert gc.collect() == 0
+            for walk in (tree_to_spans, bracket_multiset, classify_fluency,
+                         speechify, strip_punctuation):
+                walk(t)
+                assert gc.collect() == 0, walk.__name__
+            assert parse_ptb(text) == [t]
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -162,7 +173,77 @@ class TestSpans:
         rng = np.random.default_rng(1)
         for _ in range(300):
             t = random_tree(rng, max_words=10)
-            assert parse_one(t.linearize()) == t
+            back = parse_one(t.linearize())
+            assert back == t and hash(back) == hash(t)
+
+
+def deep_tree(n, leaf_of=lambda leaf: leaf):
+    """S over (word i, S over (word i+1, ...)), n levels, with an EDITED+NP
+    chain over the last word; every 7th word is a comma.  ``leaf_of`` maps
+    each leaf and may drop it (None), as speechify and strip_punctuation do.
+    """
+    words = [LeafNode(",", ",") if i % 7 == 3 else LeafNode(f"W{i}", "NN") for i in range(n)]
+    kept = [leaf_of(w) for w in words]
+    node = InternalNode("EDITED", [InternalNode("NP", [kept[-1]])])
+    for w in reversed(kept[:-1]):
+        node = InternalNode("S", [w, node] if w is not None else [node])
+    return node
+
+
+class TestDeepTrees:
+    """Trees nested far deeper than Python's recursion limit, as the parser
+    can emit for long turns, go through every tree walk."""
+
+    N = 2000
+
+    def test_every_walk_takes_any_depth(self):
+        n = self.N
+        t = deep_tree(n)
+        words = [(",", ",") if i % 7 == 3 else (f"W{i}", "NN") for i in range(n)]
+        assert sentence_of(t) == words
+        assert t.linearize() == (
+            "".join(f"(S ({tag} {w}) " for w, tag in words[:-1])
+            + f"(EDITED (NP (NN W{n - 1})))" + ")" * (n - 1)
+        )
+        twin = deep_tree(n)
+        assert t == twin and hash(t) == hash(twin)
+        assert t != deep_tree(n, lambda leaf: LeafNode(leaf.word.lower(), leaf.pos_tag))
+        assert tree_to_spans(t) == {LabeledSpan(i, n, "S") for i in range(n - 1)} | {
+            LabeledSpan(n - 1, n, "EDITED+NP")
+        }
+        assert bracket_multiset(t) == {
+            **{(i, n, "S"): 1 for i in range(n - 1)},
+            (n - 1, n, "EDITED"): 1,
+            (n - 1, n, "NP"): 1,
+        }
+        kept_before = np.cumsum([0] + [i % 7 != 3 for i in range(n)])
+        m = kept_before[-1]
+        assert bracket_multiset(t, ignore_punctuation=True) == Counter(
+            [(kept_before[i], m, "S") for i in range(n - 1)]
+            + [(m - 1, m, "EDITED"), (m - 1, m, "NP")]
+        )
+        assert classify_fluency(t) == "disfluent"
+        assert speechify(t).linearize() == deep_tree(
+            n, lambda leaf: None if leaf.word == "," else LeafNode(leaf.word.lower(), "NN")
+        ).linearize()
+        no_commas = deep_tree(n, lambda leaf: None if leaf.word == "," else leaf)
+        assert strip_punctuation(t) == no_commas
+        report = parseval([t], [twin], delete_punctuation=True)
+        assert report.f1 == 100.0 and report.fluency["disfluent"].exact_match == 1
+
+    def test_rebuild_of_a_right_branching_parse(self, tmp_path):
+        # the deepest tree a max_len-word sentence can decode to: every span
+        # (i, T) with a three-label chain
+        T = 300
+        leaves = [(f"w{i}", "NN") for i in range(T)]
+        spans = {LabeledSpan(i, T, "S+VP+NP") for i in range(T)}
+        t = spans_to_tree(spans, leaves)
+        assert tree_to_spans(t) == spans and sentence_of(t) == leaves
+        text = t.linearize()
+        assert text.count("(S (VP (NP") == T
+        write_tree_file(tmp_path / "deep.trees", [t])
+        assert (tmp_path / "deep.trees").read_text() == text + "\n"
+        assert parseval([t], [t]).f1 == 100.0
 
 
 class TestFluency:
