@@ -12,7 +12,7 @@ tape (``record=False``, for inference) keeps no closures, so its arrays are
 freed as soon as nothing references them; ``backward`` on it raises.
 
 ``train`` is independent of recording: it only turns dropout on.  Storage
-is float32 by default (float64 available for gradient checking); softmax,
+is float32 by default (float64 available for gradient checking); attention,
 layer_norm and span_hidden reduce in float64 regardless.  There is no
 broadcasting beyond bias/vector-over-rows; shapes are validated on every op.
 
@@ -205,20 +205,6 @@ def mul(a, b):
     return out
 
 
-def smul(x, c):
-    tape = x.tape
-    c = float(c)
-    out = Var(x.value * np.asarray(c, dtype=x.value.dtype), tape)
-
-    def bwd():
-        if out.grad is None:
-            return
-        _accum(x, out.grad * c)
-
-    tape._record(bwd)
-    return out
-
-
 def matmul(a, b):
     tape = _same_tape("matmul", a, b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
@@ -230,21 +216,6 @@ def matmul(a, b):
             return
         _accum(a, out.grad @ b.value.T)
         _accum(b, a.value.T @ out.grad)
-
-    tape._record(bwd)
-    return out
-
-
-def transpose(x):
-    tape = x.tape
-    if x.value.ndim != 2:
-        raise ShapeError("transpose", x.value.shape)
-    out = Var(np.ascontiguousarray(x.value.T), tape)
-
-    def bwd():
-        if out.grad is None:
-            return
-        _accum(x, out.grad.T)
 
     tape._record(bwd)
     return out
@@ -263,24 +234,72 @@ def relu(x):
     return out
 
 
-def softmax(x):
-    """Row softmax over the last axis (float64 internally)."""
-    tape = x.tape
-    v = x.value.astype(np.float64)
-    v = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(v)
+def _split_heads(x, heads, axes):
+    """[T, heads*dh] -> C-contiguous [heads, T, dh] (axes (1, 0, 2)) or
+    [heads, dh, T] (axes (1, 2, 0))."""
+    return np.ascontiguousarray(x.reshape(len(x), heads, -1).transpose(axes))
+
+
+def _merge_heads(x, axes):
+    """Inverse of _split_heads given the inverse axes, C-contiguous: BLAS
+    rounds a strided operand differently."""
+    return np.ascontiguousarray(x.transpose(axes)).reshape(x.shape[axes[0]], -1)
+
+
+def attention(qs, ks, vs, heads):
+    """Factored multi-head self-attention (Kitaev & Klein 2018) over streams.
+
+    qs, ks, vs: one [T, d_s] Var per stream s, each d_s divisible by
+    ``heads`` -> one [T, d_s] Var per stream.  Head h of stream s is columns
+    h*dh:(h+1)*dh, dh = d_s / heads.  A head's logits are the sum over
+    streams, in stream order, of q_h k_h^T / sqrt(dh); one float64 softmax
+    per head gives the weights that every stream applies to its own values.
+    Each head's q, k^T and v is a C-contiguous copy and gradients sum over
+    streams in reverse order, so forward and backward give the bits of the
+    per-head chain of slice, transpose, matmul, scale, add and softmax ops.
+    """
+    n = len(qs)
+    if not (n == len(ks) == len(vs) > 0) or any(
+        q.value.ndim != 2 or q.value.shape[0] != qs[0].value.shape[0]
+        or q.value.shape[1] % heads or not k.value.shape == v.value.shape == q.value.shape
+        for q, k, v in zip(qs, ks, vs)
+    ):
+        raise ShapeError("attention", tuple(x.value.shape for x in (*qs, *ks, *vs)))
+    tape = _same_tape("attention", *qs, *ks, *vs)
+    dt = qs[0].value.dtype
+    scales = [np.asarray(1.0 / np.sqrt(q.value.shape[1] // heads), dtype=dt) for q in qs]
+    q_h = [_split_heads(q.value, heads, (1, 0, 2)) for q in qs]
+    kt_h = [_split_heads(k.value, heads, (1, 2, 0)) for k in ks]
+    v_h = [_split_heads(v.value, heads, (1, 0, 2)) for v in vs]
+    logits = (q_h[0] @ kt_h[0]) * scales[0]
+    for s in range(1, n):
+        logits += (q_h[s] @ kt_h[s]) * scales[s]
+    e = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
     y64 = e / e.sum(axis=-1, keepdims=True)
-    out = Var(y64.astype(x.value.dtype), tape)
+    weights = y64.astype(dt)
+    outs = [Var(_merge_heads(weights @ vh, (1, 0, 2)), tape) for vh in v_h]
 
     def bwd():
-        if out.grad is None:
+        dw = None
+        for s in reversed(range(n)):
+            if outs[s].grad is None:
+                continue
+            g = _split_heads(outs[s].grad, heads, (1, 0, 2))
+            part = g @ v_h[s].transpose(0, 2, 1)
+            dw = part if dw is None else dw + part
+            _accum(vs[s], _merge_heads(weights.transpose(0, 2, 1) @ g, (1, 0, 2)))
+        if dw is None:
             return
-        g = out.grad.astype(np.float64)
-        dot = (g * y64).sum(axis=-1, keepdims=True)
-        _accum(x, ((g - dot) * y64).astype(x.value.dtype))
+        g64 = dw.astype(np.float64)
+        dot = (g64 * y64).sum(axis=-1, keepdims=True)
+        dlogits = ((g64 - dot) * y64).astype(dt)
+        for s in reversed(range(n)):
+            dm = dlogits * scales[s]
+            _accum(ks[s], _merge_heads(q_h[s].transpose(0, 2, 1) @ dm, (2, 0, 1)))
+            _accum(qs[s], _merge_heads(dm @ kt_h[s].transpose(0, 2, 1), (1, 0, 2)))
 
     tape._record(bwd)
-    return out
+    return outs
 
 
 def layer_norm(x, eps=1e-5):

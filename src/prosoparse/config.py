@@ -30,6 +30,12 @@ class DataConfig:
     features_cache: str = ""
     speechify: bool = False
 
+    def __post_init__(self):
+        # one tree file may be given as a plain string
+        if isinstance(self.train_trees, str):
+            self.train_trees = [self.train_trees]
+        self.train_trees = list(self.train_trees)
+
 
 @dataclass
 class FeatureConfig:
@@ -83,37 +89,33 @@ def load_config(path):
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         raw = yaml.safe_load(text) or {}
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML raises ValueError for a scalar it resolves as an invalid date
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    data_raw = _section(raw, "data")
-    train_trees = data_raw.get("train_trees", [])
-    if isinstance(train_trees, str):
-        train_trees = [train_trees]
-    data_raw = dict(data_raw, train_trees=list(train_trees))
-    data = _build(DataConfig, data_raw, "data")
+    data = _build(DataConfig, _section(raw, "data"), "data")
 
     model_raw = _section(raw, "model")
     encoder = _build(EncoderConfig, _section(model_raw, "encoder"), "model.encoder")
     cnn = _build(CnnConfig, _section(model_raw, "cnn"), "model.cnn")
-    model = ModelConfig(
-        encoder=encoder, cnn=cnn, span_hidden=int(model_raw.get("span_hidden", 256))
-    )
+    try:
+        span_hidden = int(model_raw.get("span_hidden", 256))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"model.span_hidden: {exc}") from None
+    model = ModelConfig(encoder=encoder, cnn=cnn, span_hidden=span_hidden)
     emb_raw = dict(_section(model_raw, "embedding"))
     emb_raw.setdefault("store_path", data.vector_store)
     emb_raw.setdefault("vectors_path", data.word_vectors)
     embedding = _build(EmbeddingSpec, emb_raw, "model.embedding")
 
     features = _build(FeatureConfig, _section(raw, "features"), "features")
-    train_raw = _section(raw, "train")
-    for key in ("seeds", "corpus_weights"):
-        if key in train_raw:
-            train_raw[key] = tuple(train_raw[key])
-    train = _build(TrainConfig, train_raw, "train")
+    train = _build(TrainConfig, _section(raw, "train"), "train")
     eval_cfg = _build(EvalConfig, _section(raw, "eval"), "eval")
 
     output_dir = raw.get("output_dir", "")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .errors import AlignmentError, DataError, FormatError
+from .errors import AlignmentError, DataError, FormatError, utf8_text
 
 UNK = "<unk>"
 MODES = ("learned", "frozen", "finetuned")
@@ -90,7 +90,7 @@ def load_vector_store(path):
     Header line "dim=<d> producer=<name>", then blocks of
     "sentence <id> <T>" followed by T lines of d floats.
     """
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         _warnings.warn(f"{path}: empty vector store")
@@ -139,7 +139,7 @@ def load_word_vectors(path):
     words = []
     vecs = []
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split()
             if not parts:

@@ -61,11 +61,11 @@ class EncoderConfig:
     max_len: int = 300
 
     def __post_init__(self):
+        if self.layers < 1 or self.heads < 1 or self.d_ff < 1:
+            raise ConfigError("layers, heads and d_ff must be >= 1")
         for name in ("d_content", "d_position"):
             self._check_stream(name, getattr(self, name), required=True)
         self._check_stream("d_prosody", self.d_prosody, required=False)
-        if self.layers < 1 or self.heads < 1 or self.d_ff < 1:
-            raise ConfigError("layers, heads and d_ff must be >= 1")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1): {self.dropout}")
 
@@ -126,7 +126,6 @@ def _xavier(rng, fan_in, fan_out, dtype):
 
 class _StreamAttention:
     def __init__(self, name, dim, rng, dtype):
-        self.dim = dim
         self.wq = ag.Parameter(f"{name}.wq", _xavier(rng, dim, dim, dtype))
         self.wk = ag.Parameter(f"{name}.wk", _xavier(rng, dim, dim, dtype))
         self.wv = ag.Parameter(f"{name}.wv", _xavier(rng, dim, dim, dtype))
@@ -298,31 +297,15 @@ class Encoder:
 
     def _attention(self, tape, streams, layer):
         cfg = self.config
-        heads = cfg.heads
-        qkv = []
+        qs, ks, vs = [], [], []
         for x, attn in zip(streams, layer.attn):
-            q = ag.matmul(x, tape.watch(attn.wq))
-            k = ag.matmul(x, tape.watch(attn.wk))
-            v = ag.matmul(x, tape.watch(attn.wv))
-            qkv.append((q, k, v, attn.dim // heads))
-
-        per_stream_heads = [[] for _ in streams]
-        for h in range(heads):
-            logits = None
-            for (q, k, _v, dh) in qkv:
-                qh = ag.slice_cols(q, h * dh, (h + 1) * dh)
-                kh = ag.slice_cols(k, h * dh, (h + 1) * dh)
-                part = ag.smul(ag.matmul(qh, ag.transpose(kh)), 1.0 / np.sqrt(dh))
-                logits = part if logits is None else ag.add(logits, part)
-            weights = ag.softmax(logits)
-            for si, (_q, _k, v, dh) in enumerate(qkv):
-                vh = ag.slice_cols(v, h * dh, (h + 1) * dh)
-                per_stream_heads[si].append(ag.matmul(weights, vh))
-
+            qs.append(ag.matmul(x, tape.watch(attn.wq)))
+            ks.append(ag.matmul(x, tape.watch(attn.wk)))
+            vs.append(ag.matmul(x, tape.watch(attn.wv)))
+        merged = ag.attention(qs, ks, vs, cfg.heads)
         outs = []
         for si, (x, attn) in enumerate(zip(streams, layer.attn)):
-            merged = ag.concat(per_stream_heads[si], axis=1)
-            proj = ag.matmul(merged, tape.watch(attn.wo))
+            proj = ag.matmul(merged[si], tape.watch(attn.wo))
             proj = ag.dropout(proj, cfg.dropout)
             outs.append(layer.norm1[si](tape, ag.add(x, proj)))
         return outs

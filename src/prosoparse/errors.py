@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
 NumericError -> 4.  Everything else is a plain bug and escapes as-is.
 """
 
+from contextlib import contextmanager
+
 
 class ProsoparseError(Exception):
     pass
@@ -77,3 +79,13 @@ class TrainingDivergedError(NumericError):
         super().__init__(f"loss diverged (NaN/inf) at step {step} for seed {seed}")
         self.seed = seed
         self.step = step
+
+
+@contextmanager
+def utf8_text(path, newline=None):
+    """The open text file; a decoding error while it is read is a FormatError."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None

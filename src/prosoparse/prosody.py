@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, DataError, FormatError
+from .errors import AlignmentError, DataError, FormatError, utf8_text
 
 DEFAULT_FRAME_PERIOD = 0.010
 DEFAULT_CONTEXT_S = 0.12
@@ -242,23 +241,13 @@ def normalize_speaker(tracks):
     return normalized, warnings
 
 
-@contextmanager
-def _utf8_lines(path, newline=None):
-    """The open text file; a decoding error while it is read is a FormatError."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
 def read_alignment_file(path):
     """Tab-separated alignments: sentence_id, word, start_s, end_s, speaker_id.
 
     Returns {sentence_id: [WordAlignment, ...]} preserving file order.
     """
     sentences = {}
-    with _utf8_lines(path) as fh:
+    with utf8_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -293,7 +282,7 @@ def write_alignment_file(path, sentences):
 
 def read_frame_track_file(path):
     """Comma-separated frames with a required header: time_s, energy, f0."""
-    with _utf8_lines(path, newline="") as fh:
+    with utf8_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -7,8 +7,9 @@ is either an ``InternalNode`` (label + children) or a ``LeafNode``
 ``+`` when converting to spans, and expanded again on the way back.
 
 Every traversal of a tree in memory goes through ``Node.walk``, an
-iterative depth-first walk, so trees of any depth print, compare, convert
-and score; only parsing bracketed text caps the depth (``MAX_TREE_DEPTH``).
+iterative depth-first walk, and ``parse_ptb`` keeps its open nodes on an
+explicit stack, so trees of any depth read, print, compare, convert and
+score.
 """
 
 from __future__ import annotations
@@ -19,19 +20,16 @@ from typing import NamedTuple
 from .errors import (
     CrossingSpanError,
     DataError,
-    FormatError,
     RejectedSentenceError,
     TreeSyntaxError,
     VocabularyError,
+    utf8_text,
 )
 
 CHAIN_JOIN = "+"
 EMPTY_LABEL = ""
 _WRAPPER_LABELS = {"ROOT", "TOP", "S1", ""}
 _TRACE_TAG = "-NONE-"
-# input check on tree files; it guards only parse_ptb's own recursion, since
-# every walk over a tree in memory is iterative
-MAX_TREE_DEPTH = 200
 # Tags whose leaves are dropped by speechify / optional EVALB-style deletion.
 PUNCT_TAGS = {",", ":", ".", "``", "''", "-LRB-", "-RRB-"}
 
@@ -170,8 +168,7 @@ def parse_ptb(text, strip_traces=True):
 
     ROOT/TOP wrappers are stripped, function tags removed from internal
     labels, and -NONE- trace subtrees deleted (with spans reindexed by
-    virtue of the leaves simply disappearing).  A tree nested deeper than
-    MAX_TREE_DEPTH levels is a TreeSyntaxError.
+    virtue of the leaves simply disappearing).
     """
     tokens = _tokenize(text)
     trees = []
@@ -180,7 +177,7 @@ def parse_ptb(text, strip_traces=True):
         tok, off = tokens[pos]
         if tok != "(":
             raise TreeSyntaxError(f"expected '(' between trees, found {tok!r}", off)
-        tree, pos = _parse_node(tokens, pos, 1, len(text))
+        tree, pos = _parse_tree(tokens, pos, len(text))
         while (
             not tree.is_leaf()
             and tree.label in _WRAPPER_LABELS
@@ -194,48 +191,46 @@ def parse_ptb(text, strip_traces=True):
     return trees
 
 
-def _parse_node(tokens, pos, depth, text_len):
-    """The node whose "(" is ``tokens[pos]``, and the position after it."""
-    tok, off = tokens[pos]
-    if tok != "(":
-        raise TreeSyntaxError(f"expected '(' but found {tok!r}", off)
-    if depth > MAX_TREE_DEPTH:
-        raise TreeSyntaxError(f"tree nested deeper than {MAX_TREE_DEPTH} levels", off)
-    pos += 1
-    if pos >= len(tokens):
-        raise TreeSyntaxError("unbalanced brackets: input ends inside a node", off)
-    label, label_off = tokens[pos]
-    if label == ")":
-        raise TreeSyntaxError("empty node '()'", label_off)
-    if label == "(":
-        # anonymous wrapper: "( (S ...) )"
-        label = ""
-    else:
-        pos += 1
-    children = []
-    word = None
+def _parse_tree(tokens, pos, text_len):
+    """The tree whose "(" is ``tokens[pos]``, and the position after it."""
+    open_nodes = []  # [label, label offset, word, children] from the root down
     while True:
-        if pos >= len(tokens):
-            raise TreeSyntaxError("unbalanced brackets: missing ')'", text_len)
         tok, off = tokens[pos]
-        if tok == ")":
-            pos += 1
-            break
+        pos += 1
         if tok == "(":
-            child, pos = _parse_node(tokens, pos, depth + 1, text_len)
-            children.append(child)
+            if pos >= len(tokens):
+                raise TreeSyntaxError("unbalanced brackets: input ends inside a node", off)
+            label, label_off = tokens[pos]
+            if label == ")":
+                raise TreeSyntaxError("empty node '()'", label_off)
+            if label == "(":
+                # anonymous wrapper: "( (S ...) )"
+                label = ""
+            else:
+                pos += 1
+            open_nodes.append([label, label_off, None, []])
+        elif tok == ")":
+            node = _close_node(*open_nodes.pop())
+            if not open_nodes:
+                return node, pos
+            open_nodes[-1][3].append(node)
         else:
+            label, _, word, children = open_nodes[-1]
             if word is not None or children:
                 raise TreeSyntaxError(
                     f"unexpected token {tok!r} inside node {label!r}", off
                 )
-            word = tok
-            pos += 1
+            open_nodes[-1][2] = tok
+        if pos >= len(tokens):
+            raise TreeSyntaxError("unbalanced brackets: missing ')'", text_len)
+
+
+def _close_node(label, label_off, word, children):
     if word is not None:
-        return LeafNode(word, label), pos
+        return LeafNode(word, label)
     if not children:
         raise TreeSyntaxError(f"node {label!r} has no children", label_off)
-    return InternalNode(_strip_function_tags(label), children), pos
+    return InternalNode(_strip_function_tags(label), children)
 
 
 def _prune(tree, keep_leaf, what):
@@ -267,11 +262,8 @@ def _drop_trace(leaf):
 
 
 def read_tree_file(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with utf8_text(path) as fh:
+        text = fh.read()
     try:
         return parse_ptb(text)
     except DataError as exc:

@@ -51,6 +51,79 @@ def build_tiny_model(sentences, prosody=True, seed=3, dtype=np.float32, dropout=
     )
 
 
+# The factored attention as the per-head chain of tape ops that
+# ``ag.attention`` replaced: its oracle.  The three ops it needs that the
+# library no longer has are kept here.
+
+
+def _transpose(x):
+    out = ag.Var(np.ascontiguousarray(x.value.T), x.tape)
+
+    def bwd():
+        if out.grad is not None:
+            ag._accum(x, out.grad.T)
+
+    x.tape._record(bwd)
+    return out
+
+
+def _smul(x, c):
+    c = float(c)
+    out = ag.Var(x.value * np.asarray(c, dtype=x.value.dtype), x.tape)
+
+    def bwd():
+        if out.grad is not None:
+            ag._accum(x, out.grad * c)
+
+    x.tape._record(bwd)
+    return out
+
+
+def _softmax(x):
+    """Row softmax over the last axis (float64 internally)."""
+    v = x.value.astype(np.float64)
+    v = v - v.max(axis=-1, keepdims=True)
+    e = np.exp(v)
+    y64 = e / e.sum(axis=-1, keepdims=True)
+    out = ag.Var(y64.astype(x.value.dtype), x.tape)
+
+    def bwd():
+        if out.grad is not None:
+            g = out.grad.astype(np.float64)
+            dot = (g * y64).sum(axis=-1, keepdims=True)
+            ag._accum(x, ((g - dot) * y64).astype(x.value.dtype))
+
+    x.tape._record(bwd)
+    return out
+
+
+def chain_logit_parts(qs, ks, heads, h):
+    """Head h's scaled q_h k_h^T for each stream, as tape ops."""
+    parts = []
+    for q, k in zip(qs, ks):
+        dh = q.value.shape[1] // heads
+        qh = ag.slice_cols(q, h * dh, (h + 1) * dh)
+        kh = ag.slice_cols(k, h * dh, (h + 1) * dh)
+        parts.append(_smul(ag.matmul(qh, _transpose(kh)), 1.0 / np.sqrt(dh)))
+    return parts
+
+
+def chain_attention(qs, ks, vs, heads):
+    """The oracle for ``ag.attention``: per head, the stream-ordered sum of
+    the logit parts, a softmax, and one value product per stream."""
+    per_stream = [[] for _ in qs]
+    for h in range(heads):
+        parts = chain_logit_parts(qs, ks, heads, h)
+        logits = parts[0]
+        for part in parts[1:]:
+            logits = ag.add(logits, part)
+        weights = _softmax(logits)
+        for heads_out, v in zip(per_stream, vs):
+            dh = v.value.shape[1] // heads
+            heads_out.append(ag.matmul(weights, ag.slice_cols(v, h * dh, (h + 1) * dh)))
+    return [ag.concat(heads_out, axis=1) for heads_out in per_stream]
+
+
 @pytest.fixture(scope="session")
 def featurized_corpus():
     data = overfit_corpus(n_sentences=24, seed=5)

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from conftest import chain_attention
 from prosoparse import autograd as ag
 from prosoparse.errors import NumericError, ShapeError
 
@@ -9,8 +12,9 @@ def tape64():
     return ag.Tape(dtype=np.float64)
 
 
-def check_op(build, n_params, tol=1e-6, seed=0):
-    """Gradient-check a single op wired into a scalar loss."""
+def check_op(build, n_params, tol=1e-6, seed=0, train=False):
+    """Gradient-check a single op wired into a scalar loss; ``train`` turns
+    dropout on, with the same mask on every pass."""
     rng = np.random.default_rng(seed)
     params = [
         ag.Parameter(f"p{i}", rng.standard_normal(shape).astype(np.float64) + off)
@@ -18,7 +22,7 @@ def check_op(build, n_params, tol=1e-6, seed=0):
     ]
 
     def f():
-        tape = tape64()
+        tape = ag.Tape(rng=np.random.default_rng(seed), train=train, dtype=np.float64)
         return build(tape, [tape.watch(p) for p in params])
 
     err = ag.grad_check(f, params, n_samples=40, h=1e-5)
@@ -52,11 +56,15 @@ class TestOpGradients:
             [((4, 4), 3.0)],  # offset keeps coordinates away from 0
         )
 
-    def test_softmax(self):
-        check_op(
-            lambda tape, ps: ag.sum_all(ag.mul(ag.softmax(ps[0]), ps[1])),
-            [((3, 5), 0.0), ((3, 5), 0.0)],
-        )
+    def test_attention(self):
+        # three streams of widths 4, 2 and 6 over 5 words, two heads
+        def build(tape, ps):
+            outs = ag.attention(ps[0:3], ps[3:6], ps[6:9], heads=2)
+            losses = [ag.sum_all(ag.mul(o, w)) for o, w in zip(outs, ps[9:])]
+            return ag.add(ag.add(losses[0], losses[1]), losses[2])
+
+        shapes = [(5, 4), (5, 2), (5, 6)]
+        check_op(build, [(shape, 0.0) for shape in shapes * 4])
 
     def test_layer_norm(self):
         check_op(
@@ -102,10 +110,32 @@ class TestOpGradients:
             [((2, 3), 0.0)],
         )
 
-    def test_transpose_smul(self):
+    def test_attention_unused_stream(self):
+        leaves = []
+
+        def build(tape, ps):
+            leaves.append(ps)
+            outs = ag.attention(ps[0:2], ps[2:4], ps[4:6], heads=2)
+            return ag.sum_all(ag.mul(outs[0], ps[6]))  # stream 1's output unused
+
+        check_op(build, [((4, 6), 0.0), ((4, 2), 0.0)] * 3 + [((4, 6), 0.0)])
+        # the first pass ran backward: stream 1's queries and keys steer the
+        # weights, but its values reach no output
+        q1, k1, v1 = leaves[0][1], leaves[0][3], leaves[0][5]
+        assert q1.grad.any() and k1.grad.any() and not v1.grad.any()
+
+    def test_dropout(self):
         check_op(
-            lambda tape, ps: ag.sum_all(ag.smul(ag.matmul(ps[0], ag.transpose(ps[0])), 0.5)),
-            [((3, 4), 0.0)],
+            lambda tape, ps: ag.sum_all(ag.mul(ag.dropout(ps[0], 0.5), ps[1])),
+            [((4, 5), 0.0), ((4, 5), 0.0)],
+            train=True,
+        )
+
+    def test_span_hidden(self):
+        check_op(
+            lambda tape, ps: ag.sum_all(ag.mul(ag.span_hidden(*ps[:4]), ps[4])),
+            [((5, 6), 0.0), ((6,), 0.0), ((6,), 1.0), ((6,), 0.5), ((10, 6), 0.0)],
+            tol=1e-5,
         )
 
     def test_quadratic_exact(self):
@@ -119,17 +149,100 @@ class TestOpGradients:
         assert ag.grad_check(f, [p], h=1e-3) < 1e-6
 
 
+def recording_ops():
+    """Names of the public autograd functions that record a backward closure."""
+    return {
+        name
+        for name, fn in vars(ag).items()
+        if inspect.isfunction(fn)
+        and not name.startswith("_")
+        and any(getattr(c, "co_name", None) == "bwd" for c in fn.__code__.co_consts)
+    }
+
+
+class TestGradCheckCoverage:
+    def test_every_recording_op_has_a_grad_check(self, monkeypatch):
+        # run each TestOpGradients case with a grad_check that only notes the
+        # kinds of op on the loss's tape
+        checked = set()
+
+        def note_ops(f, params, **_kwargs):
+            for p in params:
+                p.zero_grad()
+            loss = f()
+            checked.update(fn.__qualname__.split(".")[0] for fn in loss.tape._ops)
+            loss.tape.backward(loss)
+            return 0.0
+
+        monkeypatch.setattr(ag, "grad_check", note_ops)
+        cases = TestOpGradients()
+        for name, case in inspect.getmembers(cases, inspect.ismethod):
+            if name.startswith("test_"):
+                case()
+        ops = recording_ops()
+        assert {"attention", "matmul", "span_hidden"} <= ops
+        assert ops - checked == set(), "ops without a grad_check case"
+
+
+class TestAttention:
+    """``ag.attention`` against the per-head chain of tape ops it replaced."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [1, 2, 5, 40, 160])
+    @pytest.mark.parametrize(
+        "widths,heads", [((64, 32, 32), 2), ((256, 64, 64), 4), ((16, 8, 8), 1)]
+    )
+    def test_bit_identical_to_per_head_chain(self, dtype, T, widths, heads):
+        rng = np.random.default_rng(T + heads)
+        inputs = [rng.standard_normal((T, d)).astype(dtype) for d in widths * 3]
+        weights = [rng.standard_normal((T, d)).astype(dtype) for d in widths]
+
+        def run(op):
+            tape = ag.Tape(dtype=dtype)
+            xs = [tape.constant(x) for x in inputs]
+            n = len(widths)
+            outs = op(xs[:n], xs[n : 2 * n], xs[2 * n :], heads)
+            loss = ag.sum_all(ag.mul(outs[0], tape.constant(weights[0])))
+            for out, w in zip(outs[1:], weights[1:]):
+                loss = ag.add(loss, ag.sum_all(ag.mul(out, tape.constant(w))))
+            tape.backward(loss)
+            return [out.value for out in outs] + [x.grad for x in xs]
+
+        got, want = run(ag.attention), run(chain_attention)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g.dtype == w.dtype == dtype and g.shape == w.shape, i
+            assert g.tobytes() == w.tobytes(), i
+            # the matmuls that consume them round a strided array differently
+            assert g.flags.c_contiguous, i
+
+    def test_checks_shapes(self):
+        t = tape64()
+        x, y = t.constant(np.ones((3, 4))), t.constant(np.ones((2, 4)))
+        with pytest.raises(ShapeError, match="attention"):
+            ag.attention([x, y], [x, y], [x, y], heads=2)  # lengths differ
+        with pytest.raises(ShapeError, match="attention"):
+            ag.attention([x], [x], [x], heads=3)  # 4 columns over 3 heads
+        with pytest.raises(ShapeError, match="attention"):
+            ag.attention([x], [x], [], heads=2)
+
+
 class TestOpSemantics:
     def test_softmax_uniform(self):
+        # all-zero queries give zero logits, so every word attends uniformly
         t = tape64()
-        out = ag.softmax(t.constant(np.zeros((1, 4))))
-        np.testing.assert_allclose(out.value, 0.25)
+        v = t.constant(np.random.default_rng(2).standard_normal((4, 2)))
+        (out,) = ag.attention([t.constant(np.zeros((4, 2)))], [v], [v], heads=1)
+        np.testing.assert_allclose(out.value, np.tile(v.value.mean(axis=0), (4, 1)))
 
     def test_softmax_rows_sum_to_one(self):
+        # with every value 1, each output is the sum of a row of weights
         t = tape64()
         rng = np.random.default_rng(3)
-        out = ag.softmax(t.constant(rng.standard_normal((6, 9)) * 10))
-        np.testing.assert_allclose(out.value.sum(axis=-1), 1.0, atol=1e-6)
+        qs = [t.constant(rng.standard_normal((6, 4)) * 10) for _ in range(2)]
+        ks = [t.constant(rng.standard_normal((6, 4)) * 10) for _ in range(2)]
+        vs = [t.constant(np.ones((6, 4))) for _ in range(2)]
+        for out in ag.attention(qs, ks, vs, heads=2):
+            np.testing.assert_allclose(out.value, 1.0, atol=1e-6)
 
     def test_layer_norm_constant_rows_zero(self):
         t = tape64()
@@ -216,7 +329,7 @@ class TestOpSemantics:
             rng = np.random.default_rng(seed)
             t = ag.Tape(rng=rng, train=True, dtype=np.float32)
             x = t.constant(np.ones((8, 8), dtype=np.float32))
-            y = ag.dropout(ag.softmax(ag.matmul(x, x)), 0.1)
+            y = ag.dropout(ag.relu(ag.matmul(x, x)), 0.1)
             return y.value.tobytes()
 
         assert run(5) == run(5)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_tiny_model
+from conftest import build_tiny_model, chain_logit_parts
 from prosoparse import autograd as ag
 from prosoparse.chart import cky_decode
 from prosoparse.encoder import CnnConfig, Encoder, EncoderConfig
@@ -63,28 +63,57 @@ class TestEncoderShapes:
             sent_scores(model, sent)
 
 
+def capture_attention(monkeypatch):
+    """Spy on ag.attention: (queries, keys, heads) of every call, as arrays."""
+    captured = []
+    real = ag.attention
+
+    def spy(qs, ks, vs, heads):
+        captured.append(([q.value.copy() for q in qs], [k.value.copy() for k in ks], heads))
+        return real(qs, ks, vs, heads)
+
+    monkeypatch.setattr(ag, "attention", spy)
+    return captured
+
+
+def head_logit_parts(captured, dtype):
+    """Per layer and head, each stream's logit part, recomputed from the
+    captured queries and keys by the per-head chain oracle."""
+    for qs, ks, heads in captured:
+        tape = ag.Tape(dtype=dtype, record=False)
+        qs = [tape.constant(q) for q in qs]
+        ks = [tape.constant(k) for k in ks]
+        for h in range(heads):
+            yield [part.value for part in chain_logit_parts(qs, ks, heads, h)]
+
+
+def summed(parts):
+    logits = parts[0]
+    for part in parts[1:]:
+        logits = logits + part
+    return logits
+
+
 class TestAttention:
-    def capture_softmax(self, monkeypatch):
-        captured = []
-        real = ag.softmax
-
-        def spy(x):
-            out = real(x)
-            captured.append(out.value.copy())
-            return out
-
-        monkeypatch.setattr(ag, "softmax", spy)
-        return captured
-
     def test_attention_rows_sum_to_one(self, featurized_corpus, monkeypatch):
         sents = featurized_corpus.sentences
         model = build_tiny_model(sents)
-        captured = self.capture_softmax(monkeypatch)
+        real = ag.attention
+        captured = capture_attention(monkeypatch)
         sent = max(sents, key=len)
         sent_scores(model, sent)
-        assert captured
-        for weights in captured:
-            np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
+        assert len(captured) == model.config.encoder.layers
+        for qs, ks, heads in captured:
+            # with every value 1, each output is the sum of a row of weights
+            tape = ag.Tape(dtype=model.dtype)
+            outs = real(
+                [tape.constant(q) for q in qs],
+                [tape.constant(k) for k in ks],
+                [tape.constant(np.ones_like(q)) for q in qs],
+                heads,
+            )
+            for out in outs:
+                np.testing.assert_allclose(out.value, 1.0, atol=1e-6)
 
     def test_not_permutation_invariant(self, featurized_corpus):
         sents = featurized_corpus.sentences
@@ -185,21 +214,15 @@ class TestFactorization:
         twin = build_text_twin(model)
         sent = max(sents, key=len)
 
-        captured = []
-        real = ag.softmax
-
-        def spy(x):
-            captured.append(x.value.copy())
-            return real(x)
-
-        monkeypatch.setattr(ag, "softmax", spy)
+        captured = capture_attention(monkeypatch)
         sent_scores(model, sent)
-        pros_logits = [c.copy() for c in captured]
+        pros_logits = [summed(p) for p in head_logit_parts(captured, model.dtype)]
         captured.clear()
         sent_scores(twin, sent)
-        text_logits = captured
-        assert len(pros_logits) == len(text_logits)
-        heads = model.config.encoder.heads
+        text_logits = [summed(p) for p in head_logit_parts(captured, twin.dtype)]
+        cfg = model.config.encoder
+        assert len(pros_logits) == len(text_logits) == cfg.layers * cfg.heads
+        heads = cfg.heads
         for i, (a, b) in enumerate(zip(pros_logits, text_logits)):
             if i < heads:  # first layer: identical inputs, exact equality
                 np.testing.assert_array_equal(a, b)
@@ -214,26 +237,16 @@ class TestFactorization:
         zero_prosody_pathway(model)
         sent = max(sents, key=len)
 
-        parts = []
-        real_add = ag.add
-
-        def spy_add(a, b):
-            out = real_add(a, b)
-            if a.value.ndim == 2 and a.value.shape[0] == a.value.shape[1] == len(sent):
-                parts.append((a.value.copy(), b.value.copy(), out.value.copy()))
-            return out
-
-        monkeypatch.setattr(ag, "add", spy_add)
+        captured = capture_attention(monkeypatch)
         sent_scores(model, sent)
-        assert parts
-        zero_adds = [
-            (a, out) for a, b, out in parts if np.array_equal(b, np.zeros_like(b))
-        ]
-        # one all-zero prosody accumulation per head per layer
+        parts = list(head_logit_parts(captured, model.dtype))
+        # one all-zero prosody term per head per layer
         cfg = model.config.encoder
-        assert len(zero_adds) == cfg.layers * cfg.heads
-        for a, out in zero_adds:
-            np.testing.assert_array_equal(out, a)
+        zero_terms = [p for p in parts if np.array_equal(p[2], np.zeros_like(p[2]))]
+        assert len(parts) == len(zero_terms) == cfg.layers * cfg.heads
+        for content, position, prosody in parts:
+            text = content + position
+            np.testing.assert_array_equal(text + prosody, text)
 
     def test_span_scores_identity(self, featurized_corpus):
         sents = featurized_corpus.sentences

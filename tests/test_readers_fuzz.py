@@ -1,15 +1,18 @@
-"""Byte-mutation fuzzing of the text readers.
+"""Byte-mutation fuzzing of the text readers and the config loader.
 
 Each reader is given a valid file with a few bytes replaced, inserted or
 deleted.  It must either parse the file or raise a DataError subclass (which
-the CLI turns into exit 3), never another exception.
+the CLI turns into exit 3), never another exception.  The config loader must
+likewise load a mutated config or raise ConfigError (exit 2).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prosoparse.errors import DataError, FormatError
+from prosoparse.config import load_config
+from prosoparse.embeddings import load_vector_store, load_word_vectors
+from prosoparse.errors import ConfigError, DataError, FormatError
 from prosoparse.prosody import read_alignment_file, read_frame_track_file
 from prosoparse.treebank import read_tree_file
 
@@ -31,12 +34,27 @@ VALID = {
         b"0.0200,0.400000,130.500000\n"
         b"0.0300,0.450000,128.250000\n"
     ),
+    "vector_store": (
+        b"dim=3 producer=test\n"
+        b"sentence s1 2\n"
+        b"0.5 -1.25 3\n"
+        b"1e-3 0 2.5\n"
+        b"sentence s2 1\n"
+        b"7 8 9\n"
+    ),
+    "word_vectors": (
+        b"the 0.5 -1.25 3\n"
+        b"dog 1e-3 0 2.5\n"
+        b"caf\xc3\xa9 7 8 9\n"
+    ),
 }
 
 READERS = {
     "trees": read_tree_file,
     "alignments": read_alignment_file,
     "track": read_frame_track_file,
+    "vector_store": load_vector_store,
+    "word_vectors": load_word_vectors,
 }
 
 # (kind, position, byte): kind 0 replaces, 1 inserts, 2 deletes
@@ -89,3 +107,56 @@ def test_mutated_file_parses_or_is_data_error(tmp_path_factory, name, edits):
     except DataError:
         pass
 
+
+
+VALID_CONFIG = b"""\
+data:
+  train_trees: train.trees
+  dev_trees: dev.trees
+  alignments: alignments.tsv
+  frame_tracks: tracks
+model:
+  encoder: {layers: 2, heads: 2, d_content: 64, d_position: 32, d_prosody: 32,
+            d_ff: 128, dropout: 0.1, max_len: 40}
+  cnn: {widths: [3, 5], filters_per_width: 8}
+  span_hidden: 64
+  embedding: {mode: learned, dim: 32, min_count: 1}
+train: {seeds: [1, 2, 3], batch_size: 32, learning_rate: 0.004, corpus_weights: [1.0]}
+eval: {n_resamples: 5000}
+output_dir: run
+"""
+
+
+def test_valid_config_loads(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(VALID_CONFIG)
+    assert load_config(path).model.span_hidden == 64
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        (b"span_hidden: 64", b"span_hidden: abc"),
+        (b"seeds: [1, 2, 3]", b"seeds: 5"),
+        (b"train_trees: train.trees", b"train_trees: 5"),
+        (b"heads: 2", b"heads: 0"),
+        (b"run\n", b"r\xffun\n"),
+    ],
+    ids=["span-hidden-text", "seeds-int", "train-trees-int", "zero-heads", "not-utf8"],
+)
+def test_bad_config_value_is_config_error(tmp_path, edit):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(VALID_CONFIG.replace(*edit))
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+@given(edits=EDITS)
+@settings(max_examples=300, deadline=None)
+def test_mutated_config_loads_or_is_config_error(tmp_path_factory, edits):
+    path = tmp_path_factory.getbasetemp() / "mutated-config.yaml"
+    path.write_bytes(mutate(VALID_CONFIG, edits))
+    try:
+        load_config(path)
+    except ConfigError:
+        pass

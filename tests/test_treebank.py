@@ -15,7 +15,6 @@ from prosoparse.errors import (
 from prosoparse.evaluation import parseval
 from prosoparse.synthdata import random_tree
 from prosoparse.treebank import (
-    MAX_TREE_DEPTH,
     InternalNode,
     LabelVocab,
     LabeledSpan,
@@ -76,15 +75,15 @@ class TestParsePtb:
         trees = parse_ptb("(S (NN a))\n(S (NN b))")
         assert len(trees) == 2
 
-    def test_depth_limit(self):
-        def nested(depth):
-            return "(S " * (depth - 1) + "(NN x)" + ")" * (depth - 1)
-
-        assert parse_one(nested(MAX_TREE_DEPTH)).linearize() == nested(MAX_TREE_DEPTH)
-        with pytest.raises(TreeSyntaxError, match="deeper than"):
-            parse_ptb(nested(MAX_TREE_DEPTH + 1))
-        with pytest.raises(TreeSyntaxError, match="deeper than"):
-            parse_ptb(nested(5000))
+    def test_no_depth_limit(self, tmp_path):
+        # far deeper than Python's recursion limit
+        text = "(S " * 4999 + "(NN x)" + ")" * 4999
+        path = tmp_path / "deep.trees"
+        path.write_text(text + "\n" + text + "\n")
+        trees = read_tree_file(path)
+        assert [t.linearize() for t in trees] == [text, text]
+        with pytest.raises(TreeSyntaxError, match="missing '\\)'"):
+            parse_ptb(text[:-1])
 
     def test_file_error_keeps_its_type_and_names_the_path(self, tmp_path):
         path = tmp_path / "bad.trees"
@@ -243,6 +242,7 @@ class TestDeepTrees:
         assert text.count("(S (VP (NP") == T
         write_tree_file(tmp_path / "deep.trees", [t])
         assert (tmp_path / "deep.trees").read_text() == text + "\n"
+        assert read_tree_file(tmp_path / "deep.trees") == [t]
         assert parseval([t], [t]).f1 == 100.0
 
 
