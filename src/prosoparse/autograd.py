@@ -13,7 +13,7 @@ freed as soon as nothing references them; ``backward`` on it raises.
 
 ``train`` is independent of recording: it only turns dropout on.  Storage
 is float32 by default (float64 available for gradient checking); attention,
-layer_norm and span_hidden reduce in float64 regardless.  There is no
+layer_norm and span_scores reduce in float64 regardless.  There is no
 broadcasting beyond bias/vector-over-rows; shapes are validated on every op.
 
 Independent tapes share nothing except read-only parameter values, so
@@ -329,24 +329,46 @@ def layer_norm(x, eps=1e-5):
     return out
 
 
-def span_hidden(proj, b1, gain, beta):
-    """The span scorer's hidden layer over every fencepost pair a < b:
-    ``relu(layer_norm(proj[b] - proj[a] + b1) * gain + beta)``.
+# rows per block of span_scores: a block's [rows, h] hidden slab fits in L2
+SPAN_BLOCK_ROWS = 512
 
-    proj: [T+1, h] first-layer fenceposts -> [T(T+1)/2, h], one row per span
-    in ``np.triu_indices(T + 1, 1)`` order (by start, then end).  Each span's
-    mean and variance come from float64 statistics of the T+1 fenceposts: with
-    P = proj and Q = proj + b1, centered by their row means as Pc and Qc, a
-    span's mean is mean(Q[b]) - mean(P[a]) and its variance is
-    (|Qc[b]|^2 + |Pc[a]|^2 - 2 Pc[a].Qc[b]) / h, so no float64 [spans, h]
-    buffer is built on the way forward.  Backward sums each start's block of
-    span gradients back onto its fenceposts.
+
+def _row_blocks(n):
+    """[lo, hi) bounds of SPAN_BLOCK_ROWS-row blocks over n rows.  No block
+    holds one row unless n == 1: numpy computes a one-row product with gemv,
+    which rounds differently from the gemm the rows get in a larger block."""
+    bounds = list(range(0, n, SPAN_BLOCK_ROWS)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return zip(bounds[:-1], bounds[1:])
+
+
+def span_scores(proj, b1, gain, beta, w2, b2):
+    """The span scorer's two layers over every fencepost pair a < b:
+    ``relu(layer_norm(proj[b] - proj[a] + b1) * gain + beta) @ w2 + b2``.
+
+    proj: [T+1, h] first-layer fenceposts; w2: [h, L] -> [T(T+1)/2, L], one
+    row per span in ``np.triu_indices(T + 1, 1)`` order (by start, then end).
+    Each span's mean and variance come from float64 statistics of the T+1
+    fenceposts: with P = proj and Q = proj + b1, centered by their row means
+    as Pc and Qc, a span's mean is mean(Q[b]) - mean(P[a]) and its variance
+    is (|Qc[b]|^2 + |Pc[a]|^2 - 2 Pc[a].Qc[b]) / h.  The hidden rows are
+    formed, normalized, rectified and multiplied by w2 in blocks of
+    SPAN_BLOCK_ROWS rows, so the forward pass builds no [spans, h] array;
+    each block's product has the bits of the full one.  Backward rebuilds the
+    hidden rows with the same arithmetic, then takes the backward steps of
+    the bias, the product and the hidden layer in turn, and sums each start's
+    block of span gradients back onto its fenceposts.
     """
-    tape = _same_tape("span_hidden", proj, b1, gain, beta)
-    if proj.value.ndim != 2 or any(
-        v.value.shape != proj.value.shape[1:] for v in (b1, gain, beta)
+    tape = _same_tape("span_scores", proj, b1, gain, beta, w2, b2)
+    if (
+        proj.value.ndim != 2
+        or any(v.value.shape != proj.value.shape[1:] for v in (b1, gain, beta))
+        or w2.value.ndim != 2
+        or w2.value.shape[0] != proj.value.shape[1]
+        or b2.value.shape != w2.value.shape[1:]
     ):
-        raise ShapeError("span_hidden", proj.value.shape, b1.value.shape)
+        raise ShapeError("span_scores", proj.value.shape, w2.value.shape)
     n, h = proj.value.shape
     starts, ends = np.triu_indices(n, 1)
     p64 = proj.value.astype(np.float64)
@@ -364,20 +386,39 @@ def span_hidden(proj, b1, gain, beta):
     # cancellation guard: the three terms may leave a tiny negative variance
     std = np.sqrt(np.maximum(var, 0.0) + 1e-5)
     dt = proj.value.dtype
-    # the span rows in the tape dtype, as proj[ends] - proj[starts] + b1 gives them
-    y = proj.value[ends]
-    y -= proj.value[starts]
-    y += b1.value
-    y -= (q_mean[ends] - p_mean[starts]).astype(dt)[:, None]
-    y *= (1.0 / std).astype(dt)[:, None]
-    out = Var(y * gain.value, tape)
-    out.value += beta.value
-    np.maximum(out.value, 0, out=out.value)
+    shift = (q_mean[ends] - p_mean[starts]).astype(dt)[:, None]
+    inv_std = (1.0 / std).astype(dt)[:, None]
+
+    def normalized(lo, hi):
+        """The layer-normalized span rows lo:hi."""
+        y = proj.value[ends[lo:hi]]
+        y -= proj.value[starts[lo:hi]]
+        y += b1.value
+        y -= shift[lo:hi]
+        y *= inv_std[lo:hi]
+        return y
+
+    def hidden(y, buf):
+        """relu(y * gain + beta), written to ``buf``."""
+        np.multiply(y, gain.value, out=buf)
+        buf += beta.value
+        return np.maximum(buf, 0, out=buf)
+
+    out = Var(np.empty((len(starts), w2.value.shape[1]), dtype=dt), tape)
+    for lo, hi in _row_blocks(len(starts)):
+        y = normalized(lo, hi)
+        np.matmul(hidden(y, y), w2.value, out=out.value[lo:hi])
+    out.value += b2.value
 
     def bwd():
         if out.grad is None:
             return
-        g = out.grad * (out.value > 0)
+        _accum(b2, out.grad.sum(axis=0))
+        y = normalized(0, len(starts))
+        hid = hidden(y, np.empty_like(y))
+        g = out.grad @ w2.value.T
+        _accum(w2, hid.T @ out.grad)
+        g *= hid > 0
         _accum(beta, g.sum(axis=0))
         _accum(gain, (g * y).sum(axis=0))
         g *= gain.value
@@ -477,8 +518,9 @@ def conv1d(x, w, b):
 def max_pool_time(x, lengths):
     """Max over time of each item's first ``lengths[i]`` frames.
 
-    x: [items, time, ch] -> [items, ch].  Frames past an item's length never win and get zero gradient; among
-    equal values the first frame wins.
+    x: [items, time, ch] -> [items, ch].  Frames past an item's length never
+    win and get zero gradient; among equal values the first frame wins.  The
+    winning frames are found only in backward.
     """
     tape = x.tape
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -488,16 +530,15 @@ def max_pool_time(x, lengths):
     if n and (lengths.min() < 1 or lengths.max() > t):
         raise NumericError(f"max_pool_time: item lengths must lie in [1, {t}]")
     padded = np.arange(t)[None, :, None] >= lengths[:, None, None]
-    idx = np.where(padded, -np.inf, x.value).argmax(axis=1)
-    items = np.arange(n)[:, None]
-    chans = np.arange(c)[None, :]
-    out = Var(x.value[items, idx, chans], tape)
+    masked = np.where(padded, -np.inf, x.value)
+    out = Var(masked.max(axis=1), tape)
 
     def bwd():
         if out.grad is None:
             return
+        idx = masked.argmax(axis=1)
         g = np.zeros_like(x.value)
-        g[items, idx, chans] = out.grad
+        g[np.arange(n)[:, None], idx, np.arange(c)[None, :]] = out.grad
         _accum(x, g)
 
     tape._record(bwd)

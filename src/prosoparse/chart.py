@@ -4,13 +4,16 @@ A sentence's spans are scored in one batch: the fencepost difference
 r(a, b) = fencepost(b) - fencepost(a) feeds a two-layer network producing
 one score per constituent label.  The first layer is linear in r(a, b), so it
 is applied to the T + 1 fenceposts before the difference is taken: a matmul
-over T + 1 rows instead of one over all T(T + 1)/2 spans.  Its layer norm
-takes each span's mean and variance from statistics of those T + 1 rows
-(``autograd.span_hidden``), so the only per-span work is forming, normalizing
-and rectifying the span rows in the tape dtype.  The empty label
-(index 0) is pinned to score 0; it marks chart cells that vanish when the
-binarized tree is reassembled into an n-ary one.  Decoding maximizes the additive span score
-exactly; training minimizes a hinge against the cost-augmented argmax.
+over T + 1 rows instead of one over all T(T + 1)/2 spans.  One op,
+``autograd.span_scores``, does the rest: it takes each span's layer-norm mean
+and variance from statistics of those T + 1 rows, and forms, normalizes and
+rectifies the span rows and multiplies them by the second layer a block of
+rows at a time, giving the [spans, labels] score matrix.  Decoding and the
+margin loss read that matrix row by row.  The empty label (index 0) scores 0
+whatever its matrix column holds; it marks chart cells that vanish when the
+binarized tree is reassembled into an n-ary one.  Decoding maximizes the
+additive span score exactly; training minimizes a hinge against the
+cost-augmented argmax.
 """
 
 from __future__ import annotations
@@ -29,23 +32,35 @@ HAMMING_COST = 1.0
 
 @dataclass
 class SpanScores:
-    """Dense label scores over fencepost pairs plus the differentiable rows.
+    """Label scores of every span, as the rows of a tape Var.
 
-    ``dense[a, b, l]`` is meaningful for a < b; the empty-label column is
-    identically 0.  ``matrix`` holds the same scores as a tape Var of shape
-    [n_spans, n_labels] for gradient flow (None for detached score tensors),
-    with ``row_of[a, b]`` its row for a < b (an int array of shape [T+1, T+1]).
+    ``matrix`` has shape [n_spans, n_labels], with ``row_of[a, b]`` the row
+    of span a < b (an int array of shape [T+1, T+1]).  Column 0, the empty
+    label's, is never read: the empty label scores 0, plus its Hamming cost
+    in the margin loss.
     """
 
-    dense: np.ndarray
     vocab: object
     n_words: int
-    matrix: ag.Var | None = None
-    row_of: np.ndarray | None = None
+    matrix: ag.Var
+    row_of: np.ndarray
 
     @property
     def n_labels(self):
-        return self.dense.shape[2]
+        return self.matrix.value.shape[1]
+
+    @property
+    def dense(self):
+        """The scores as a read-only float64 [T+1, T+1, n_labels] tensor, built
+        on each read; ``dense[a, b]`` is meaningful for a < b, and its
+        empty-label column is 0.  ``perfbench/run.py`` reads it; nothing in
+        the package does."""
+        T = self.n_words
+        dense = np.zeros((T + 1, T + 1, self.n_labels), dtype=np.float64)
+        dense[np.triu_indices(T + 1, 1)] = self.matrix.value
+        dense[:, :, 0] = 0.0
+        dense.flags.writeable = False
+        return dense
 
 
 def span_index(n_words):
@@ -83,29 +98,11 @@ class SpanScorer:
 
 def score_spans(tape, encoded, scorer, vocab):
     """Score every span of an encoded sentence: returns SpanScores."""
-    T = encoded.n_words
-    starts, ends, row_of = span_index(T)
+    _, _, row_of = span_index(encoded.n_words)
     proj = ag.matmul(encoded.fenceposts, tape.watch(scorer.w1))
-    h = ag.span_hidden(
-        proj,
-        tape.watch(scorer.b1),
-        tape.watch(scorer.ln_gain),
-        tape.watch(scorer.ln_bias),
-    )
-    matrix = ag.add_bias(ag.matmul(h, tape.watch(scorer.w2)), tape.watch(scorer.b2))
-
-    n_labels = scorer.n_labels
-    dense = np.zeros((T + 1, T + 1, n_labels), dtype=np.float64)
-    vals = matrix.value.astype(np.float64)
-    dense[starts, ends] = vals
-    dense[:, :, 0] = 0.0
-    return SpanScores(
-        dense=dense,
-        vocab=vocab,
-        n_words=T,
-        matrix=matrix,
-        row_of=row_of,
-    )
+    layer = (scorer.b1, scorer.ln_gain, scorer.ln_bias, scorer.w2, scorer.b2)
+    matrix = ag.span_scores(proj, *(tape.watch(p) for p in layer))
+    return SpanScores(vocab=vocab, n_words=encoded.n_words, matrix=matrix, row_of=row_of)
 
 
 @dataclass
@@ -114,46 +111,53 @@ class DecodedTree:
     total_score: float
 
 
-def _decode_cells(dense):
-    """Argmax tree cells for a dense score tensor; root label forced non-empty."""
-    n = dense.shape[0]
-    T = n - 1
-    label_best = dense.max(axis=2)
-    label_arg = dense.argmax(axis=2)
-    best, split = cky_fill(label_best)
+def _decode_cells(rows, empty, row_of):
+    """Argmax tree cells for per-span label scores; root label forced non-empty.
 
-    root_arg = int(dense[0, T, 1:].argmax()) + 1
-    root_score = dense[0, T, root_arg]
-    total = root_score + (best[0, T] - label_best[0, T])
+    rows: [n_spans, n_labels] in ``row_of`` order, column 0 unread; empty:
+    the empty label's score, one per span or one for all.  The empty label
+    wins a tie with the best other label.  Only the tree's cells look for
+    their best label.
+    """
+    T = row_of.shape[0] - 1
+    best = rows[:, 1:].max(axis=1)
+    empty_wins = empty >= best
+    label_best = np.zeros((T + 1, T + 1), dtype=np.float64)
+    # row_of marks the cells a < b, and row-major order is row order
+    label_best[row_of >= 0] = np.where(empty_wins, empty, best)
+    chart_best, split = cky_fill(label_best)
 
-    cells = []
+    spans = []
     stack = [(0, T)]
     while stack:
         a, b = stack.pop()
-        if (a, b) == (0, T):
-            li = root_arg
-        else:
-            li = int(label_arg[a, b])
-        cells.append((a, b, li))
+        spans.append((a, b))
         if b - a > 1:
             k = int(split[a, b])
             stack.append((k, b))
             stack.append((a, k))
-    cells.sort()
+    spans.sort()
+    root = row_of[0, T]
+    at = row_of[tuple(zip(*spans))]
+    labels = rows[at, 1:].argmax(axis=1) + 1
+    labels[empty_wins[at] & (at != root)] = 0
+    cells = [(a, b, li) for (a, b), li in zip(spans, labels.tolist())]
+    total = float(best[root]) + (chart_best[0, T] - label_best[0, T])
     return cells, float(total)
 
 
 def cky_decode(scores, leaves):
     """Exact best tree under additive span scores.
 
-    Ties break toward the lowest label index, then the smallest split point.
-    Cells assigned the empty label vanish on reconstruction; unary chains
-    collapsed in composite labels are expanded back.
+    Ties break toward the empty label, then the lowest label index, then the
+    smallest split point.  Cells assigned the empty label vanish on
+    reconstruction; unary chains collapsed in composite labels are expanded
+    back.
     """
-    T = scores.dense.shape[0] - 1
+    T = scores.n_words
     if T < 1 or len(leaves) != T:
         raise DataError(f"scores cover {T} words but {len(leaves)} leaves given")
-    cells, total = _decode_cells(scores.dense)
+    cells, total = _decode_cells(scores.matrix.value, 0.0, scores.row_of)
     spans = []
     for a, b, li in cells:
         label = scores.vocab.value(li)
@@ -194,24 +198,25 @@ def margin_loss(scores, gold_spans):
     argmax; it is 0 exactly when the gold tree wins by the margin.
     Returns (loss Var on the scoring tape, MarginInfo).
     """
-    if scores.matrix is None:
-        raise DataError("margin_loss needs span scores attached to a tape")
     T = scores.n_words
     vocab = scores.vocab
     gold = _check_gold_spans(gold_spans, T)
     gold_idx = {(s.a, s.b): vocab.index(s.label) for s in gold}
 
-    n_labels = scores.n_labels
-    augment = np.full((T + 1, T + 1, n_labels), HAMMING_COST, dtype=np.float64)
-    augment[:, :, 0] = 0.0
+    rows = scores.matrix.value.astype(np.float64)
+    augmented = rows + HAMMING_COST
+    empty = np.zeros(len(rows))
     for (a, b), li in gold_idx.items():
-        augment[a, b, 0] = HAMMING_COST
-        augment[a, b, li] = 0.0
+        r = scores.row_of[a, b]
+        augmented[r, li] = rows[r, li]
+        empty[r] = HAMMING_COST
 
-    cells, _ = _decode_cells(scores.dense + augment)
-    pred_raw = sum(scores.dense[a, b, li] for a, b, li in cells if li != 0)
-    delta = sum(augment[a, b, li] for a, b, li in cells)
-    gold_raw = sum(scores.dense[a, b, li] for (a, b), li in gold_idx.items())
+    cells, _ = _decode_cells(augmented, empty, scores.row_of)
+    pred_raw = sum(rows[scores.row_of[a, b], li] for a, b, li in cells if li != 0)
+    delta = sum(
+        0.0 if li == gold_idx.get((a, b), 0) else HAMMING_COST for a, b, li in cells
+    )
+    gold_raw = sum(rows[scores.row_of[a, b], li] for (a, b), li in gold_idx.items())
     loss_value = pred_raw + delta - gold_raw
 
     gold_cells = {(a, b, li) for (a, b), li in gold_idx.items()}
@@ -241,8 +246,9 @@ def margin_loss(scores, gold_spans):
 
 
 def tree_score(scores, spans):
-    """Sum of dense scores over the given non-empty labeled spans."""
+    """Sum of the scores of the given non-empty labeled spans."""
     total = 0.0
     for s in spans:
-        total += scores.dense[s.a, s.b, scores.vocab.index(s.label)]
+        row = scores.row_of[s.a, s.b]
+        total += float(scores.matrix.value[row, scores.vocab.index(s.label)])
     return float(total)

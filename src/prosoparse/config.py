@@ -105,10 +105,11 @@ def load_config(path):
     encoder = _build(EncoderConfig, _section(model_raw, "encoder"), "model.encoder")
     cnn = _build(CnnConfig, _section(model_raw, "cnn"), "model.cnn")
     try:
-        span_hidden = int(model_raw.get("span_hidden", 256))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"model.span_hidden: {exc}") from None
-    model = ModelConfig(encoder=encoder, cnn=cnn, span_hidden=span_hidden)
+        model = ModelConfig(
+            encoder=encoder, cnn=cnn, span_hidden=model_raw.get("span_hidden", 256)
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"model: {exc}") from None
     emb_raw = dict(_section(model_raw, "embedding"))
     emb_raw.setdefault("store_path", data.vector_store)
     emb_raw.setdefault("vectors_path", data.word_vectors)

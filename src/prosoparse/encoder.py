@@ -32,6 +32,14 @@ PHI_DIM = 2 * PAUSE_EMB_DIM + N_DURATION_SCALARS
 CNN_IN_CHANNELS = 3  # energy, f0, word-interior mask
 
 
+def check_sizes(**sizes):
+    """Model sizes are ints: a float or a bool passes the range checks but
+    fails once arrays are built from it."""
+    for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CnnConfig:
     widths: tuple = (3, 5, 10)
@@ -39,6 +47,8 @@ class CnnConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(self.widths))
+        check_sizes(filters_per_width=self.filters_per_width,
+                     **{f"widths[{i}]": w for i, w in enumerate(self.widths)})
         if len(set(self.widths)) != len(self.widths) or any(w < 1 for w in self.widths):
             raise ConfigError(f"cnn widths must be distinct and >= 1: {self.widths}")
         if self.filters_per_width < 1:
@@ -61,6 +71,9 @@ class EncoderConfig:
     max_len: int = 300
 
     def __post_init__(self):
+        check_sizes(layers=self.layers, heads=self.heads, d_content=self.d_content,
+                     d_position=self.d_position, d_prosody=self.d_prosody,
+                     d_ff=self.d_ff, max_len=self.max_len)
         if self.layers < 1 or self.heads < 1 or self.d_ff < 1:
             raise ConfigError("layers, heads and d_ff must be >= 1")
         for name in ("d_content", "d_position"):
@@ -261,11 +274,13 @@ class Encoder:
 
         Energy, f0 and the word-interior mask enter as three channels.  The
         T patches are zero-padded at their end to the longest one, so each
-        filter width is one convolution (same padding), rectification and
-        max-pool over time for the whole sentence.  Each word pools over its
-        own frames only, and the zero padding is exactly its per-word same
-        padding, so its row equals what its patch gives alone.  The
-        per-width outputs are concatenated in ascending width order.
+        filter width is one convolution (same padding), max-pool over time
+        and rectification for the whole sentence.  relu is monotone, so
+        pooling before rectifying gives the values and gradients of pooling
+        the rectified frames, on T rows instead of every frame.  Each word
+        pools over its own frames only, and the zero padding is exactly its
+        per-word same padding, so its row equals what its patch gives alone.
+        The per-width outputs are concatenated in ascending width order.
         """
         lengths = np.array([p.n_frames for p in patches], dtype=np.int64)
         x = np.zeros((len(patches), lengths.max(), CNN_IN_CHANNELS), dtype=tape.dtype)
@@ -276,7 +291,7 @@ class Encoder:
         pieces = []
         for wmat, bias in self.cnn_filters:
             conv = ag.conv1d(x_var, tape.watch(wmat), tape.watch(bias))
-            pieces.append(ag.max_pool_time(ag.relu(conv), lengths))
+            pieces.append(ag.relu(ag.max_pool_time(conv, lengths)))
         return ag.concat(pieces, axis=1)
 
     def phi_matrix(self, tape, prosody):

@@ -16,7 +16,7 @@ import numpy as np
 from . import autograd as ag
 from .chart import SpanScorer, cky_decode, margin_loss, score_spans
 from .embeddings import EmbeddingProvider, WordVocab
-from .encoder import CnnConfig, Encoder, EncoderConfig
+from .encoder import CnnConfig, Encoder, EncoderConfig, check_sizes
 from .errors import AlignmentError, CheckpointError, ConfigError, DataError
 from .tensorfile import read_tensors, write_tensors
 from .treebank import LabelVocab
@@ -30,6 +30,11 @@ class ModelConfig:
     encoder: EncoderConfig
     cnn: CnnConfig
     span_hidden: int = 256
+
+    def __post_init__(self):
+        check_sizes(span_hidden=self.span_hidden)
+        if self.span_hidden < 1:
+            raise ConfigError(f"span_hidden must be >= 1, got {self.span_hidden}")
 
     def to_dict(self):
         return asdict(self)

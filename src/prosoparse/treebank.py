@@ -198,6 +198,11 @@ def _parse_tree(tokens, pos, text_len):
         tok, off = tokens[pos]
         pos += 1
         if tok == "(":
+            if open_nodes and open_nodes[-1][2] is not None:
+                # a node that already holds its word takes no children
+                raise TreeSyntaxError(
+                    f"unexpected token {tok!r} inside node {open_nodes[-1][0]!r}", off
+                )
             if pos >= len(tokens):
                 raise TreeSyntaxError("unbalanced brackets: input ends inside a node", off)
             label, label_off = tokens[pos]

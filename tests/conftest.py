@@ -7,6 +7,7 @@ import pytest
 
 import prosoparse
 from prosoparse import autograd as ag
+from prosoparse.chart import SpanScores, span_index
 from prosoparse.corpus import featurize
 from prosoparse.embeddings import EmbeddingProvider
 from prosoparse.encoder import CnnConfig, EncoderConfig
@@ -122,6 +123,113 @@ def chain_attention(qs, ks, vs, heads):
             dh = v.value.shape[1] // heads
             heads_out.append(ag.matmul(weights, ag.slice_cols(v, h * dh, (h + 1) * dh)))
     return [ag.concat(heads_out, axis=1) for heads_out in per_stream]
+
+
+# The span scorer's hidden layer as the op ``ag.span_scores`` replaced,
+# followed by the second layer's matmul and add_bias: its oracle.
+
+
+def span_hidden(proj, b1, gain, beta):
+    """``relu(layer_norm(proj[b] - proj[a] + b1) * gain + beta)`` for every
+    fencepost pair a < b, from float64 statistics of the fenceposts."""
+    tape = ag._same_tape("span_hidden", proj, b1, gain, beta)
+    n, h = proj.value.shape
+    starts, ends = np.triu_indices(n, 1)
+    p64 = proj.value.astype(np.float64)
+    q64 = p64 + b1.value
+    p_mean = p64.mean(axis=-1)
+    q_mean = q64.mean(axis=-1)
+    p64 -= p_mean[:, None]
+    q64 -= q_mean[:, None]
+    gram = p64 @ q64.T
+    var = (
+        np.square(q64).sum(axis=-1)[ends]
+        + np.square(p64).sum(axis=-1)[starts]
+        - 2.0 * gram[starts, ends]
+    ) / h
+    std = np.sqrt(np.maximum(var, 0.0) + 1e-5)
+    dt = proj.value.dtype
+    y = proj.value[ends]
+    y -= proj.value[starts]
+    y += b1.value
+    y -= (q_mean[ends] - p_mean[starts]).astype(dt)[:, None]
+    y *= (1.0 / std).astype(dt)[:, None]
+    out = ag.Var(y * gain.value, tape)
+    out.value += beta.value
+    np.maximum(out.value, 0, out=out.value)
+
+    def bwd():
+        if out.grad is None:
+            return
+        g = out.grad * (out.value > 0)
+        ag._accum(beta, g.sum(axis=0))
+        ag._accum(gain, (g * y).sum(axis=0))
+        g *= gain.value
+        g64 = g.astype(np.float64)
+        gm = g64.mean(axis=-1, keepdims=True)
+        gym = (g64 * y).mean(axis=-1, keepdims=True)
+        g64 -= gm
+        g64 -= y * gym
+        g64 /= std[:, None]
+        dx = g64.astype(dt, copy=False)
+        ag._accum(b1, dx.sum(axis=0))
+        dproj = np.zeros_like(proj.value)
+        lo = 0
+        for a in range(n - 1):
+            block = dx[lo : lo + n - 1 - a]
+            dproj[a] -= block.sum(axis=0)
+            dproj[a + 1 :] += block
+            lo += n - 1 - a
+        ag._accum(proj, dproj)
+
+    tape._record(bwd)
+    return out
+
+
+def chain_span_scores(proj, b1, gain, beta, w2, b2):
+    """The oracle for ``ag.span_scores``."""
+    return ag.add_bias(ag.matmul(span_hidden(proj, b1, gain, beta), w2), b2)
+
+
+# The prosody CNN's pooling in its former order, rectify then pool, with
+# the pooling op that found each item's winning frame on the way forward:
+# the oracle for ``relu(max_pool_time(conv))``.
+
+
+def _argmax_pool_time(x, lengths):
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n, t, c = x.value.shape
+    padded = np.arange(t)[None, :, None] >= lengths[:, None, None]
+    idx = np.where(padded, -np.inf, x.value).argmax(axis=1)
+    items = np.arange(n)[:, None]
+    chans = np.arange(c)[None, :]
+    out = ag.Var(x.value[items, idx, chans], x.tape)
+
+    def bwd():
+        if out.grad is not None:
+            g = np.zeros_like(x.value)
+            g[items, idx, chans] = out.grad
+            ag._accum(x, g)
+
+    x.tape._record(bwd)
+    return out
+
+
+def relu_then_pool(conv, lengths):
+    return _argmax_pool_time(ag.relu(conv), lengths)
+
+
+# Span scores for a dense [T+1, T+1, labels] tensor, the layout the decoder
+# read before it decoded from the score matrix.
+
+
+def attached_scores(dense, vocab):
+    """SpanScores whose matrix (on a float64 tape) holds ``dense[a, b]`` as
+    the row of span a < b."""
+    T = dense.shape[0] - 1
+    starts, ends, row_of = span_index(T)
+    matrix = ag.Tape(dtype=np.float64).constant(dense[starts, ends])
+    return SpanScores(vocab=vocab, n_words=T, matrix=matrix, row_of=row_of)
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import build_tiny_model, tiny_model_config
+from conftest import attached_scores, build_tiny_model, tiny_model_config
 from prosoparse import autograd as ag
-from prosoparse.chart import SpanScores, cky_decode, margin_loss
+from prosoparse.chart import cky_decode, margin_loss
 from prosoparse.corpus import featurize
 from prosoparse.encoder import CnnConfig, EncoderConfig
 from prosoparse.evaluation import paired_bootstrap, parseval
@@ -85,7 +85,7 @@ def test_criterion_1_decoder_oracle():
             dense[:, :, 0] = 0.0
             vocab = LabelVocab([f"L{i}" for i in range(1, n_labels)])
             leaves = [(f"w{i}", "NN") for i in range(T)]
-            decoded = cky_decode(SpanScores(dense, vocab, T), leaves)
+            decoded = cky_decode(attached_scores(dense, vocab), leaves)
             expected = exhaustive_best(dense)
             assert decoded.total_score == expected, (
                 f"trial {trial}: CKY {decoded.total_score} != oracle {expected}"
@@ -318,8 +318,8 @@ def test_criterion_8_factorization_identity():
         for sent in data.sentences[:8]:
             tape_a = ag.Tape(train=False, dtype=model.dtype)
             tape_b = ag.Tape(train=False, dtype=twin.dtype)
-            a = model.score_sentence(tape_a, sent).dense
-            b = twin.score_sentence(tape_b, sent).dense
+            a = model.score_sentence(tape_a, sent).matrix.value
+            b = twin.score_sentence(tape_b, sent).matrix.value
             np.testing.assert_allclose(a, b, atol=1e-6)
             checked += 1
         assert checked == 8

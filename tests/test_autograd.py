@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import chain_attention
+from conftest import chain_attention, chain_span_scores, relu_then_pool
 from prosoparse import autograd as ag
 from prosoparse.errors import NumericError, ShapeError
 
@@ -131,12 +131,25 @@ class TestOpGradients:
             train=True,
         )
 
-    def test_span_hidden(self):
+    def test_span_scores(self):
         check_op(
-            lambda tape, ps: ag.sum_all(ag.mul(ag.span_hidden(*ps[:4]), ps[4])),
-            [((5, 6), 0.0), ((6,), 0.0), ((6,), 1.0), ((6,), 0.5), ((10, 6), 0.0)],
+            lambda tape, ps: ag.sum_all(ag.mul(ag.span_scores(*ps[:6]), ps[6])),
+            [((5, 6), 0.0), ((6,), 0.0), ((6,), 1.0), ((6,), 0.5), ((6, 3), 0.0),
+             ((3,), 0.0), ((10, 3), 0.0)],
             tol=1e-5,
         )
+
+    def test_span_scores_unused_output(self):
+        outs = []
+
+        def build(tape, ps):
+            outs.append(ag.span_scores(*ps[:6]))
+            return ag.sum_all(ag.mul(ps[0], ps[6]))  # the scores reach no loss
+
+        check_op(build, [((5, 6), 0.0), ((6,), 0.0), ((6,), 1.0), ((6,), 0.5),
+                         ((6, 3), 0.0), ((3,), 0.0), ((5, 6), 0.0)])
+        # the first pass ran backward: nothing flowed through the scores
+        assert outs[0].grad is None
 
     def test_quadratic_exact(self):
         p = ag.Parameter("x", np.arange(1.0, 7.0).reshape(2, 3))
@@ -180,7 +193,7 @@ class TestGradCheckCoverage:
             if name.startswith("test_"):
                 case()
         ops = recording_ops()
-        assert {"attention", "matmul", "span_hidden"} <= ops
+        assert {"attention", "matmul", "span_scores"} <= ops
         assert ops - checked == set(), "ops without a grad_check case"
 
 
@@ -224,6 +237,86 @@ class TestAttention:
             ag.attention([x], [x], [x], heads=3)  # 4 columns over 3 heads
         with pytest.raises(ShapeError, match="attention"):
             ag.attention([x], [x], [], heads=2)
+
+
+class TestSpanScores:
+    """``ag.span_scores`` against the hidden-layer op, matmul and add_bias it
+    replaced."""
+
+    @staticmethod
+    def run(op, T, dtype, hidden=64, n_labels=16):
+        rng = np.random.default_rng(T)
+        shapes = [(T + 1, hidden), (hidden,), (hidden,), (hidden,), (hidden, n_labels),
+                  (n_labels,)]
+        inputs = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+        inputs[2] += 1.0  # gains near 1
+        weights = rng.standard_normal((T * (T + 1) // 2, n_labels)).astype(dtype)
+        tape = ag.Tape(dtype=dtype)
+        xs = [tape.constant(x) for x in inputs]
+        out = op(*xs)
+        tape.backward(ag.sum_all(ag.mul(out, tape.constant(weights))))
+        return [out.value] + [x.grad for x in xs]
+
+    def assert_bit_identical(self, T, dtype, **sizes):
+        got = self.run(ag.span_scores, T, dtype, **sizes)
+        want = self.run(chain_span_scores, T, dtype, **sizes)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g.dtype == w.dtype == dtype and g.shape == w.shape, i
+            assert g.tobytes() == w.tobytes(), i
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [1, 2, 5, 31, 32, 40, 160])
+    def test_bit_identical_to_hidden_layer_then_matmul(self, dtype, T):
+        # T = 31 and 32 give 496 and 528 spans: one block, and just over one
+        self.assert_bit_identical(T, dtype)
+
+    def test_bit_identical_at_default_sizes(self):
+        # the default scorer: 256 hidden units and 64 labels, in float32
+        self.assert_bit_identical(160, np.float32, hidden=256, n_labels=64)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T,block", [(5, 7), (40, 9), (2, 2)])
+    def test_no_one_row_block(self, monkeypatch, dtype, T, block):
+        # 15 = 7 + 7 + 1, 820 = 91 * 9 + 1 and 3 = 2 + 1 spans: the spare
+        # row joins the block before it
+        monkeypatch.setattr(ag, "SPAN_BLOCK_ROWS", block)
+        n = T * (T + 1) // 2
+        sizes = [hi - lo for lo, hi in ag._row_blocks(n)]
+        assert sum(sizes) == n and min(sizes) > 1
+        self.assert_bit_identical(T, dtype)
+
+    def test_single_span_is_one_row(self):
+        assert list(ag._row_blocks(1)) == [(0, 1)]
+
+
+class TestProsodyPooling:
+    """The prosody CNN pools before it rectifies; relu is monotone, so this
+    gives the bits of rectifying every frame and then pooling."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pool_then_relu_bit_identical_to_relu_then_pool(self, dtype):
+        rng = np.random.default_rng(4)
+        lengths = [1, 3, 9, 6, 2]
+        x = rng.standard_normal((5, 9, 3)).astype(dtype)
+        x[3] = np.round(x[3])  # whole-number frames: ties in the conv output
+        w = rng.standard_normal((3, 3, 6)).astype(dtype)
+        # channels 4 and 5 stay negative for most items: their max is <= 0
+        b = np.array([0.0, 0.5, -0.5, 1.0, -4.0, -8.0], dtype=dtype)
+        weights = rng.standard_normal((5, 6)).astype(dtype)
+
+        def run(pool):
+            tape = ag.Tape(dtype=dtype)
+            xs = [tape.constant(v) for v in (x, w, b)]
+            out = pool(ag.conv1d(*xs), lengths)
+            tape.backward(ag.sum_all(ag.mul(out, tape.constant(weights))))
+            return [out.value] + [v.grad for v in xs]
+
+        got = run(lambda conv, n: ag.relu(ag.max_pool_time(conv, n)))
+        want = run(relu_then_pool)
+        assert (want[0][:, 4:] == 0).any() and (want[0] > 0).any()
+        for i, (g, v) in enumerate(zip(got, want)):
+            assert g.dtype == v.dtype == dtype, i
+            assert g.tobytes() == v.tobytes(), i
 
 
 class TestOpSemantics:

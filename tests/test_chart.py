@@ -1,13 +1,16 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import attached_scores
 from prosoparse import autograd as ag
 from prosoparse._kernels import _cky_fill_loops, cky_fill_numba, cky_fill_numpy
 from prosoparse.chart import (
+    HAMMING_COST,
     SpanScorer,
-    SpanScores,
+    _decode_cells,
     cky_decode,
     margin_loss,
     score_spans,
@@ -31,17 +34,6 @@ def random_dense(rng, T, n_labels):
     dense = rng.integers(-4096, 4097, size=(T + 1, T + 1, n_labels)) / 1024.0
     dense[:, :, 0] = 0.0
     return dense
-
-
-def attached_scores(dense, vocab):
-    """Wrap a dense tensor as SpanScores with a differentiable matrix."""
-    T = dense.shape[0] - 1
-    starts, ends, row_of = span_index(T)
-    tape = ag.Tape(dtype=np.float64)
-    matrix = tape.constant(dense[starts, ends])
-    return SpanScores(
-        dense=dense, vocab=vocab, n_words=T, matrix=matrix, row_of=row_of
-    )
 
 
 def encoded_and_scorer(T, d_in=6, hidden=5, n_labels=4, seed=0):
@@ -93,13 +85,59 @@ def enumerate_shapes(a, b):
     return shapes
 
 
-def eight_op_span_hidden(proj, b1, gain, beta):
-    """The span scorer's hidden layer as the eight tape ops it replaced:
-    the oracle for ``ag.span_hidden``."""
+def eight_op_span_scores(proj, b1, gain, beta, w2, b2):
+    """The span scorer's hidden layer as the eight tape ops it once was,
+    then the second layer's matmul and add_bias."""
     starts, ends, _ = span_index(proj.value.shape[0] - 1)
     h = ag.add_bias(ag.sub(ag.take_rows(proj, ends), ag.take_rows(proj, starts)), b1)
     h = ag.add_bias(ag.mul(ag.layer_norm(h), gain), beta)
-    return ag.relu(h)
+    return ag.add_bias(ag.matmul(ag.relu(h), w2), b2)
+
+
+def dense_decode_cells(dense):
+    """Argmax tree cells for a dense [T+1, T+1, labels] tensor whose
+    empty-label column holds the empty label's scores, with the first max
+    of each cell's labels winning: the decoder before it read score rows."""
+    T = dense.shape[0] - 1
+    label_best = dense.max(axis=2)
+    label_arg = dense.argmax(axis=2)
+    best, split = cky_fill_numpy(label_best)
+    root_arg = int(dense[0, T, 1:].argmax()) + 1
+    total = dense[0, T, root_arg] + (best[0, T] - label_best[0, T])
+    cells = []
+    stack = [(0, T)]
+    while stack:
+        a, b = stack.pop()
+        cells.append((a, b, root_arg if (a, b) == (0, T) else int(label_arg[a, b])))
+        if b - a > 1:
+            k = int(split[a, b])
+            stack += [(k, b), (a, k)]
+    return sorted(cells), float(total)
+
+
+def hamming_augment(dense, gold_idx):
+    """The dense cost tensor of the margin loss: 1 on every entry that
+    differs from the gold assignment, the empty label gold off the gold tree."""
+    augment = np.full(dense.shape, HAMMING_COST)
+    augment[:, :, 0] = 0.0
+    for (a, b), li in gold_idx.items():
+        augment[a, b, 0] = HAMMING_COST
+        augment[a, b, li] = 0.0
+    return augment
+
+
+def random_gold(rng, T):
+    """Label indices in 1..3 for the root and about half of the other spans
+    of a random binary bracketing of [0, T)."""
+    gold, stack = {}, [(0, T)]
+    while stack:
+        a, b = stack.pop()
+        if (a, b) == (0, T) or rng.random() < 0.5:
+            gold[(a, b)] = int(rng.integers(1, 4))
+        if b - a > 1:
+            k = int(rng.integers(a + 1, b))
+            stack += [(a, k), (k, b)]
+    return gold
 
 
 def literal_best_score(dense):
@@ -187,7 +225,7 @@ class TestCkyDecode:
             n_labels = int(rng.integers(2, 4))
             dense = random_dense(rng, T, n_labels)
             vocab = LabelVocab([f"L{i}" for i in range(1, n_labels)])
-            decoded = cky_decode(SpanScores(dense, vocab, T), leaves(T))
+            decoded = cky_decode(attached_scores(dense, vocab), leaves(T))
             assert decoded.total_score == literal_best_score(dense)
 
     def test_oracle_exhaustive_shapes(self):
@@ -197,14 +235,14 @@ class TestCkyDecode:
             n_labels = int(rng.integers(2, 6))
             dense = random_dense(rng, T, n_labels)
             vocab = LabelVocab([f"L{i}" for i in range(1, n_labels)])
-            decoded = cky_decode(SpanScores(dense, vocab, T), leaves(T))
+            decoded = cky_decode(attached_scores(dense, vocab), leaves(T))
             assert decoded.total_score == enumerate_best_score(dense)
 
     def test_single_word_unary_chain(self):
         vocab = LabelVocab(["S+VP", "NP"])
         dense = np.zeros((2, 2, 3))
         dense[0, 1, 1] = 2.0  # S+VP
-        decoded = cky_decode(SpanScores(dense, vocab, 1), [("go", "VB")])
+        decoded = cky_decode(attached_scores(dense, vocab), [("go", "VB")])
         assert decoded.tree.linearize() == "(S (VP (VB go)))"
         assert decoded.total_score == 2.0
 
@@ -212,7 +250,7 @@ class TestCkyDecode:
         vocab = VOCAB5
         T = 4
         dense = np.zeros((T + 1, T + 1, len(vocab)))
-        decoded = cky_decode(SpanScores(dense, vocab, T), leaves(T))
+        decoded = cky_decode(attached_scores(dense, vocab), leaves(T))
         assert decoded.total_score == 0.0
         # root takes label index 1; all other cells fall to the empty label,
         # leaving a flat tree
@@ -224,9 +262,9 @@ class TestCkyDecode:
         for _ in range(50):
             T = int(rng.integers(1, 8))
             dense = random_dense(rng, T, len(VOCAB5))
-            decoded = cky_decode(SpanScores(dense, VOCAB5, T), leaves(T))
+            decoded = cky_decode(attached_scores(dense, VOCAB5), leaves(T))
             spans = tree_to_spans(decoded.tree)
-            scores = SpanScores(dense, VOCAB5, T)
+            scores = attached_scores(dense, VOCAB5)
             assert abs(tree_score(scores, spans) - decoded.total_score) < 1e-4
             # decoding then converting tree -> spans -> tree is identity
             from prosoparse.treebank import sentence_of, spans_to_tree
@@ -269,11 +307,9 @@ class TestMarginLoss:
         loss, info = margin_loss(scores, self.gold())
         # The augmented decode maximizes the Hamming cost alone; its loss
         # must equal the independently enumerated augmented optimum.
-        augment = np.ones_like(dense)
-        augment[:, :, 0] = 0.0
-        for s in self.gold():
-            augment[s.a, s.b, 0] = 1.0
-            augment[s.a, s.b, VOCAB5.index(s.label)] = 0.0
+        augment = hamming_augment(
+            dense, {(s.a, s.b): VOCAB5.index(s.label) for s in self.gold()}
+        )
         expected = enumerate_best_score(dense + augment)  # minus gold score 0
         assert info.loss == expected
         assert float(loss.value) == pytest.approx(expected)
@@ -299,11 +335,9 @@ class TestMarginLoss:
             dense = random_dense(rng, 3, len(VOCAB5))
             scores = attached_scores(dense, VOCAB5)
             _, info = margin_loss(scores, gold)
-            augment = np.ones_like(dense)
-            augment[:, :, 0] = 0.0
-            for s in gold:
-                augment[s.a, s.b, 0] = 1.0
-                augment[s.a, s.b, VOCAB5.index(s.label)] = 0.0
+            augment = hamming_augment(
+                dense, {(s.a, s.b): VOCAB5.index(s.label) for s in gold}
+            )
             gold_raw = sum(dense[s.a, s.b, VOCAB5.index(s.label)] for s in gold)
             expected = max(0.0, enumerate_best_score(dense + augment) - gold_raw)
             assert info.loss == pytest.approx(expected, abs=1e-9)
@@ -340,11 +374,6 @@ class TestMarginLoss:
         assert g[row, VOCAB5.index("VP")] > 0  # violator pushed down
         assert g[row, VOCAB5.index("NP")] < 0  # gold pushed up
 
-    def test_detached_scores_rejected(self):
-        dense = np.zeros((4, 4, len(VOCAB5)))
-        with pytest.raises(DataError):
-            margin_loss(SpanScores(dense, VOCAB5, 3), self.gold())
-
 
 class TestScoreSpans:
     def test_span_index_order_and_rows(self):
@@ -366,10 +395,18 @@ class TestScoreSpans:
         h = np.maximum(h * scorer.ln_gain.value + scorer.ln_bias.value, 0.0)
         explicit = h @ scorer.w2.value + scorer.b2.value
         np.testing.assert_allclose(scores.matrix.value, explicit, rtol=0, atol=1e-12)
-        expected = np.zeros_like(scores.dense)
-        expected[starts, ends] = explicit
+
+    def test_dense_view(self):
+        T = 5
+        fenceposts, scorer = encoded_and_scorer(T)
+        scores = score_with(ag.Tape(dtype=np.float64), fenceposts, scorer, T)
+        starts, ends, _ = span_index(T)
+        expected = np.zeros((T + 1, T + 1, scorer.n_labels))
+        expected[starts, ends] = scores.matrix.value
         expected[:, :, 0] = 0.0
-        np.testing.assert_allclose(scores.dense, expected, rtol=0, atol=1e-12)
+        dense = scores.dense
+        assert dense.tobytes() == expected.tobytes()
+        assert not dense.flags.writeable
 
     def test_grad_check_fenceposts_and_first_layer(self):
         T = 6
@@ -390,19 +427,22 @@ class TestScoreSpans:
     @pytest.mark.parametrize("T", [1, 2, 7, 40])
     @pytest.mark.parametrize("equal_fenceposts", [False, True])
     def test_span_hidden_matches_eight_op_chain(self, T, equal_fenceposts):
+        # the hidden layer of ag.span_scores, seen through the scores
         rng = np.random.default_rng(T)
-        hidden = 8
+        hidden, n_labels = 8, 3
         params = [
             ag.Parameter("proj", rng.standard_normal((T + 1, hidden))),
             ag.Parameter("b1", rng.standard_normal(hidden)),
             ag.Parameter("gain", 1.0 + 0.1 * rng.standard_normal(hidden)),
             ag.Parameter("beta", 0.5 * rng.standard_normal(hidden)),
+            ag.Parameter("w2", rng.standard_normal((hidden, n_labels))),
+            ag.Parameter("b2", rng.standard_normal(n_labels)),
         ]
         if equal_fenceposts:
             # span (0, 1) has the row proj[1] - proj[0] + b1 = 0: zero variance
             params[0].value[1] = params[0].value[0]
             params[1].value[...] = 0.0
-        weights = rng.standard_normal((T * (T + 1) // 2, hidden))
+        weights = rng.standard_normal((T * (T + 1) // 2, n_labels))
 
         def run(op):
             for p in params:
@@ -412,19 +452,83 @@ class TestScoreSpans:
             tape.backward(ag.sum_all(ag.mul(out, tape.constant(weights))))
             return [out.value] + [p.grad.copy() for p in params]
 
-        got, want = run(ag.span_hidden), run(eight_op_span_hidden)
+        got, want = run(ag.span_scores), run(eight_op_span_scores)
         if equal_fenceposts:
-            np.testing.assert_array_equal(want[0][0], np.maximum(params[3].value, 0.0))
+            beta, w2, b2 = (p.value for p in params[3:])
+            np.testing.assert_allclose(
+                want[0][0], np.maximum(beta, 0.0) @ w2 + b2, rtol=0, atol=1e-12
+            )
         # a variance of ~0 from the fencepost statistics carries a float64
         # rounding error of ~1e-16 that 1/sqrt(var + 1e-5) scales by ~1e5
-        for name, g, w in zip(["out", "proj", "b1", "gain", "beta"], got, want):
+        names = ["out", "proj", "b1", "gain", "beta", "w2", "b2"]
+        for name, g, w in zip(names, got, want):
             np.testing.assert_allclose(g, w, rtol=1e-9, atol=1e-12, err_msg=name)
 
     def test_span_hidden_checks_shapes(self):
         tape = ag.Tape()
         proj = tape.constant(np.zeros((4, 3)))
         vec = tape.constant(np.zeros(3))
-        with pytest.raises(ShapeError):
-            ag.span_hidden(proj, tape.constant(np.zeros(2)), vec, vec)
-        with pytest.raises(ShapeError):
-            ag.span_hidden(tape.constant(np.zeros(3)), vec, vec, vec)
+        w2, b2 = tape.constant(np.zeros((3, 2))), tape.constant(np.zeros(2))
+        with pytest.raises(ShapeError, match="span_scores"):
+            ag.span_scores(proj, tape.constant(np.zeros(2)), vec, vec, w2, b2)
+        with pytest.raises(ShapeError, match="span_scores"):
+            ag.span_scores(tape.constant(np.zeros(3)), vec, vec, vec, w2, b2)
+        with pytest.raises(ShapeError, match="span_scores"):
+            ag.span_scores(proj, vec, vec, vec, tape.constant(np.zeros((2, 2))), b2)
+        with pytest.raises(ShapeError, match="span_scores"):
+            ag.span_scores(proj, vec, vec, vec, w2, tape.constant(np.zeros(3)))
+
+    def test_long_sentence_builds_no_span_sized_array(self):
+        # the default scorer shape at T = 160: one [spans, hidden] float32
+        # array would take 12.6 MB
+        T, d_in, hidden, n_labels = 160, 384, 256, 64
+        rng = np.random.default_rng(0)
+        scorer = SpanScorer(d_in, n_labels, hidden=hidden, rng=rng)
+        fenceposts = rng.standard_normal((T + 1, d_in)).astype(np.float32)
+        vocab = LabelVocab([f"L{i}" for i in range(1, n_labels)])
+        tape = ag.Tape(record=False)
+        tracemalloc.start()
+        try:
+            encoded = EncodedSentence(fenceposts=tape.constant(fenceposts), n_words=T)
+            cky_decode(score_spans(tape, encoded, scorer, vocab), leaves(T))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < T * (T + 1) // 2 * hidden * 4
+
+
+class TestDecodeFromRows:
+    """Decoding from score rows against the dense-tensor decoder."""
+
+    @staticmethod
+    def rows_of(dense, rng):
+        starts, ends, row_of = span_index(dense.shape[0] - 1)
+        rows = dense[starts, ends]
+        rows[:, 0] = rng.standard_normal(len(rows))  # never read
+        return rows, row_of
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 6, 12])
+    def test_parse_equals_dense_decoder(self, T):
+        rng = np.random.default_rng(T)
+        for _ in range(20):
+            # few distinct values: the empty label ties the best label often
+            dense = rng.integers(-2, 3, size=(T + 1, T + 1, 4)).astype(np.float64)
+            dense[:, :, 0] = 0.0
+            rows, row_of = self.rows_of(dense, rng)
+            assert _decode_cells(rows, 0.0, row_of) == dense_decode_cells(dense)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 6, 12])
+    def test_augmented_equals_dense_decoder(self, T):
+        rng = np.random.default_rng(100 + T)
+        for _ in range(20):
+            dense = rng.integers(-2, 3, size=(T + 1, T + 1, 4)).astype(np.float64)
+            dense[:, :, 0] = 0.0
+            gold_idx = random_gold(rng, T)
+            rows, row_of = self.rows_of(dense, rng)
+            augmented = rows + HAMMING_COST
+            empty = np.zeros(len(rows))
+            for (a, b), li in gold_idx.items():
+                augmented[row_of[a, b], li] = rows[row_of[a, b], li]
+                empty[row_of[a, b]] = HAMMING_COST
+            want = dense_decode_cells(dense + hamming_augment(dense, gold_idx))
+            assert _decode_cells(augmented, empty, row_of) == want

@@ -254,8 +254,8 @@ class TestFactorization:
         zero_prosody_pathway(model)
         twin = build_text_twin(model)
         for sent in sents[:6]:
-            a = sent_scores(model, sent).dense
-            b = sent_scores(twin, sent).dense
+            a = sent_scores(model, sent).matrix.value
+            b = sent_scores(twin, sent).matrix.value
             np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_text_twin_config_drops_only_prosody(self, featurized_corpus):
@@ -274,8 +274,8 @@ class TestFactorization:
         model = build_tiny_model(sents, prosody=True)
         twin = build_text_twin(model)
         sent = max(sents, key=len)
-        a = sent_scores(model, sent).dense
-        b = sent_scores(twin, sent).dense
+        a = sent_scores(model, sent).matrix.value
+        b = sent_scores(twin, sent).matrix.value
         assert not np.allclose(a, b, atol=1e-4)
 
 
@@ -352,7 +352,7 @@ class TestCheckpoints:
         assert meta["seed"] == 3
         sent = sents[0]
         np.testing.assert_array_equal(
-            sent_scores(model, sent).dense, sent_scores(back, sent).dense
+            sent_scores(model, sent).matrix.value, sent_scores(back, sent).matrix.value
         )
 
     def test_config_dict_round_trip(self):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from prosoparse.chart import SpanScores, cky_decode
+from conftest import attached_scores
+from prosoparse.chart import cky_decode
 from prosoparse.errors import AlignmentError, DataError
 from prosoparse.evaluation import (
     length_bucket,
@@ -100,7 +101,7 @@ class TestParseval:
             T = len(leaves)
             dense = rng.standard_normal((T + 1, T + 1, len(vocab)))
             dense[:, :, 0] = 0
-            preds.append(cky_decode(SpanScores(dense, vocab, T), leaves).tree)
+            preds.append(cky_decode(attached_scores(dense, vocab), leaves).tree)
             golds.append(g)
         fwd = parseval(golds, preds)
         rev = parseval(preds, golds)

@@ -141,8 +141,18 @@ def test_valid_config_loads(tmp_path):
         (b"train_trees: train.trees", b"train_trees: 5"),
         (b"heads: 2", b"heads: 0"),
         (b"run\n", b"r\xffun\n"),
+        (b"d_ff: 128", b"d_ff: 12.5"),
+        (b"layers: 2,", b"layers: 2.5,"),
+        (b"d_content: 64", b"d_content: 64.0"),
+        (b"d_ff: 128", b"d_ff: true"),
+        (b"filters_per_width: 8", b"filters_per_width: 2.5"),
+        (b"widths: [3, 5]", b"widths: [3, 4.5]"),
+        (b"span_hidden: 64", b"span_hidden: 12.5"),
+        (b"span_hidden: 64", b"span_hidden: true"),
     ],
-    ids=["span-hidden-text", "seeds-int", "train-trees-int", "zero-heads", "not-utf8"],
+    ids=["span-hidden-text", "seeds-int", "train-trees-int", "zero-heads", "not-utf8",
+         "d-ff-float", "layers-float", "d-content-float", "d-ff-bool", "filters-float",
+         "width-float", "span-hidden-float", "span-hidden-bool"],
 )
 def test_bad_config_value_is_config_error(tmp_path, edit):
     path = tmp_path / "config.yaml"

@@ -63,6 +63,11 @@ class TestParsePtb:
         with pytest.raises(TreeSyntaxError):
             parse_ptb("(S (NN dog)) )")
 
+    def test_bracketed_child_after_a_word_rejected(self):
+        # a leaf's word ends its node: a child after it used to be dropped
+        with pytest.raises(TreeSyntaxError, match="unexpected token '\\(' inside node 'NN'"):
+            parse_ptb("(S (NN dog (X y)) (VB go))")
+
     def test_trace_removal_and_function_tags(self):
         t = parse_one("(S (NP-SBJ (PRP i)) (VP (VBP agree) (NP (-NONE- *T*-1))))")
         assert t == parse_one("(S (NP (PRP i)) (VP (VBP agree)))")
