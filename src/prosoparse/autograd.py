@@ -13,8 +13,12 @@ freed as soon as nothing references them; ``backward`` on it raises.
 
 ``train`` is independent of recording: it only turns dropout on.  Storage
 is float32 by default (float64 available for gradient checking); attention,
-layer_norm and span_scores reduce in float64 regardless.  There is no
-broadcasting beyond bias/vector-over-rows; shapes are validated on every op.
+layer_norm and span_scores reduce in float64 regardless.  Those three are
+fused ops: each does the work of a chain of simpler ops with the same bits,
+forward and backward, as one tape entry that keeps fewer arrays.
+``layer_norm`` is affine (gain and bias), and it shares its float64
+backward step with ``span_scores``.  There is no broadcasting beyond
+bias/vector-over-rows; shapes are validated on every op.
 
 Independent tapes share nothing except read-only parameter values, so
 separate sentences can be processed concurrently.
@@ -178,33 +182,6 @@ def add_bias(x, b):
     return out
 
 
-def mul(a, b):
-    """Elementwise product; ``b`` may be a vector broadcast over rows of a matrix."""
-    tape = _same_tape("mul", a, b)
-    if a.value.shape == b.value.shape:
-        out = Var(a.value * b.value, tape)
-
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad * b.value)
-            _accum(b, out.grad * a.value)
-
-    elif a.value.ndim == 2 and b.value.ndim == 1 and a.value.shape[1] == b.value.shape[0]:
-        out = Var(a.value * b.value[None, :], tape)
-
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad * b.value[None, :])
-            _accum(b, (out.grad * a.value).sum(axis=0))
-
-    else:
-        raise ShapeError("mul", a.value.shape, b.value.shape)
-    tape._record(bwd)
-    return out
-
-
 def matmul(a, b):
     tape = _same_tape("matmul", a, b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
@@ -302,28 +279,57 @@ def attention(qs, ks, vs, heads):
     return outs
 
 
-def layer_norm(x, eps=1e-5):
-    """Normalize the last axis to zero mean and unit variance (no affine)."""
-    tape = x.tape
-    # one float64 buffer, updated in place; each step is the arithmetic of
-    # (v - v.mean()) / sqrt(v.var() + eps), so results are bit-identical to it
-    y64 = x.value.astype(np.float64)
-    y64 -= y64.mean(axis=-1, keepdims=True)
-    var = np.square(y64).sum(axis=-1, keepdims=True) / y64.shape[-1]
-    std = np.sqrt(var + eps)
+# added to the variance of every layer norm
+LN_EPS = 1e-5
+
+
+def _centered(v):
+    """Float64 copy of ``v`` with each row's mean subtracted."""
+    c = v.astype(np.float64)
+    c -= c.mean(axis=-1, keepdims=True)
+    return c
+
+
+def _layer_norm_backward(g, y, std):
+    """Gradient at a layer norm's input from the gradient ``g`` at its
+    normalized rows ``y`` and their per-row ``std``, reduced in float64 and
+    returned in ``g``'s dtype."""
+    g64 = g.astype(np.float64)
+    gm = g64.mean(axis=-1, keepdims=True)
+    gym = (g64 * y).mean(axis=-1, keepdims=True)
+    g64 -= gm
+    g64 -= y * gym
+    g64 /= std
+    return g64.astype(g.dtype, copy=False)
+
+
+def layer_norm(x, gain, bias):
+    """``normalize(x) * gain + bias`` over the last axis of a [T, d] Var.
+
+    Each row is normalized in float64, as (v - v.mean()) / sqrt(v.var() +
+    LN_EPS) computed in place, and rounded to the tape dtype before the
+    affine step, so the op has the bits of a plain layer norm followed by
+    separate gain and bias ops.  It keeps only the per-row std; backward
+    rebuilds the normalized rows from ``x`` with the same arithmetic.
+    """
+    tape = _same_tape("layer_norm", x, gain, bias)
+    if x.value.ndim != 2 or not gain.value.shape == bias.value.shape == x.value.shape[1:]:
+        raise ShapeError("layer_norm", x.value.shape, gain.value.shape)
+    y64 = _centered(x.value)
+    std = np.sqrt(np.square(y64).sum(axis=-1, keepdims=True) / y64.shape[-1] + LN_EPS)
     y64 /= std
     out = Var(y64.astype(x.value.dtype), tape)
+    out.value *= gain.value
+    out.value += bias.value
 
     def bwd():
         if out.grad is None:
             return
-        g = out.grad.astype(np.float64)
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y64).mean(axis=-1, keepdims=True)
-        g -= gm
-        g -= y64 * gym
-        g /= std
-        _accum(x, g.astype(x.value.dtype, copy=False))
+        y64 = _centered(x.value)
+        y64 /= std
+        _accum(bias, out.grad.sum(axis=0))
+        _accum(gain, (out.grad * y64.astype(x.value.dtype)).sum(axis=0))
+        _accum(x, _layer_norm_backward(out.grad * gain.value, y64, std))
 
     tape._record(bwd)
     return out
@@ -384,7 +390,7 @@ def span_scores(proj, b1, gain, beta, w2, b2):
         - 2.0 * gram[starts, ends]
     ) / h
     # cancellation guard: the three terms may leave a tiny negative variance
-    std = np.sqrt(np.maximum(var, 0.0) + 1e-5)
+    std = np.sqrt(np.maximum(var, 0.0) + LN_EPS)
     dt = proj.value.dtype
     shift = (q_mean[ends] - p_mean[starts]).astype(dt)[:, None]
     inv_std = (1.0 / std).astype(dt)[:, None]
@@ -422,14 +428,7 @@ def span_scores(proj, b1, gain, beta, w2, b2):
         _accum(beta, g.sum(axis=0))
         _accum(gain, (g * y).sum(axis=0))
         g *= gain.value
-        # layer-norm backward per span in float64, as in layer_norm
-        g64 = g.astype(np.float64)
-        gm = g64.mean(axis=-1, keepdims=True)
-        gym = (g64 * y).mean(axis=-1, keepdims=True)
-        g64 -= gm
-        g64 -= y * gym
-        g64 /= std[:, None]
-        dx = g64.astype(dt, copy=False)
+        dx = _layer_norm_backward(g, y, std[:, None])
         _accum(b1, dx.sum(axis=0))
         # rows of start a are contiguous and end at a+1..T
         dproj = np.zeros_like(proj.value)
@@ -614,19 +613,6 @@ def slice_cols(x, lo, hi):
         g = np.zeros_like(x.value)
         g[:, lo:hi] = out.grad
         _accum(x, g)
-
-    tape._record(bwd)
-    return out
-
-
-def sum_all(x):
-    tape = x.tape
-    out = Var(np.asarray(x.value.sum(dtype=np.float64), dtype=x.value.dtype), tape)
-
-    def bwd():
-        if out.grad is None:
-            return
-        _accum(x, np.full_like(x.value, out.grad))
 
     tape._record(bwd)
     return out

@@ -16,7 +16,7 @@ from dataclasses import replace
 from . import corpus as corpus_mod
 from . import evaluation as ev
 from .config import load_config, validate_paths, write_snapshot
-from .errors import ConfigError, DataError, NumericError, ProsoparseError
+from .errors import ConfigError, DataError, NumericError, ProsoparseError, utf8_text
 from .model import ParserModel
 from .prosody import read_alignment_file, read_frame_track_file
 from .training import fine_tune, median_report, train
@@ -234,15 +234,17 @@ def _store_for(cfg):
 def _read_parse_input(path):
     """Bracketed trees or whitespace-separated word/POS tokens, one per line."""
     sentences = []
-    with open(path, encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for i, line in enumerate(fh):
             line = line.strip()
             if not line:
                 continue
             sid = f"s{i:05d}"
             if line.startswith("("):
-                tree = parse_ptb(line)[0]
-                tokens = [(leaf.word, leaf.pos_tag) for leaf in tree.leaves()]
+                trees = parse_ptb(line)
+                if len(trees) > 1:
+                    raise DataError(f"{path}: line {i + 1} holds {len(trees)} trees, not one")
+                tokens = [(leaf.word, leaf.pos_tag) for leaf in trees[0].leaves()]
             else:
                 tokens = []
                 for tok in line.split():

@@ -7,9 +7,10 @@ frame patch.  Attention keeps the streams factored: every layer learns
 separate query/key/value maps per stream, attention logits are the sum of
 the per-stream dot products, and values are aggregated per stream and
 re-projected within the stream.  Streams only mix inside the position-wise
-feed-forward block.  Layer norm is applied per stream so that a model whose
-prosody pathway is zeroed is numerically identical to a narrower text-only
-model with the same remaining weights.
+feed-forward block.  Layer norm is applied per stream, after each residual,
+so that a model whose prosody pathway is zeroed is numerically identical to
+a narrower text-only model with the same remaining weights; each stream norm
+is one affine ``layer_norm`` op with its own gain and bias.
 
 Word outputs are split into forward/backward halves per stream to build
 fencepost (word boundary) vectors, with learned sentinel halves at the
@@ -157,8 +158,7 @@ class _StreamNorm:
         yield from (self.gain, self.bias)
 
     def __call__(self, tape, x):
-        normed = ag.layer_norm(x)
-        return ag.add_bias(ag.mul(normed, tape.watch(self.gain)), tape.watch(self.bias))
+        return ag.layer_norm(x, tape.watch(self.gain), tape.watch(self.bias))
 
 
 class _Layer:

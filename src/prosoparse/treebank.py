@@ -357,9 +357,44 @@ def spans_to_tree(spans, leaves):
         raise DataError(f"no labeled span covers the whole sentence (0, {T})")
 
     leaf_nodes = [LeafNode(w, t) for w, t in leaves]
-    inner = [key for key in order if key != root_key]
-    children = _children(0, T, inner, leaf_nodes, merged)
-    return _expand_chain(merged[root_key], children)
+    # open nodes from the root down, as (end, label, children), under a
+    # sentinel that receives the root; ``pos`` is the first leaf not yet placed
+    roots = []
+    stack = [(T, None, roots)]
+    pos = 0
+    for a, b in order:
+        while stack[-1][0] <= a:
+            pos = _close_innermost(stack, leaf_nodes, pos)
+        if b > stack[-1][0]:
+            raise CrossingSpanError(*_first_crossing(order))
+        stack[-1][2].extend(leaf_nodes[pos:a])
+        pos = a
+        stack.append((b, merged[(a, b)], []))
+    while len(stack) > 1:
+        pos = _close_innermost(stack, leaf_nodes, pos)
+    return roots[0]
+
+
+def _close_innermost(stack, leaf_nodes, pos):
+    """Pop the innermost open node, give it the leaves from ``pos`` to its
+    end, and append it to its parent's children; return its end."""
+    end, label, children = stack.pop()
+    children.extend(leaf_nodes[pos:end])
+    stack[-1][2].append(_expand_chain(label, children))
+    return end
+
+
+def _first_crossing(order):
+    """The crossing pair that spans_to_tree reports, given sorted spans of
+    which two cross: the first span in ``order`` that a later span crosses,
+    and the first later span that does.  The later spans that start inside a
+    span follow it in ``order``."""
+    for i, (a1, b1) in enumerate(order):
+        for a2, b2 in order[i + 1 :]:
+            if a2 >= b1:
+                break
+            if b2 > b1:
+                return (a1, b1), (a2, b2)
 
 
 def _expand_chain(label, children):
@@ -368,34 +403,6 @@ def _expand_chain(label, children):
     for part in reversed(parts[:-1]):
         node = InternalNode(part, [node])
     return node
-
-
-# module level rather than nested in spans_to_tree: a nested recursive
-# function refers to itself through its closure, so every call would leave a
-# reference cycle for the garbage collector
-def _children(a, b, inner, leaf_nodes, merged):
-    """Child nodes of span (a, b); ``inner`` holds the spans strictly inside
-    it, outermost-first, and ``merged`` maps each span to its label."""
-    children = []
-    pos = a
-    i = 0
-    while pos < b:
-        if i < len(inner) and inner[i][0] == pos:
-            ca, cb = inner[i]
-            sub = []
-            i += 1
-            while i < len(inner) and inner[i][0] < cb:
-                if inner[i][1] > cb:
-                    raise CrossingSpanError((ca, cb), inner[i])
-                sub.append(inner[i])
-                i += 1
-            grandchildren = _children(ca, cb, sub, leaf_nodes, merged)
-            children.append(_expand_chain(merged[(ca, cb)], grandchildren))
-            pos = cb
-        else:
-            children.append(leaf_nodes[pos])
-            pos += 1
-    return children
 
 
 def classify_fluency(tree):

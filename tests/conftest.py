@@ -11,9 +11,16 @@ from prosoparse.chart import SpanScores, span_index
 from prosoparse.corpus import featurize
 from prosoparse.embeddings import EmbeddingProvider
 from prosoparse.encoder import CnnConfig, EncoderConfig
+from prosoparse.errors import CrossingSpanError, DataError, ShapeError
 from prosoparse.model import ModelConfig, ParserModel
 from prosoparse.synthdata import overfit_corpus
-from prosoparse.treebank import LabelVocab
+from prosoparse.treebank import (
+    CHAIN_JOIN,
+    EMPTY_LABEL,
+    LabelVocab,
+    LeafNode,
+    _expand_chain,
+)
 
 
 def tiny_model_config(prosody=True, dropout=0.0):
@@ -50,6 +57,73 @@ def build_tiny_model(sentences, prosody=True, seed=3, dtype=np.float32, dropout=
         seed=seed,
         dtype=dtype,
     )
+
+
+# Test-local ops: the library has no caller for them, but losses and
+# oracles built in tests do.
+
+
+def mul(a, b):
+    """Elementwise product; ``b`` may be a vector broadcast over rows of a matrix."""
+    tape = ag._same_tape("mul", a, b)
+    if a.value.shape == b.value.shape:
+        b_rows = b.value
+    elif a.value.ndim == 2 and b.value.ndim == 1 and a.value.shape[1] == b.value.shape[0]:
+        b_rows = b.value[None, :]
+    else:
+        raise ShapeError("mul", a.value.shape, b.value.shape)
+    out = ag.Var(a.value * b_rows, tape)
+
+    def bwd():
+        if out.grad is not None:
+            ag._accum(a, out.grad * b_rows)
+            gb = out.grad * a.value
+            ag._accum(b, gb if b.value.shape == a.value.shape else gb.sum(axis=0))
+
+    tape._record(bwd)
+    return out
+
+
+def sum_all(x):
+    out = ag.Var(np.asarray(x.value.sum(dtype=np.float64), dtype=x.value.dtype), x.tape)
+
+    def bwd():
+        if out.grad is not None:
+            ag._accum(x, np.full_like(x.value, out.grad))
+
+    x.tape._record(bwd)
+    return out
+
+
+# The affine layer norm as the chain of three tape ops that ``ag.layer_norm``
+# replaced: a plain layer norm, a gain product and a bias: its oracle.
+
+
+def _plain_layer_norm(x):
+    y64 = x.value.astype(np.float64)
+    y64 -= y64.mean(axis=-1, keepdims=True)
+    var = np.square(y64).sum(axis=-1, keepdims=True) / y64.shape[-1]
+    std = np.sqrt(var + 1e-5)
+    y64 /= std
+    out = ag.Var(y64.astype(x.value.dtype), x.tape)
+
+    def bwd():
+        if out.grad is not None:
+            g = out.grad.astype(np.float64)
+            gm = g.mean(axis=-1, keepdims=True)
+            gym = (g * y64).mean(axis=-1, keepdims=True)
+            g -= gm
+            g -= y64 * gym
+            g /= std
+            ag._accum(x, g.astype(x.value.dtype, copy=False))
+
+    x.tape._record(bwd)
+    return out
+
+
+def chain_layer_norm(x, gain, bias):
+    """The oracle for ``ag.layer_norm``."""
+    return ag.add_bias(mul(_plain_layer_norm(x), gain), bias)
 
 
 # The factored attention as the per-head chain of tape ops that
@@ -230,6 +304,65 @@ def attached_scores(dense, vocab):
     starts, ends, row_of = span_index(T)
     matrix = ag.Tape(dtype=np.float64).constant(dense[starts, ends])
     return SpanScores(vocab=vocab, n_words=T, matrix=matrix, row_of=row_of)
+
+
+# ``spans_to_tree`` as it was when each node copied the spans inside it and
+# recursed per level: the oracle of the one-pass stack build.
+
+
+def recursive_spans_to_tree(spans, leaves):
+    T = len(leaves)
+    if T < 1:
+        raise DataError("cannot build a tree over zero leaves")
+    if isinstance(spans, (set, frozenset)):
+        spans = sorted(spans, key=lambda s: (s.a, -s.b, s.label))
+    merged = {}
+    order = []
+    for span in spans:
+        a, b, label = span
+        if not (0 <= a < b <= T):
+            raise DataError(f"span {span} out of range for {T} leaves")
+        if label == EMPTY_LABEL:
+            continue
+        key = (a, b)
+        if key in merged:
+            merged[key] = merged[key] + CHAIN_JOIN + label
+        else:
+            merged[key] = label
+            order.append(key)
+    order.sort(key=lambda ab: (ab[0], -ab[1]))
+    for (a1, b1), (a2, b2) in zip(order, order[1:]):
+        if a1 < a2 < b1 < b2:
+            raise CrossingSpanError((a1, b1), (a2, b2))
+    root_key = (0, T)
+    if root_key not in merged:
+        raise DataError(f"no labeled span covers the whole sentence (0, {T})")
+    leaf_nodes = [LeafNode(w, t) for w, t in leaves]
+    inner = [key for key in order if key != root_key]
+    return _expand_chain(merged[root_key], _children(0, T, inner, leaf_nodes, merged))
+
+
+def _children(a, b, inner, leaf_nodes, merged):
+    children = []
+    pos = a
+    i = 0
+    while pos < b:
+        if i < len(inner) and inner[i][0] == pos:
+            ca, cb = inner[i]
+            sub = []
+            i += 1
+            while i < len(inner) and inner[i][0] < cb:
+                if inner[i][1] > cb:
+                    raise CrossingSpanError((ca, cb), inner[i])
+                sub.append(inner[i])
+                i += 1
+            grandchildren = _children(ca, cb, sub, leaf_nodes, merged)
+            children.append(_expand_chain(merged[(ca, cb)], grandchildren))
+            pos = cb
+        else:
+            children.append(leaf_nodes[pos])
+            pos += 1
+    return children
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,14 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import chain_attention, chain_span_scores, relu_then_pool
+from conftest import (
+    chain_attention,
+    chain_layer_norm,
+    chain_span_scores,
+    mul,
+    relu_then_pool,
+    sum_all,
+)
 from prosoparse import autograd as ag
 from prosoparse.errors import NumericError, ShapeError
 
@@ -32,13 +39,13 @@ def check_op(build, n_params, tol=1e-6, seed=0, train=False):
 class TestOpGradients:
     def test_matmul_grad(self):
         check_op(
-            lambda tape, ps: ag.sum_all(ag.matmul(ps[0], ps[1])),
+            lambda tape, ps: sum_all(ag.matmul(ps[0], ps[1])),
             [((3, 4), 0.0), ((4, 5), 0.0)],
         )
 
     def test_add_sub_bias(self):
         check_op(
-            lambda tape, ps: ag.sum_all(
+            lambda tape, ps: sum_all(
                 ag.sub(ag.add_bias(ag.add(ps[0], ps[1]), ps[2]), ps[0])
             ),
             [((3, 4), 0.0), ((3, 4), 0.0), ((4,), 0.0)],
@@ -46,13 +53,13 @@ class TestOpGradients:
 
     def test_mul_elementwise_and_vector(self):
         check_op(
-            lambda tape, ps: ag.sum_all(ag.mul(ag.mul(ps[0], ps[1]), ps[2])),
+            lambda tape, ps: sum_all(mul(mul(ps[0], ps[1]), ps[2])),
             [((3, 4), 0.0), ((3, 4), 0.5), ((4,), 1.0)],
         )
 
     def test_relu_away_from_kink(self):
         check_op(
-            lambda tape, ps: ag.sum_all(ag.relu(ps[0])),
+            lambda tape, ps: sum_all(ag.relu(ps[0])),
             [((4, 4), 3.0)],  # offset keeps coordinates away from 0
         )
 
@@ -60,7 +67,7 @@ class TestOpGradients:
         # three streams of widths 4, 2 and 6 over 5 words, two heads
         def build(tape, ps):
             outs = ag.attention(ps[0:3], ps[3:6], ps[6:9], heads=2)
-            losses = [ag.sum_all(ag.mul(o, w)) for o, w in zip(outs, ps[9:])]
+            losses = [sum_all(mul(o, w)) for o, w in zip(outs, ps[9:])]
             return ag.add(ag.add(losses[0], losses[1]), losses[2])
 
         shapes = [(5, 4), (5, 2), (5, 6)]
@@ -68,13 +75,13 @@ class TestOpGradients:
 
     def test_layer_norm(self):
         check_op(
-            lambda tape, ps: ag.sum_all(ag.mul(ag.layer_norm(ps[0]), ps[1])),
-            [((3, 6), 0.0), ((3, 6), 0.0)],
+            lambda tape, ps: sum_all(mul(ag.layer_norm(ps[0], ps[1], ps[2]), ps[3])),
+            [((3, 6), 0.0), ((6,), 1.0), ((6,), 0.0), ((3, 6), 0.0)],
         )
 
     def test_conv1d_and_pool(self):
         check_op(
-            lambda tape, ps: ag.sum_all(
+            lambda tape, ps: sum_all(
                 ag.max_pool_time(ag.conv1d(ps[0], ps[1], ps[2]), [9, 9])
             ),
             [((2, 9, 2), 0.0), ((3, 2, 4), 0.0), ((4,), 0.0)],
@@ -87,7 +94,7 @@ class TestOpGradients:
 
         def build(tape, ps):
             convs.append(ag.conv1d(ps[0], ps[1], ps[2]))
-            return ag.sum_all(ag.max_pool_time(convs[-1], lengths))
+            return sum_all(ag.max_pool_time(convs[-1], lengths))
 
         check_op(build, [((3, 9, 2), 0.0), ((4, 2, 5), 0.0), ((5,), 0.0)], tol=1e-5)
         # the conv output of the first f() call, whose tape ran backward
@@ -100,7 +107,7 @@ class TestOpGradients:
         def build(tape, ps):
             picked = ag.take_rows(ps[0], np.array([0, 2, 2, 1]))
             joined = ag.concat([picked, ps[1]], axis=1)
-            return ag.sum_all(ag.slice_cols(joined, 1, 5))
+            return sum_all(ag.slice_cols(joined, 1, 5))
 
         check_op(build, [((3, 4), 0.0), ((4, 3), 0.0)])
 
@@ -116,7 +123,7 @@ class TestOpGradients:
         def build(tape, ps):
             leaves.append(ps)
             outs = ag.attention(ps[0:2], ps[2:4], ps[4:6], heads=2)
-            return ag.sum_all(ag.mul(outs[0], ps[6]))  # stream 1's output unused
+            return sum_all(mul(outs[0], ps[6]))  # stream 1's output unused
 
         check_op(build, [((4, 6), 0.0), ((4, 2), 0.0)] * 3 + [((4, 6), 0.0)])
         # the first pass ran backward: stream 1's queries and keys steer the
@@ -126,14 +133,14 @@ class TestOpGradients:
 
     def test_dropout(self):
         check_op(
-            lambda tape, ps: ag.sum_all(ag.mul(ag.dropout(ps[0], 0.5), ps[1])),
+            lambda tape, ps: sum_all(mul(ag.dropout(ps[0], 0.5), ps[1])),
             [((4, 5), 0.0), ((4, 5), 0.0)],
             train=True,
         )
 
     def test_span_scores(self):
         check_op(
-            lambda tape, ps: ag.sum_all(ag.mul(ag.span_scores(*ps[:6]), ps[6])),
+            lambda tape, ps: sum_all(mul(ag.span_scores(*ps[:6]), ps[6])),
             [((5, 6), 0.0), ((6,), 0.0), ((6,), 1.0), ((6,), 0.5), ((6, 3), 0.0),
              ((3,), 0.0), ((10, 3), 0.0)],
             tol=1e-5,
@@ -144,7 +151,7 @@ class TestOpGradients:
 
         def build(tape, ps):
             outs.append(ag.span_scores(*ps[:6]))
-            return ag.sum_all(ag.mul(ps[0], ps[6]))  # the scores reach no loss
+            return sum_all(mul(ps[0], ps[6]))  # the scores reach no loss
 
         check_op(build, [((5, 6), 0.0), ((6,), 0.0), ((6,), 1.0), ((6,), 0.5),
                          ((6, 3), 0.0), ((3,), 0.0), ((5, 6), 0.0)])
@@ -157,7 +164,7 @@ class TestOpGradients:
         def f():
             tape = tape64()
             x = tape.watch(p)
-            return ag.sum_all(ag.mul(x, x))
+            return sum_all(mul(x, x))
 
         assert ag.grad_check(f, [p], h=1e-3) < 1e-6
 
@@ -215,9 +222,9 @@ class TestAttention:
             xs = [tape.constant(x) for x in inputs]
             n = len(widths)
             outs = op(xs[:n], xs[n : 2 * n], xs[2 * n :], heads)
-            loss = ag.sum_all(ag.mul(outs[0], tape.constant(weights[0])))
+            loss = sum_all(mul(outs[0], tape.constant(weights[0])))
             for out, w in zip(outs[1:], weights[1:]):
-                loss = ag.add(loss, ag.sum_all(ag.mul(out, tape.constant(w))))
+                loss = ag.add(loss, sum_all(mul(out, tape.constant(w))))
             tape.backward(loss)
             return [out.value for out in outs] + [x.grad for x in xs]
 
@@ -254,7 +261,7 @@ class TestSpanScores:
         tape = ag.Tape(dtype=dtype)
         xs = [tape.constant(x) for x in inputs]
         out = op(*xs)
-        tape.backward(ag.sum_all(ag.mul(out, tape.constant(weights))))
+        tape.backward(sum_all(mul(out, tape.constant(weights))))
         return [out.value] + [x.grad for x in xs]
 
     def assert_bit_identical(self, T, dtype, **sizes):
@@ -289,6 +296,52 @@ class TestSpanScores:
         assert list(ag._row_blocks(1)) == [(0, 1)]
 
 
+class TestLayerNorm:
+    """The affine ``ag.layer_norm`` against the plain layer norm, gain
+    product and bias ops it replaced."""
+
+    @staticmethod
+    def run(op, T, dtype, constant_rows, reaches_loss):
+        rng = np.random.default_rng(T)
+        x = (3.0 * rng.standard_normal((T, 12)) + 1.5).astype(dtype)
+        if constant_rows:
+            x[::2] = 0.25  # every other row constant: its std is sqrt(eps)
+        gain = (rng.standard_normal(12) + 1.0).astype(dtype)
+        bias = rng.standard_normal(12).astype(dtype)
+        weights = rng.standard_normal((T, 12)).astype(dtype)
+        tape = ag.Tape(dtype=dtype)
+        xs = [tape.constant(v) for v in (x, gain, bias)]
+        out = op(*xs)
+        # an output that reaches no loss leaves every input gradient unset
+        tape.backward(sum_all(mul(out if reaches_loss else xs[0], tape.constant(weights))))
+        assert (out.grad is None) != reaches_loss
+        return [out.value] + [v.grad for v in xs]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [1, 2, 40])
+    @pytest.mark.parametrize("constant_rows", [False, True])
+    @pytest.mark.parametrize("reaches_loss", [True, False])
+    def test_bit_identical_to_norm_gain_bias_chain(self, dtype, T, constant_rows, reaches_loss):
+        got = self.run(ag.layer_norm, T, dtype, constant_rows, reaches_loss)
+        want = self.run(chain_layer_norm, T, dtype, constant_rows, reaches_loss)
+        for i, (g, w) in enumerate(zip(got, want)):
+            if w is None:
+                assert g is None and not reaches_loss and i > 1, i
+                continue
+            assert g.dtype == w.dtype == dtype and g.shape == w.shape, i
+            assert g.tobytes() == w.tobytes(), i
+
+    def test_checks_shapes(self):
+        t = tape64()
+        x, v = t.constant(np.ones((3, 4))), t.constant(np.ones(4))
+        with pytest.raises(ShapeError, match="layer_norm"):
+            ag.layer_norm(x, t.constant(np.ones(3)), v)
+        with pytest.raises(ShapeError, match="layer_norm"):
+            ag.layer_norm(x, v, t.constant(np.ones((1, 4))))
+        with pytest.raises(ShapeError, match="layer_norm"):
+            ag.layer_norm(t.constant(np.ones(4)), v, v)
+
+
 class TestProsodyPooling:
     """The prosody CNN pools before it rectifies; relu is monotone, so this
     gives the bits of rectifying every frame and then pooling."""
@@ -308,7 +361,7 @@ class TestProsodyPooling:
             tape = ag.Tape(dtype=dtype)
             xs = [tape.constant(v) for v in (x, w, b)]
             out = pool(ag.conv1d(*xs), lengths)
-            tape.backward(ag.sum_all(ag.mul(out, tape.constant(weights))))
+            tape.backward(sum_all(mul(out, tape.constant(weights))))
             return [out.value] + [v.grad for v in xs]
 
         got = run(lambda conv, n: ag.relu(ag.max_pool_time(conv, n)))
@@ -339,7 +392,8 @@ class TestOpSemantics:
 
     def test_layer_norm_constant_rows_zero(self):
         t = tape64()
-        out = ag.layer_norm(t.constant(np.full((2, 5), 3.7)))
+        gain, bias = t.constant(np.full(5, 2.0)), t.constant(np.zeros(5))
+        out = ag.layer_norm(t.constant(np.full((2, 5), 3.7)), gain, bias)
         np.testing.assert_allclose(out.value, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -349,8 +403,9 @@ class TestOpSemantics:
         g = rng.standard_normal((37, 19)).astype(dtype)
         t = ag.Tape(dtype=dtype)
         x = t.constant(v)
-        out = ag.layer_norm(x)
-        loss = ag.sum_all(ag.mul(out, t.constant(g)))
+        # unit gain and zero bias leave the normalized rows' bits unchanged
+        out = ag.layer_norm(x, t.constant(np.ones(19, dtype)), t.constant(np.zeros(19, dtype)))
+        loss = sum_all(mul(out, t.constant(g)))
         t.backward(loss)
 
         v64 = v.astype(np.float64)
@@ -387,7 +442,7 @@ class TestOpSemantics:
         )
         out = ag.max_pool_time(x, [3, 2])
         np.testing.assert_array_equal(out.value, [[3.0], [2.0]])
-        t.backward(ag.sum_all(out))
+        t.backward(sum_all(out))
         np.testing.assert_array_equal(x.grad[:, :, 0], [[0, 1, 0, 0], [1, 0, 0, 0]])
 
     @pytest.mark.parametrize("lengths", [[0, 4], [4, 5], [4]])
@@ -432,14 +487,14 @@ class TestOpSemantics:
         p = ag.Parameter("w", np.ones((2, 2)))
         t = ag.Tape()
         w = t.watch(p)
-        loss = ag.sum_all(ag.mul(w, w))
+        loss = sum_all(mul(w, w))
         t.backward(loss)
         np.testing.assert_allclose(p.grad, 2.0)
 
     def test_non_recording_tape_keeps_nothing_and_cannot_backward(self):
         p = ag.Parameter("w", np.ones((2, 2)))
         t = ag.Tape(record=False)
-        loss = ag.sum_all(ag.mul(t.watch(p), t.watch(p)))
+        loss = sum_all(mul(t.watch(p), t.watch(p)))
         assert float(loss.value) == 4.0
         assert t._ops == [] and t.watch(p).grad is None
         with pytest.raises(NumericError, match="does not record"):
@@ -452,17 +507,17 @@ class TestOpSemantics:
         t = ag.Tape()
         a, b = t.watch(p), t.watch(p)
         assert a.grad is p.grad and b.grad is p.grad
-        t.backward(ag.sum_all(ag.mul(a, b)))  # one contribution per leaf
+        t.backward(sum_all(mul(a, b)))  # one contribution per leaf
         np.testing.assert_allclose(p.grad, 1.0 + 1.0 + 1.0)
 
         unrun = ag.Tape()
-        ag.sum_all(ag.mul(unrun.watch(p), unrun.watch(p)))
+        sum_all(mul(unrun.watch(p), unrun.watch(p)))
         unrun.release()
         np.testing.assert_allclose(p.grad, 3.0)
 
     def test_backward_scaled_seed(self):
         p = ag.Parameter("w", np.ones(3).reshape(1, 3))
         t = ag.Tape()
-        loss = ag.sum_all(t.watch(p))
+        loss = sum_all(t.watch(p))
         t.backward(loss, seed=0.5)
         np.testing.assert_allclose(p.grad, 0.5)

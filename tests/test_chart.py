@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import attached_scores
+from conftest import attached_scores, chain_layer_norm, mul, sum_all
 from prosoparse import autograd as ag
 from prosoparse._kernels import _cky_fill_loops, cky_fill_numba, cky_fill_numpy
 from prosoparse.chart import (
@@ -90,7 +90,7 @@ def eight_op_span_scores(proj, b1, gain, beta, w2, b2):
     then the second layer's matmul and add_bias."""
     starts, ends, _ = span_index(proj.value.shape[0] - 1)
     h = ag.add_bias(ag.sub(ag.take_rows(proj, ends), ag.take_rows(proj, starts)), b1)
-    h = ag.add_bias(ag.mul(ag.layer_norm(h), gain), beta)
+    h = chain_layer_norm(h, gain, beta)
     return ag.add_bias(ag.matmul(ag.relu(h), w2), b2)
 
 
@@ -418,7 +418,7 @@ class TestScoreSpans:
         def f():
             tape = ag.Tape(dtype=np.float64)
             scores = score_with(tape, fenceposts, scorer, T)
-            return ag.sum_all(ag.mul(scores.matrix, tape.constant(weights)))
+            return sum_all(mul(scores.matrix, tape.constant(weights)))
 
         params = [fenceposts, scorer.w1, scorer.b1, scorer.ln_gain, scorer.ln_bias]
         err = ag.grad_check(f, params, n_samples=40, h=1e-5)
@@ -449,7 +449,7 @@ class TestScoreSpans:
                 p.zero_grad()
             tape = ag.Tape(dtype=np.float64)
             out = op(*(tape.watch(p) for p in params))
-            tape.backward(ag.sum_all(ag.mul(out, tape.constant(weights))))
+            tape.backward(sum_all(mul(out, tape.constant(weights))))
             return [out.value] + [p.grad.copy() for p in params]
 
         got, want = run(ag.span_scores), run(eight_op_span_scores)

@@ -389,6 +389,24 @@ class TestCliWorkflow:
         ])
         assert rc == cli.EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [(b"(S (NN caf\xe9))\n", "not UTF-8"), (b"(S (NN a)) (S (NN b))\n", "holds 2 trees")],
+        ids=["not-utf8", "two-trees"],
+    )
+    def test_malformed_parse_input_is_data_error(self, cli_workspace, tmp_path, capsys,
+                                                 text, message):
+        ws = cli_workspace
+        bad = tmp_path / "input.trees"
+        bad.write_bytes(text)
+        rc = cli.main([
+            "parse", "--config", str(ws["config"]),
+            "--checkpoint", str(ws["root"] / "run1" / "seed1" / "best.ckpt"),
+            "--input", str(bad),
+        ])
+        assert rc == cli.EXIT_DATA
+        assert message in capsys.readouterr().err
+
     def test_jobs_and_seed_only_where_read(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["features", "--config", "x.yaml", "--jobs", "2"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mul, sum_all
 from prosoparse import autograd as ag
 from prosoparse.embeddings import (
     EmbeddingProvider,
@@ -118,7 +119,7 @@ class TestProviders:
         before = prov.table.value.copy()
         tape = ag.Tape()
         out = prov.embed(tape, "x", ["cat", "cat"])
-        loss = ag.sum_all(ag.mul(out, out))
+        loss = sum_all(mul(out, out))
         tape.backward(loss)
         prov.table.value -= 0.1 * prov.table.grad
         cat_row = prov.vocab.index_or_unk("cat")

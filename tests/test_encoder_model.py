@@ -1,3 +1,4 @@
+import collections
 import gc
 import json
 
@@ -340,6 +341,22 @@ class TestInference:
         tape.backward(loss)
         del tape, loss
         assert len(tape_refs) == 1 and tape_refs[0]() is None
+
+
+class TestTrainingTape:
+    def test_op_count_and_kinds_pinned(self, featurized_corpus):
+        # two layers of three streams, each stream norm one layer_norm op
+        model = build_tiny_model(featurized_corpus.sentences, dropout=0.1)
+        tape = ag.Tape(rng=np.random.default_rng(0), train=True, dtype=model.dtype)
+        model.sentence_loss(tape, featurized_corpus.sentences[0])
+        kinds = collections.Counter(fn.__qualname__.split(".")[0] for fn in tape._ops)
+        assert kinds == {
+            "add": 9, "add_bias": 6, "attention": 2, "concat": 15, "conv1d": 2,
+            "dropout": 8, "gather_sum": 2, "layer_norm": 12, "matmul": 31,
+            "max_pool_time": 2, "relu": 4, "slice_cols": 12, "span_scores": 1,
+            "sub": 1, "take_rows": 4,
+        }
+        assert len(tape._ops) == 111
 
 
 class TestCheckpoints:

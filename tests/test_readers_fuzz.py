@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prosoparse.cli import _read_parse_input
 from prosoparse.config import load_config
 from prosoparse.embeddings import load_vector_store, load_word_vectors
 from prosoparse.errors import ConfigError, DataError, FormatError
@@ -47,6 +48,11 @@ VALID = {
         b"dog 1e-3 0 2.5\n"
         b"caf\xc3\xa9 7 8 9\n"
     ),
+    "parse_input": (
+        b"(S (NP (PRP i)) (VP (VBP agree)))\n"
+        b"\n"
+        b"the/DT caf\xc3\xa9/NN opens a/b/NN\n"
+    ),
 }
 
 READERS = {
@@ -55,6 +61,7 @@ READERS = {
     "track": read_frame_track_file,
     "vector_store": load_vector_store,
     "word_vectors": load_word_vectors,
+    "parse_input": _read_parse_input,
 }
 
 # (kind, position, byte): kind 0 replaces, 1 inserts, 2 deletes
@@ -107,6 +114,12 @@ def test_mutated_file_parses_or_is_data_error(tmp_path_factory, name, edits):
     except DataError:
         pass
 
+
+def test_parse_input_line_of_two_trees_is_data_error(tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(b"(S (NN a))\n(S (NN a)) (S (NN b))\n")
+    with pytest.raises(DataError, match="line 2 holds 2 trees"):
+        _read_parse_input(path)
 
 
 VALID_CONFIG = b"""\

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import tiny_model_config
+from conftest import mul, sum_all, tiny_model_config
 from prosoparse import training
 from prosoparse.chart import MarginInfo
 from prosoparse.errors import ConfigError, DataError, TrainingDivergedError, VocabularyError
@@ -65,7 +65,7 @@ class TestAdam:
         for _ in range(600):
             p.zero_grad()
             t = ag.Tape()
-            loss = ag.sum_all(ag.mul(t.watch(p), t.watch(p)))
+            loss = sum_all(mul(t.watch(p), t.watch(p)))
             t.backward(loss)
             opt.step()
         assert abs(float(p.value[0, 0])) < 0.2

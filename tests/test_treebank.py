@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import recursive_spans_to_tree
 from prosoparse.errors import (
     CrossingSpanError,
     DataError,
@@ -172,6 +173,52 @@ class TestSpans:
             assert spans_to_tree(spans, sentence_of(t)) == t
             n_words = len(sentence_of(t))
             assert len(spans) <= 2 * n_words - 1 or n_words == 1
+
+    @staticmethod
+    def random_spans(rng, i):
+        """Spans over T leaves: every third case is a random tree's bracketing
+        plus up to two random spans, the others random spans under a root
+        that is sometimes missing.  In random order; every other case is a set."""
+        if i % 3 == 0:
+            tree = random_tree(rng, max_words=13)
+            T = len(sentence_of(tree))
+            spans = list(tree_to_spans(tree))
+            extra = int(rng.integers(0, 3))
+        else:
+            T = int(rng.integers(1, 14))
+            spans = [LabeledSpan(0, T, "S")] if rng.random() < 0.9 else []
+            extra = int(rng.integers(0, 2 * T + 1))
+        for _ in range(extra):
+            a = int(rng.integers(0, T))
+            b = int(rng.integers(a + 1, T + 1))
+            spans.append(LabeledSpan(a, b, ["S", "NP", "VP", ""][int(rng.integers(4))]))
+        spans = [spans[k] for k in rng.permutation(len(spans))]
+        return (set(spans) if i % 2 else spans), [(f"w{j}", "X") for j in range(T)]
+
+    @staticmethod
+    def outcome(build, spans, leaves):
+        try:
+            return build(spans, leaves)
+        except DataError as exc:
+            return type(exc), str(exc), getattr(exc, "span_a", None), getattr(exc, "span_b", None)
+
+    def test_same_trees_and_errors_as_recursive_build(self):
+        rng = np.random.default_rng(6)
+        kinds = Counter()
+        for i in range(3000):
+            spans, leaves = self.random_spans(rng, i)
+            got = self.outcome(spans_to_tree, spans, leaves)
+            want = self.outcome(recursive_spans_to_tree, spans, leaves)
+            if isinstance(want, tuple):
+                kinds[want[0].__name__] += 1
+                assert got == want, spans
+            else:
+                kinds["tree"] += 1
+                assert isinstance(got, InternalNode) and got == want, spans
+                assert got.linearize() == want.linearize()
+        # 1806 trees, 1090 crossings and 104 other data errors
+        assert set(kinds) == {"tree", "CrossingSpanError", "DataError"}
+        assert min(kinds.values()) > 100
 
     def test_random_serialization_round_trip(self):
         rng = np.random.default_rng(1)
