@@ -647,44 +647,3 @@ def check_finite(x, where):
     if not np.isfinite(x.value).all():
         raise NumericError(f"non-finite values in {where}")
     return x
-
-
-def grad_check(f, params, n_samples=50, h=1e-3, seed=0):
-    """Max relative error between reverse-mode and central finite differences.
-
-    ``f()`` must rebuild the forward pass deterministically (dropout off) and
-    return a scalar Var.  For each parameter at least ``n_samples`` random
-    coordinates are perturbed by ±h; use float64 parameters for tight
-    tolerances.  Coordinates where both gradients are ~0 are skipped, as are
-    ReLU-style kinks the caller avoids by construction.
-    """
-    rng = np.random.default_rng(seed)
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    loss = f()
-    loss.tape.backward(loss)
-    analytic = {p.name: p.grad.copy() for p in params}
-
-    worst = 0.0
-    for p in params:
-        flat = p.value.reshape(-1)
-        size = flat.shape[0]
-        if size <= n_samples:
-            coords = np.arange(size)
-        else:
-            coords = rng.choice(size, size=n_samples, replace=False)
-        ga = analytic[p.name].reshape(-1)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + h
-            lp = float(f().value)
-            flat[c] = orig - h
-            lm = float(f().value)
-            flat[c] = orig
-            gf = (lp - lm) / (2.0 * h)
-            scale = max(abs(ga[c]), abs(gf))
-            if scale < 1e-10:
-                continue
-            worst = max(worst, abs(ga[c] - gf) / scale)
-    return worst

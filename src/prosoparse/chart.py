@@ -243,12 +243,3 @@ def margin_loss(scores, gold_spans):
     neg = ag.gather_sum(scores.matrix, rows, cols) if rows else tape.constant(0.0)
     loss_var = ag.add(ag.sub(pos, neg), tape.constant(float(delta)))
     return loss_var, info
-
-
-def tree_score(scores, spans):
-    """Sum of the scores of the given non-empty labeled spans."""
-    total = 0.0
-    for s in spans:
-        row = scores.row_of[s.a, s.b]
-        total += float(scores.matrix.value[row, scores.vocab.index(s.label)])
-    return float(total)

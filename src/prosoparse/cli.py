@@ -143,7 +143,7 @@ def _load_corpora(cfg):
 # subcommands
 
 def cmd_features(cfg, args):
-    validate_paths(cfg, need=("train", "dev", "test"))
+    validate_paths(cfg, need=("train", "dev", "test", "prosody"))
     if not (cfg.data.alignments and cfg.data.frame_tracks):
         raise ConfigError("features needs data.alignments and data.frame_tracks")
     corpora, dev, test = _load_corpora(cfg)
@@ -154,7 +154,11 @@ def cmd_features(cfg, args):
 
 
 def cmd_train(cfg, args):
-    validate_paths(cfg, need=("train", "dev", "test"))
+    validate_paths(
+        cfg,
+        need=("train", "dev", "test", "prosody", "embedding"),
+        flags=[("--fine-tune-from", args.fine_tune_from)],
+    )
     if not cfg.data.dev_trees:
         raise ConfigError("train needs data.dev_trees for early stopping")
     if cfg.uses_prosody() and not (
@@ -278,6 +282,11 @@ def _match_alignment_ids(sentences, alignments):
 
 
 def cmd_parse(cfg, args):
+    validate_paths(
+        cfg,
+        need=("prosody", "embedding"),
+        flags=[("--checkpoint", args.checkpoint), ("--input", args.input)],
+    )
     model, _ = ParserModel.load(args.checkpoint, store=_store_for(cfg))
     sentences = _read_parse_input(args.input)
     if model.uses_prosody:
@@ -296,6 +305,7 @@ def cmd_parse(cfg, args):
 
 
 def cmd_evaluate(cfg, args):
+    validate_paths(cfg, flags=[("--gold", args.gold), ("--pred", args.pred)])
     gold = read_tree_file(args.gold)
     pred = read_tree_file(args.pred)
     report = ev.parseval(gold, pred, delete_punctuation=cfg.eval.delete_punctuation)
@@ -312,6 +322,10 @@ def cmd_evaluate(cfg, args):
 
 
 def cmd_significance(cfg, args):
+    validate_paths(
+        cfg,
+        flags=[("--gold", args.gold), ("--pred-a", args.pred_a), ("--pred-b", args.pred_b)],
+    )
     gold = read_tree_file(args.gold)
     pred_a = read_tree_file(args.pred_a)
     pred_b = read_tree_file(args.pred_b)

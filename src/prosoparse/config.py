@@ -150,27 +150,33 @@ def _validate(cfg):
         raise ConfigError("embedding mode 'finetuned' needs data.word_vectors")
 
 
-def validate_paths(cfg, need=("train", "dev")):
-    """Check referenced input files exist before any compute starts."""
-    checks = []
+def validate_paths(cfg, need=(), flags=()):
+    """Check that the input files a command opens exist, before any compute.
+
+    ``need`` names what the command reads: tree splits ("train", "dev",
+    "test"), "prosody" for the alignments and frame tracks, and "embedding"
+    for the pretrained vector files.  ``flags`` holds (flag, path) pairs
+    from the command line; an empty path is a flag left unset.
+    """
+    checks = list(flags)
     if "train" in need:
         checks += [("data.train_trees", p) for p in cfg.data.train_trees]
         if not cfg.data.train_trees:
             raise ConfigError("data.train_trees is required for this command")
-    if "dev" in need and cfg.data.dev_trees:
-        checks.append(("data.dev_trees", cfg.data.dev_trees))
-    if "test" in need and cfg.data.test_trees:
-        checks.append(("data.test_trees", cfg.data.test_trees))
-    if cfg.data.alignments:
-        checks.append(("data.alignments", cfg.data.alignments))
-    if cfg.data.frame_tracks:
-        checks.append(("data.frame_tracks", cfg.data.frame_tracks))
-    if cfg.data.vector_store:
-        checks.append(("data.vector_store", cfg.data.vector_store))
-    if cfg.data.word_vectors:
-        checks.append(("data.word_vectors", cfg.data.word_vectors))
+    for split in ("dev", "test"):
+        if split in need:
+            checks.append((f"data.{split}_trees", getattr(cfg.data, f"{split}_trees")))
+    if "prosody" in need:
+        checks += [(f"data.{k}", getattr(cfg.data, k)) for k in ("alignments", "frame_tracks")]
+    if "embedding" in need:
+        checks += [(f"data.{k}", getattr(cfg.data, k)) for k in ("vector_store", "word_vectors")]
+        # what the embedding mode opens; model.embedding can set it apart from data
+        if cfg.embedding.mode == "frozen":
+            checks.append(("model.embedding.store_path", cfg.embedding.store_path))
+        if cfg.embedding.mode == "finetuned":
+            checks.append(("model.embedding.vectors_path", cfg.embedding.vectors_path))
     for name, path in checks:
-        if not os.path.exists(path):
+        if path and not os.path.exists(path):
             raise ConfigError(f"{name}: path does not exist: {path}")
 
 

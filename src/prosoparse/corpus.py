@@ -1,9 +1,11 @@
 """Sentence records: trees, tokens, and per-word prosodic inputs.
 
 Featurization runs corpus-wide in one sequential pass (duration statistics,
-per-speaker track normalization), then per sentence.  The result can be
-cached to a tensor file keyed by a content hash of the inputs, so repeated
-training runs across seeds skip recomputation.
+per-speaker track normalization), then per sentence.  A sentence's word
+frame patches are packed end to end in ``ProsodyInputs``, and the feature
+cache stores those arrays as they are, in a tensor file keyed by a content
+hash of the inputs, so repeated training runs across seeds skip
+recomputation.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import prosody as pros
-from .encoder import N_DURATION_SCALARS, ProsodyInputs
+from .encoder import ProsodyInputs
 from .errors import AlignmentError, DataError, FormatError
-from .prosody import DurationStats, FramePatch
+from .prosody import DurationStats
 from .tensorfile import read_tensors, write_tensors
 from .treebank import sentence_of, tree_to_spans
 
@@ -105,15 +107,17 @@ def featurize(
                 f"sentence {sent.sentence_id!r}: no frame track for speaker {speaker!r}"
             )
         pd_list = pros.compute_pause_duration(alis, stats)
-        patches = [
-            pros.extract_frame_patch(track, ali, context_s, max_frames) for ali in alis
-        ]
+        frames, masks = zip(
+            *(pros.extract_frame_patch(track, ali, context_s, max_frames) for ali in alis)
+        )
         sent.speaker_id = speaker
         sent.prosody = ProsodyInputs(
             pause_before=np.array([p.pause_before_bucket for p in pd_list], np.int64),
             pause_after=np.array([p.pause_after_bucket for p in pd_list], np.int64),
             duration_scalars=_duration_scalars(pd_list),
-            patches=patches,
+            frames=np.concatenate(frames),
+            mask=np.concatenate(masks),
+            patch_lens=np.array([len(m) for m in masks], np.int64),
         )
     return warnings
 
@@ -129,60 +133,29 @@ def content_hash(paths, extra=""):
     return h.hexdigest()
 
 
+# cache tensor suffix -> ProsodyInputs field, in the order the cache stores them
+_CACHE_FIELDS = {
+    "pause_before": "pause_before",
+    "pause_after": "pause_after",
+    "dur": "duration_scalars",
+    "frames": "frames",
+    "mask": "mask",
+    "patch_lens": "patch_lens",
+}
+
+
 def save_feature_cache(path, sentences, meta=None):
     tensors = {}
     ids = []
     for sent in sentences:
         if sent.prosody is None:
             raise DataError(f"sentence {sent.sentence_id!r} has no features to cache")
-        p = sent.prosody
-        sid = sent.sentence_id
-        ids.append(sid)
-        frames = np.concatenate([pt.frames for pt in p.patches], axis=0)
-        mask = np.concatenate([pt.word_interior_mask for pt in p.patches])
-        lens = np.array([pt.n_frames for pt in p.patches], dtype=np.int64)
-        tensors[f"{sid}.pause_before"] = p.pause_before
-        tensors[f"{sid}.pause_after"] = p.pause_after
-        tensors[f"{sid}.dur"] = p.duration_scalars
-        tensors[f"{sid}.frames"] = frames
-        tensors[f"{sid}.mask"] = mask
-        tensors[f"{sid}.patch_lens"] = lens
+        ids.append(sent.sentence_id)
+        for key, field in _CACHE_FIELDS.items():
+            tensors[f"{sent.sentence_id}.{key}"] = getattr(sent.prosody, field)
     meta = dict(meta or {})
     meta["sentence_ids"] = ids
     write_tensors(path, tensors, meta)
-
-
-_CACHE_TENSORS = ("pause_before", "pause_after", "dur", "frames", "mask", "patch_lens")
-
-
-def _cached_prosody(where, arrays):
-    """ProsodyInputs from one sentence's cache arrays; FormatError if they disagree."""
-    lens, frames, mask = arrays["patch_lens"], arrays["frames"], arrays["mask"]
-    if lens.ndim != 1 or lens.dtype.kind != "i" or (lens < 1).any():
-        raise FormatError(f"{where}: patch_lens are not positive frame counts")
-    if frames.ndim != 2 or mask.ndim != 1 or not lens.sum() == len(frames) == len(mask):
-        raise FormatError(
-            f"{where}: patch_lens sum to {lens.sum()} but frames have shape "
-            f"{frames.shape} and mask {mask.shape}"
-        )
-    T = len(lens)
-    if arrays["pause_before"].shape != (T,) or arrays["pause_after"].shape != (T,):
-        raise FormatError(f"{where}: pause arrays do not hold {T} words")
-    if arrays["dur"].shape != (T, N_DURATION_SCALARS):
-        raise FormatError(f"{where}: bad duration block")
-    patches = []
-    off = 0
-    for n in lens:
-        patches.append(
-            FramePatch(frames=frames[off : off + n], word_interior_mask=mask[off : off + n])
-        )
-        off += int(n)
-    return ProsodyInputs(
-        pause_before=arrays["pause_before"],
-        pause_after=arrays["pause_after"],
-        duration_scalars=arrays["dur"].astype(np.float32),
-        patches=patches,
-    )
 
 
 def load_feature_cache(path, sentences):
@@ -200,9 +173,13 @@ def load_feature_cache(path, sentences):
         sent = by_id.get(sid)
         if sent is None:
             continue
-        missing = [k for k in _CACHE_TENSORS if f"{sid}.{k}" not in tensors]
+        missing = [k for k in _CACHE_FIELDS if f"{sid}.{k}" not in tensors]
         if missing:
             raise FormatError(f"{path}: sentence {sid!r} lacks tensors {missing}")
-        arrays = {k: tensors[f"{sid}.{k}"] for k in _CACHE_TENSORS}
-        sent.prosody = _cached_prosody(f"{path}: sentence {sid!r}", arrays)
+        try:
+            sent.prosody = ProsodyInputs(
+                **{field: tensors[f"{sid}.{key}"] for key, field in _CACHE_FIELDS.items()}
+            )
+        except DataError as exc:
+            raise FormatError(f"{path}: sentence {sid!r}: {exc}") from None
     return meta

@@ -79,9 +79,13 @@ def _count(path, lineno, what, text):
 
 def _vector(path, lineno, fields):
     try:
-        return np.array(fields, dtype=np.float32)
+        with np.errstate(over="ignore"):  # an overflow shows as inf below
+            vec = np.array(fields, dtype=np.float32)
     except ValueError:
         raise FormatError(f"{path}:{lineno}: non-numeric vector value") from None
+    if not np.isfinite(vec).all():
+        raise FormatError(f"{path}:{lineno}: vector value is not a finite float32")
+    return vec
 
 
 def load_vector_store(path):
@@ -122,16 +126,6 @@ def load_vector_store(path):
         store.sentences[sid] = np.stack(rows) if rows else np.zeros((0, dim), np.float32)
         i += 1 + t
     return store
-
-
-def write_vector_store(path, store):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"dim={store.dim} producer={store.producer or 'unknown'}\n")
-        for sid, mat in store.sentences.items():
-            fh.write(f"sentence {sid} {mat.shape[0]}\n")
-            for row in mat:
-                fh.write(" ".join(f"{x:.6f}" for x in row))
-                fh.write("\n")
 
 
 def load_word_vectors(path):

@@ -12,6 +12,10 @@ so that a model whose prosody pathway is zeroed is numerically identical to
 a narrower text-only model with the same remaining weights; each stream norm
 is one affine ``layer_norm`` op with its own gain and bias.
 
+The prosody CNN reads a sentence's frame patches packed end to end
+(``ProsodyInputs``), scattered into one zero-padded [T, longest patch, 3]
+array.
+
 Word outputs are split into forward/backward halves per stream to build
 fencepost (word boundary) vectors, with learned sentinel halves at the
 sentence edges.
@@ -111,20 +115,37 @@ class EncoderConfig:
 
 @dataclass
 class ProsodyInputs:
-    """Per-word prosodic inputs for one sentence."""
+    """Per-word prosodic inputs for one sentence.
+
+    The words' energy/f0 frame patches are packed end to end: word i owns
+    ``patch_lens[i]`` consecutive rows of ``frames`` and ``mask``, starting
+    after the rows of words 0..i-1.  This is also the feature-cache layout.
+    """
 
     pause_before: np.ndarray  # [T] bucket ids
     pause_after: np.ndarray  # [T] bucket ids
     duration_scalars: np.ndarray  # [T, 2]: duration_norm, log1p(duration_raw)
-    patches: list  # [T] FramePatch
+    frames: np.ndarray  # [N, 2] float32: energy, f0
+    mask: np.ndarray  # [N] bool: the frame lies inside its word
+    patch_lens: np.ndarray  # [T] int64 frames per word; N = patch_lens.sum()
 
     def __post_init__(self):
-        T = len(self.patches)
-        if not (
-            len(self.pause_before) == len(self.pause_after) == T
-            and self.duration_scalars.shape == (T, N_DURATION_SCALARS)
-        ):
-            raise DataError("prosody inputs disagree on sentence length")
+        self.duration_scalars = np.asarray(self.duration_scalars, dtype=np.float32)
+        self.frames = np.asarray(self.frames, dtype=np.float32)
+        self.mask = np.asarray(self.mask, dtype=bool)
+        lens, frames, mask = self.patch_lens, self.frames, self.mask
+        if lens.ndim != 1 or lens.dtype.kind != "i" or (lens < 1).any():
+            raise DataError("patch_lens are not positive frame counts")
+        if frames.shape != (lens.sum(), 2) or mask.shape != (lens.sum(),):
+            raise DataError(
+                f"patch_lens sum to {lens.sum()} but frames have shape "
+                f"{frames.shape} and mask {mask.shape}"
+            )
+        T = len(lens)
+        if self.pause_before.shape != (T,) or self.pause_after.shape != (T,):
+            raise DataError(f"pause arrays do not hold {T} words")
+        if self.duration_scalars.shape != (T, N_DURATION_SCALARS):
+            raise DataError("bad duration block")
 
 
 @dataclass
@@ -269,29 +290,35 @@ class Encoder:
     # ------------------------------------------------------------------
     # prosodic feature sub-networks
 
-    def prosody_cnn(self, tape, patches):
+    def prosody_cnn(self, tape, prosody):
         """CNN summaries of the words' frame patches: [T x widths*filters].
 
         Energy, f0 and the word-interior mask enter as three channels.  The
-        T patches are zero-padded at their end to the longest one, so each
-        filter width is one convolution (same padding), max-pool over time
-        and rectification for the whole sentence.  relu is monotone, so
-        pooling before rectifying gives the values and gradients of pooling
-        the rectified frames, on T rows instead of every frame.  Each word
-        pools over its own frames only, and the zero padding is exactly its
-        per-word same padding, so its row equals what its patch gives alone.
-        The per-width outputs are concatenated in ascending width order.
+        packed patches are scattered into a [T, longest patch] array, each
+        zero-padded at its end, so each filter width is one convolution
+        (same padding), max-pool over time and rectification for the whole
+        sentence.  relu is monotone, so pooling before rectifying gives the
+        values and gradients of pooling the rectified frames, on T rows
+        instead of every frame.  Each word pools over its own frames only,
+        and the zero padding is exactly its per-word same padding, so its row
+        equals what its patch gives alone.  The per-width outputs are
+        concatenated in ascending width order.
         """
-        lengths = np.array([p.n_frames for p in patches], dtype=np.int64)
-        x = np.zeros((len(patches), lengths.max(), CNN_IN_CHANNELS), dtype=tape.dtype)
-        for i, p in enumerate(patches):
-            x[i, : p.n_frames, :2] = p.frames
-            x[i, : p.n_frames, 2] = p.word_interior_mask
+        lens = prosody.patch_lens
+        width = lens.max()
+        # packed row r of word w lands at padded row w*width + (r - first row of w)
+        rows = np.arange(len(prosody.mask)) + np.repeat(
+            np.arange(len(lens)) * width - (np.cumsum(lens) - lens), lens
+        )
+        x = np.zeros((len(lens), width, CNN_IN_CHANNELS), dtype=tape.dtype)
+        flat = x.reshape(-1, CNN_IN_CHANNELS)
+        flat[rows, :2] = prosody.frames
+        flat[rows, 2] = prosody.mask
         x_var = tape.constant(x)
         pieces = []
         for wmat, bias in self.cnn_filters:
             conv = ag.conv1d(x_var, tape.watch(wmat), tape.watch(bias))
-            pieces.append(ag.relu(ag.max_pool_time(conv, lengths)))
+            pieces.append(ag.relu(ag.max_pool_time(conv, lens)))
         return ag.concat(pieces, axis=1)
 
     def phi_matrix(self, tape, prosody):
@@ -303,7 +330,7 @@ class Encoder:
 
     def prosody_stream(self, tape, prosody):
         phi = self.phi_matrix(tape, prosody)
-        joint = ag.concat([phi, self.prosody_cnn(tape, prosody.patches)], axis=1)
+        joint = ag.concat([phi, self.prosody_cnn(tape, prosody)], axis=1)
         return ag.add_bias(
             ag.matmul(joint, tape.watch(self.w_prosody)), tape.watch(self.b_prosody)
         )

@@ -89,10 +89,10 @@ class ParserModel:
                     f"sentence {sent.sentence_id!r} has no prosodic features but "
                     "the model expects them"
                 )
-            if len(prosody.patches) != len(sent.tokens):
+            if len(prosody.patch_lens) != len(sent.tokens):
                 raise AlignmentError(
                     f"sentence {sent.sentence_id!r}: prosodic features cover "
-                    f"{len(prosody.patches)} words for {len(sent.tokens)} tokens"
+                    f"{len(prosody.patch_lens)} words for {len(sent.tokens)} tokens"
                 )
         encoded = self.encoder.encode(tape, e, prosody)
         return score_spans(tape, encoded, self.scorer, self.label_vocab)

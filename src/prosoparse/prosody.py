@@ -2,8 +2,10 @@
 
 Raw audio never enters the package: alignments and 10 ms frame tracks are
 ingested from files.  This module turns them into (a) bucketed pause and
-normalized duration features per word and (b) fixed-size energy/f0 frame
-patches around each word for the convolutional feature extractor.
+normalized duration features per word and (b) an energy/f0 frame patch
+around each word, with a mask of the frames inside the word, for the
+convolutional feature extractor.  ``corpus.featurize`` packs a sentence's
+patches end to end into ``encoder.ProsodyInputs``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ DEFAULT_MAX_FRAMES = 100
 PAUSE_BUCKET_EDGES = (0.0, 0.05, 0.2, 1.0, 2.0)
 N_PAUSE_BUCKETS = len(PAUSE_BUCKET_EDGES) + 1
 SIGMA_FLOOR = 1e-6
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class WordAlignment:
     speaker_id: str = ""
 
     def __post_init__(self):
-        if not (self.end > self.start >= 0.0):
+        if not (math.isfinite(self.end) and self.end > self.start >= 0.0):
             raise DataError(
                 f"bad alignment for {self.word!r}: [{self.start}, {self.end}]"
             )
@@ -76,26 +79,6 @@ class PauseDuration:
     pause_after_bucket: int
     duration_norm: float
     duration_raw: float
-
-
-@dataclass
-class FramePatch:
-    frames: np.ndarray  # [n_frames, 2]: energy, f0 columns
-    word_interior_mask: np.ndarray  # [n_frames] bool
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float32)
-        self.word_interior_mask = np.asarray(self.word_interior_mask, dtype=bool)
-        if self.frames.ndim != 2 or self.frames.shape[1] != 2:
-            raise DataError(f"patch must be [n_frames, 2], got {self.frames.shape}")
-        if len(self.word_interior_mask) != len(self.frames):
-            raise DataError("mask length does not match frame count")
-        if len(self.frames) < 1:
-            raise DataError("patch has no frames")
-
-    @property
-    def n_frames(self):
-        return len(self.frames)
 
 
 def pause_bucket(gap_s):
@@ -177,9 +160,12 @@ def extract_frame_patch(
     context_s=DEFAULT_CONTEXT_S,
     max_frames=DEFAULT_MAX_FRAMES,
 ):
-    """Energy/f0 frames for a word plus symmetric context, zero-padded at
-    track edges and center-cropped around the word midpoint when longer
-    than ``max_frames``."""
+    """(frames [n, 2], mask [n]) for a word plus symmetric context.
+
+    The energy/f0 frames are zero-padded at track edges and center-cropped
+    around the word midpoint when longer than ``max_frames``; the mask marks
+    the frames inside the word.
+    """
     if alignment.end <= track.start_time or alignment.start >= track.end_time:
         raise AlignmentError(
             f"word {alignment.word!r} [{alignment.start}, {alignment.end}] "
@@ -197,7 +183,6 @@ def extract_frame_patch(
         n = max_frames
 
     frames = np.zeros((n, 2), dtype=np.float32)
-    mask = np.zeros(n, dtype=bool)
     src_lo = max(first, 0)
     src_hi = min(first + n, track.n_frames)
     if src_lo < src_hi:
@@ -205,8 +190,7 @@ def extract_frame_patch(
         frames[dst_lo : dst_lo + (src_hi - src_lo), 0] = track.energy[src_lo:src_hi]
         frames[dst_lo : dst_lo + (src_hi - src_lo), 1] = track.f0[src_lo:src_hi]
     times = track.start_time + (first + np.arange(n)) * fp
-    mask[:] = (times >= alignment.start) & (times < alignment.end)
-    return FramePatch(frames=frames, word_interior_mask=mask)
+    return frames, (times >= alignment.start) & (times < alignment.end)
 
 
 def normalize_speaker(tracks):
@@ -291,7 +275,7 @@ def read_frame_track_file(path):
         expected = ["time_s", "energy", "f0"]
         if [h.strip() for h in header] != expected:
             raise FormatError(f"{path}: expected header {expected}, got {header}")
-        times, energy, f0 = [], [], []
+        times, energy, f0, linenos = [], [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -303,8 +287,15 @@ def read_frame_track_file(path):
                 f0.append(float(row[2]))
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            linenos.append(lineno)
     if not times:
         raise FormatError(f"{path}: no frames")
+    columns = np.array([times, energy, f0])
+    # not (|v| <= max) also holds for nan
+    bad = ~(np.abs(columns) <= FLOAT32_MAX).all(axis=0)
+    if bad.any():
+        raise FormatError(f"{path}:{linenos[bad.argmax()]}: value is not a finite float32")
+    times, energy, f0 = columns
     if len(times) == 1:
         period = DEFAULT_FRAME_PERIOD
     else:
@@ -314,12 +305,7 @@ def read_frame_track_file(path):
             float(diffs.max()), float(diffs.min()), rel_tol=0.05, abs_tol=1e-4
         ):
             raise FormatError(f"{path}: frame times are not evenly spaced")
-    return FrameTrack(
-        energy=np.array(energy, dtype=np.float32),
-        f0=np.array(f0, dtype=np.float32),
-        frame_period=period,
-        start_time=times[0],
-    )
+    return FrameTrack(energy=energy, f0=f0, frame_period=period, start_time=float(times[0]))
 
 
 def write_frame_track_file(path, track):

@@ -24,7 +24,6 @@ import numpy as np
 
 from .prosody import FrameTrack, WordAlignment, write_alignment_file, write_frame_track_file
 from .corpus import sentences_from_trees
-from .embeddings import VectorStore
 from .treebank import InternalNode, LeafNode, parse_ptb, write_tree_file
 
 WORD_DUR = (0.18, 0.32)
@@ -261,17 +260,6 @@ def _attach_audio(data, rng, n_speakers, speaker_prefix, cue_bits=None):
             frame_period=FRAME_PERIOD,
             start_time=0.0,
         )
-
-
-def synthetic_vector_store(sentences, dim=16, seed=7):
-    """Deterministic per-sentence random vectors (frozen-mode stand-in)."""
-    store = VectorStore(dim=dim, producer="synthetic")
-    for sent in sentences:
-        rng = np.random.default_rng((seed, zlib.crc32(sent.sentence_id.encode())))
-        store.sentences[sent.sentence_id] = rng.standard_normal(
-            (len(sent), dim)
-        ).astype(np.float32)
-    return store
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import gc
 import os
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import prosoparse
 from prosoparse import autograd as ag
 from prosoparse.chart import SpanScores, span_index
 from prosoparse.corpus import featurize
-from prosoparse.embeddings import EmbeddingProvider
+from prosoparse.embeddings import EmbeddingProvider, VectorStore
 from prosoparse.encoder import CnnConfig, EncoderConfig
 from prosoparse.errors import CrossingSpanError, DataError, ShapeError
 from prosoparse.model import ModelConfig, ParserModel
@@ -93,6 +94,50 @@ def sum_all(x):
 
     x.tape._record(bwd)
     return out
+
+
+# The finite-difference gradient check every op's backward is held to.
+
+
+def grad_check(f, params, n_samples=50, h=1e-3, seed=0):
+    """Max relative error between reverse-mode and central finite differences.
+
+    ``f()`` must rebuild the forward pass deterministically (dropout off) and
+    return a scalar Var.  For each parameter at least ``n_samples`` random
+    coordinates are perturbed by ±h; use float64 parameters for tight
+    tolerances.  Coordinates where both gradients are ~0 are skipped, as are
+    ReLU-style kinks the caller avoids by construction.
+    """
+    rng = np.random.default_rng(seed)
+    params = list(params)
+    for p in params:
+        p.zero_grad()
+    loss = f()
+    loss.tape.backward(loss)
+    analytic = {p.name: p.grad.copy() for p in params}
+
+    worst = 0.0
+    for p in params:
+        flat = p.value.reshape(-1)
+        size = flat.shape[0]
+        if size <= n_samples:
+            coords = np.arange(size)
+        else:
+            coords = rng.choice(size, size=n_samples, replace=False)
+        ga = analytic[p.name].reshape(-1)
+        for c in coords:
+            orig = flat[c]
+            flat[c] = orig + h
+            lp = float(f().value)
+            flat[c] = orig - h
+            lm = float(f().value)
+            flat[c] = orig
+            gf = (lp - lm) / (2.0 * h)
+            scale = max(abs(ga[c]), abs(gf))
+            if scale < 1e-10:
+                continue
+            worst = max(worst, abs(ga[c] - gf) / scale)
+    return worst
 
 
 # The affine layer norm as the chain of three tape ops that ``ag.layer_norm``
@@ -306,6 +351,19 @@ def attached_scores(dense, vocab):
     return SpanScores(vocab=vocab, n_words=T, matrix=matrix, row_of=row_of)
 
 
+# The total score of a tree's spans, summed cell by cell: the oracle of
+# a decode's ``total_score``.
+
+
+def tree_score(scores, spans):
+    """Sum of the scores of the given non-empty labeled spans."""
+    total = 0.0
+    for s in spans:
+        row = scores.row_of[s.a, s.b]
+        total += float(scores.matrix.value[row, scores.vocab.index(s.label)])
+    return float(total)
+
+
 # ``spans_to_tree`` as it was when each node copied the spans inside it and
 # recursed per level: the oracle of the one-pass stack build.
 
@@ -363,6 +421,31 @@ def _children(a, b, inner, leaf_nodes, merged):
             children.append(leaf_nodes[pos])
             pos += 1
     return children
+
+
+# Frozen-mode vector stores: deterministic per-sentence vectors, and the
+# text format ``embeddings.load_vector_store`` reads.
+
+
+def synthetic_vector_store(sentences, dim=16, seed=7):
+    """Deterministic per-sentence random vectors (frozen-mode stand-in)."""
+    store = VectorStore(dim=dim, producer="synthetic")
+    for sent in sentences:
+        rng = np.random.default_rng((seed, zlib.crc32(sent.sentence_id.encode())))
+        store.sentences[sent.sentence_id] = rng.standard_normal(
+            (len(sent), dim)
+        ).astype(np.float32)
+    return store
+
+
+def write_vector_store(path, store):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"dim={store.dim} producer={store.producer or 'unknown'}\n")
+        for sid, mat in store.sentences.items():
+            fh.write(f"sentence {sid} {mat.shape[0]}\n")
+            for row in mat:
+                fh.write(" ".join(f"{x:.6f}" for x in row))
+                fh.write("\n")
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import attached_scores, build_tiny_model, tiny_model_config
+from conftest import attached_scores, build_tiny_model, grad_check, tiny_model_config
 from prosoparse import autograd as ag
 from prosoparse.chart import cky_decode, margin_loss
 from prosoparse.corpus import featurize
@@ -114,7 +114,7 @@ def test_criterion_2_gradient_fidelity():
             loss, _ = margin_loss(scores, sent.gold_spans)
             return loss
 
-        err = ag.grad_check(f, params, n_samples=50, h=1e-5)
+        err = grad_check(f, params, n_samples=50, h=1e-5)
         assert err < 1e-3, f"max relative gradient error {err:.2e}"
 
 

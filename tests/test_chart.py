@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import attached_scores, chain_layer_norm, mul, sum_all
+from conftest import attached_scores, chain_layer_norm, grad_check, mul, sum_all, tree_score
 from prosoparse import autograd as ag
 from prosoparse._kernels import _cky_fill_loops, cky_fill_numba, cky_fill_numpy
 from prosoparse.chart import (
@@ -15,7 +15,6 @@ from prosoparse.chart import (
     margin_loss,
     score_spans,
     span_index,
-    tree_score,
 )
 from prosoparse.encoder import EncodedSentence
 from prosoparse.errors import CrossingSpanError, DataError, ShapeError
@@ -421,7 +420,7 @@ class TestScoreSpans:
             return sum_all(mul(scores.matrix, tape.constant(weights)))
 
         params = [fenceposts, scorer.w1, scorer.b1, scorer.ln_gain, scorer.ln_bias]
-        err = ag.grad_check(f, params, n_samples=40, h=1e-5)
+        err = grad_check(f, params, n_samples=40, h=1e-5)
         assert err < 1e-5, f"gradient error {err}"
 
     @pytest.mark.parametrize("T", [1, 2, 7, 40])

@@ -9,7 +9,12 @@ from prosoparse import cli
 from prosoparse import corpus as corpus_mod
 from prosoparse.corpus import content_hash, load_feature_cache, save_feature_cache
 from prosoparse.errors import FormatError
-from prosoparse.prosody import read_frame_track_file, write_frame_track_file
+from prosoparse.prosody import (
+    extract_frame_patch,
+    normalize_speaker,
+    read_frame_track_file,
+    write_frame_track_file,
+)
 from prosoparse.synthdata import overfit_corpus, write_corpus
 from prosoparse.tensorfile import read_tensors, write_tensors
 from prosoparse.treebank import read_tree_file, write_tree_file
@@ -60,7 +65,8 @@ class TestFeaturize:
         for sent in featurized_corpus.sentences:
             p = sent.prosody
             assert p is not None
-            assert len(p.patches) == len(sent)
+            assert len(p.patch_lens) == len(sent)
+            assert p.frames.shape == (p.patch_lens.sum(), 2)
             assert p.duration_scalars.shape == (len(sent), 2)
 
     def test_cache_round_trip(self, featurized_corpus, tmp_path):
@@ -72,10 +78,42 @@ class TestFeaturize:
         meta = load_feature_cache(path, stripped)
         assert meta["content_hash"] == "h"
         for a, b in zip(sents, stripped):
-            np.testing.assert_array_equal(a.prosody.pause_before, b.prosody.pause_before)
-            np.testing.assert_array_equal(
-                a.prosody.patches[0].frames, b.prosody.patches[0].frames
-            )
+            for field in ("pause_before", "frames", "mask", "patch_lens"):
+                np.testing.assert_array_equal(
+                    getattr(a.prosody, field), getattr(b.prosody, field)
+                )
+
+    def test_cache_of_per_word_patches_loads_unchanged(self, featurized_corpus, tmp_path):
+        # a cache as written when each word's patch was a separate array: the
+        # patches concatenated on save, with one frame count per patch
+        data = featurized_corpus
+        tracks, _ = normalize_speaker(data.tracks)
+        tensors = {}
+        for sent in data.sentences:
+            sid, p = sent.sentence_id, sent.prosody
+            patches = [
+                extract_frame_patch(tracks[sent.speaker_id], ali)
+                for ali in data.alignments[sid]
+            ]
+            tensors[f"{sid}.pause_before"] = p.pause_before
+            tensors[f"{sid}.pause_after"] = p.pause_after
+            tensors[f"{sid}.dur"] = p.duration_scalars
+            tensors[f"{sid}.frames"] = np.concatenate([f for f, _ in patches], axis=0)
+            tensors[f"{sid}.mask"] = np.concatenate([m for _, m in patches])
+            tensors[f"{sid}.patch_lens"] = np.array([len(f) for f, _ in patches], np.int64)
+        old, new = tmp_path / "old.bin", tmp_path / "new.bin"
+        ids = [s.sentence_id for s in data.sentences]
+        write_tensors(old, tensors, {"content_hash": "h", "sentence_ids": ids})
+        save_feature_cache(new, data.sentences, meta={"content_hash": "h"})
+        assert old.read_bytes() == new.read_bytes()
+        stripped = [type(s)(sentence_id=s.sentence_id, tokens=s.tokens) for s in data.sentences]
+        load_feature_cache(old, stripped)
+        for a, b in zip(data.sentences, stripped):
+            for field in ("pause_before", "pause_after", "duration_scalars", "frames",
+                          "mask", "patch_lens"):
+                want, got = getattr(a.prosody, field), getattr(b.prosody, field)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
     def test_cache_bit_stable(self, featurized_corpus, tmp_path):
         sents = featurized_corpus.sentences
@@ -143,6 +181,27 @@ def cli_workspace(tmp_path_factory):
     return {"root": root, "config": cfg_path, "corpus": corpus_dir, "raw": cfg}
 
 
+@pytest.fixture(scope="module")
+def trained_run1(cli_workspace):
+    """The workspace config's run directory, trained once, on first use."""
+    assert cli.main(["train", "--config", str(cli_workspace["config"])]) == 0
+    return cli_workspace["root"] / "run1"
+
+
+@pytest.fixture(scope="module")
+def parsed_all(cli_workspace, trained_run1):
+    """run1's seed-1 parses of every workspace tree, written once, on first use."""
+    out = cli_workspace["root"] / "pred.trees"
+    rc = cli.main([
+        "parse", "--config", str(cli_workspace["config"]),
+        "--checkpoint", str(trained_run1 / "seed1" / "best.ckpt"),
+        "--input", str(cli_workspace["corpus"] / "all.trees"),
+        "--output", str(out),
+    ])
+    assert rc == 0
+    return out
+
+
 def write_cfg(ws, updates, name):
     raw = yaml.safe_load(ws["config"].read_text())
 
@@ -169,11 +228,9 @@ class TestCliWorkflow:
         assert cli.main(["features", "--config", str(ws["config"])]) == 0
         assert cache.read_bytes() == first
 
-    def test_train_writes_run_artifacts(self, cli_workspace):
+    def test_train_writes_run_artifacts(self, cli_workspace, trained_run1):
         ws = cli_workspace
-        rc = cli.main(["train", "--config", str(ws["config"])])
-        assert rc == 0
-        run = ws["root"] / "run1"
+        run = trained_run1
         assert (run / "config.yaml").read_text() == ws["config"].read_text()
         assert (run / "seed1" / "metrics.log").exists()
         assert (run / "seed1" / "best.ckpt").exists()
@@ -200,36 +257,27 @@ class TestCliWorkflow:
         assert warning in capsys.readouterr().err.splitlines()
         assert "warning" not in (run / "seed1" / "metrics.log").read_text()
 
-    def test_train_reruns_identical_logs(self, cli_workspace):
+    def test_train_reruns_identical_logs(self, cli_workspace, trained_run1):
         ws = cli_workspace
-        run1_log = (ws["root"] / "run1" / "seed1" / "metrics.log").read_bytes()
+        run1_log = (trained_run1 / "seed1" / "metrics.log").read_bytes()
         cfg2 = write_cfg(ws, {"output_dir": str(ws["root"] / "run2")}, "exp2.yaml")
         assert cli.main(["train", "--config", str(cfg2)]) == 0
         run2_log = (ws["root"] / "run2" / "seed1" / "metrics.log").read_bytes()
         assert run1_log == run2_log
 
-    def test_parse_preserves_order_and_matches_files(self, cli_workspace):
+    def test_parse_preserves_order_and_matches_files(self, cli_workspace, parsed_all):
         ws = cli_workspace
-        ckpt = ws["root"] / "run1" / "seed1" / "best.ckpt"
-        out = ws["root"] / "pred.trees"
-        rc = cli.main([
-            "parse", "--config", str(ws["config"]),
-            "--checkpoint", str(ckpt),
-            "--input", str(ws["corpus"] / "all.trees"),
-            "--output", str(out),
-        ])
-        assert rc == 0
-        preds = read_tree_file(out)
+        preds = read_tree_file(parsed_all)
         golds = read_tree_file(ws["corpus"] / "all.trees")
         assert len(preds) == len(golds)
         for p, g in zip(preds, golds):
             assert [l.word for l in p.leaves()] == [l.word for l in g.leaves()]
 
-    def test_parse_subset_matches_alignments_by_words(self, cli_workspace):
+    def test_parse_subset_matches_alignments_by_words(self, cli_workspace, trained_run1):
         # parsing a split file (not the whole corpus) must still find each
         # sentence's alignment block and prosodic features
         ws = cli_workspace
-        ckpt = ws["root"] / "run1" / "seed1" / "best.ckpt"
+        ckpt = trained_run1 / "seed1" / "best.ckpt"
         out = ws["root"] / "pred_test_split.trees"
         rc = cli.main([
             "parse", "--config", str(ws["config"]),
@@ -242,9 +290,10 @@ class TestCliWorkflow:
         golds = read_tree_file(ws["corpus"] / "test.trees")
         assert len(preds) == len(golds) == 4
 
-    def test_parse_prosody_checkpoint_without_tracks_is_data_error(self, cli_workspace):
+    def test_parse_prosody_checkpoint_without_tracks_is_data_error(self, cli_workspace,
+                                                                   trained_run1):
         ws = cli_workspace
-        ckpt = ws["root"] / "run1" / "seed1" / "best.ckpt"
+        ckpt = trained_run1 / "seed1" / "best.ckpt"
         cfg = write_cfg(
             ws,
             {
@@ -282,10 +331,10 @@ class TestCliWorkflow:
         out = capsys.readouterr().out
         assert out.count("(") > 20  # trees printed to stdout
 
-    def test_evaluate_and_significance_and_report(self, cli_workspace, capsys):
+    def test_evaluate_and_significance_and_report(self, cli_workspace, parsed_all, capsys):
         ws = cli_workspace
         gold = ws["corpus"] / "all.trees"
-        pred = ws["root"] / "pred.trees"
+        pred = parsed_all
         rc = cli.main([
             "evaluate", "--config", str(ws["config"]),
             "--gold", str(gold), "--pred", str(pred),
@@ -372,9 +421,10 @@ class TestCliWorkflow:
         assert "median.tsv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["garbage", "truncated", "trailing", "meta-key"])
-    def test_corrupt_checkpoint_is_data_error(self, cli_workspace, tmp_path, damage):
+    def test_corrupt_checkpoint_is_data_error(self, cli_workspace, trained_run1, tmp_path,
+                                              damage):
         ws = cli_workspace
-        good = (ws["root"] / "run1" / "seed1" / "best.ckpt").read_bytes()
+        good = (trained_run1 / "seed1" / "best.ckpt").read_bytes()
         bad = {
             "garbage": b"\x00" * 64,
             "truncated": good[: len(good) // 2],
@@ -394,14 +444,14 @@ class TestCliWorkflow:
         [(b"(S (NN caf\xe9))\n", "not UTF-8"), (b"(S (NN a)) (S (NN b))\n", "holds 2 trees")],
         ids=["not-utf8", "two-trees"],
     )
-    def test_malformed_parse_input_is_data_error(self, cli_workspace, tmp_path, capsys,
-                                                 text, message):
+    def test_malformed_parse_input_is_data_error(self, cli_workspace, trained_run1, tmp_path,
+                                                 capsys, text, message):
         ws = cli_workspace
         bad = tmp_path / "input.trees"
         bad.write_bytes(text)
         rc = cli.main([
             "parse", "--config", str(ws["config"]),
-            "--checkpoint", str(ws["root"] / "run1" / "seed1" / "best.ckpt"),
+            "--checkpoint", str(trained_run1 / "seed1" / "best.ckpt"),
             "--input", str(bad),
         ])
         assert rc == cli.EXIT_DATA
@@ -459,6 +509,46 @@ class TestCliWorkflow:
         new_meta, _ = read_tensors(cache)
         assert new_meta["content_hash"] != old_meta["content_hash"]
         assert cli._attach_features(cfg, fresh_sentences()) is False
+
+    @pytest.mark.parametrize(
+        "name,argv,mode",
+        [
+            ("model.embedding.store_path", ["train"], "frozen"),
+            ("model.embedding.vectors_path", ["train"], "finetuned"),
+            ("--fine-tune-from", ["train", "--fine-tune-from", "{missing}"], None),
+            ("--checkpoint", ["parse", "--checkpoint", "{missing}", "--input", "{file}"], None),
+            ("--input", ["parse", "--checkpoint", "{file}", "--input", "{missing}"], None),
+            ("--gold", ["evaluate", "--gold", "{missing}", "--pred", "{file}"], None),
+            ("--pred", ["evaluate", "--gold", "{file}", "--pred", "{missing}"], None),
+            ("--gold", ["significance", "--gold", "{missing}", "--pred-a", "{file}",
+                        "--pred-b", "{file}"], None),
+            ("--pred-a", ["significance", "--gold", "{file}", "--pred-a", "{missing}",
+                          "--pred-b", "{file}"], None),
+            ("--pred-b", ["significance", "--gold", "{file}", "--pred-a", "{file}",
+                          "--pred-b", "{missing}"], None),
+        ],
+        ids=["store-path", "vectors-path", "fine-tune-from", "parse-checkpoint",
+             "parse-input", "evaluate-gold", "evaluate-pred", "significance-gold",
+             "significance-pred-a", "significance-pred-b"],
+    )
+    def test_missing_opened_path_is_config_error(self, cli_workspace, tmp_path, capsys,
+                                                 name, argv, mode):
+        # checked before any compute: exit 2 naming the setting, no traceback
+        ws = cli_workspace
+        missing = str(tmp_path / "missing")
+        fill = {"{missing}": missing, "{file}": str(ws["corpus"] / "all.trees")}
+        updates = {"output_dir": str(tmp_path / "run")}
+        if mode:  # the mode's vector file, set under model.embedding only
+            key = name.rsplit(".", 1)[1]
+            updates["model"] = {"embedding": {"mode": mode, key: missing}}
+        cfg = write_cfg(ws, updates, f"exp_missing_{tmp_path.name}.yaml")
+        argv = [argv[0], "--config", str(cfg)] + [fill.get(a, a) for a in argv[1:]]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {name}: path does not exist: {missing}\n"
+        )
+        assert not (tmp_path / "run").exists()
 
     def test_missing_path_exit_code(self, cli_workspace):
         ws = cli_workspace

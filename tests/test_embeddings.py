@@ -3,16 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mul, sum_all
+from conftest import mul, sum_all, synthetic_vector_store, write_vector_store
 from prosoparse import autograd as ag
-from prosoparse.embeddings import (
-    EmbeddingProvider,
-    load_vector_store,
-    load_word_vectors,
-    write_vector_store,
-)
+from prosoparse.embeddings import EmbeddingProvider, load_vector_store, load_word_vectors
 from prosoparse.errors import AlignmentError, DataError, FormatError
-from prosoparse.synthdata import overfit_corpus, synthetic_vector_store
+from prosoparse.synthdata import overfit_corpus
 from prosoparse.tensorfile import read_tensors, write_tensors
 
 
@@ -169,9 +164,9 @@ class TestProviderSwap:
                 h.update(p.pause_before.tobytes())
                 h.update(p.pause_after.tobytes())
                 h.update(p.duration_scalars.tobytes())
-                for patch in p.patches:
-                    h.update(patch.frames.tobytes())
-                    h.update(patch.word_interior_mask.tobytes())
+                h.update(p.frames.tobytes())
+                h.update(p.mask.tobytes())
+                h.update(p.patch_lens.tobytes())
             return h.hexdigest()
 
         sents = featurized_corpus.sentences

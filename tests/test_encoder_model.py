@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import build_tiny_model, chain_logit_parts
+from conftest import build_tiny_model, chain_logit_parts, grad_check
 from prosoparse import autograd as ag
 from prosoparse.chart import cky_decode
-from prosoparse.encoder import CnnConfig, Encoder, EncoderConfig
+from prosoparse.encoder import CnnConfig, Encoder, EncoderConfig, ProsodyInputs
 from prosoparse.errors import (
     CheckpointError,
     ConfigError,
@@ -23,7 +23,6 @@ from prosoparse.model import (
     clone_model,
     zero_prosody_pathway,
 )
-from prosoparse.prosody import FramePatch
 
 
 def sent_scores(model, sent, train=False, rng=None):
@@ -144,15 +143,24 @@ class TestProsodyCnn:
             rng=np.random.default_rng(seed),
         )
 
-    def patch(self, frames):
-        return FramePatch(
-            frames=frames, word_interior_mask=np.ones(len(frames), dtype=bool)
+    @staticmethod
+    def packed(frames, masks):
+        """ProsodyInputs holding the given per-word patches, packed."""
+        T = len(frames)
+        return ProsodyInputs(
+            pause_before=np.zeros(T, np.int64),
+            pause_after=np.zeros(T, np.int64),
+            duration_scalars=np.zeros((T, 2), np.float32),
+            frames=np.concatenate(frames),
+            mask=np.concatenate(masks),
+            patch_lens=np.array([len(m) for m in masks], np.int64),
         )
 
     def test_output_dim_is_widths_times_filters(self):
         enc = self.encoder(widths=(3, 5, 10), n=32)
         tape = ag.Tape()
-        out = enc.prosody_cnn(tape, [self.patch(np.random.default_rng(0).standard_normal((12, 2)).astype(np.float32))])
+        frames = np.random.default_rng(0).standard_normal((12, 2)).astype(np.float32)
+        out = enc.prosody_cnn(tape, self.packed([frames], [np.ones(12, dtype=bool)]))
         assert out.value.shape == (1, 96)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -163,20 +171,23 @@ class TestProsodyCnn:
             CnnConfig(), embed_dim=6, rng=np.random.default_rng(4), dtype=dtype,
         )
         rng = np.random.default_rng(5)
-        patches = [
-            FramePatch(frames=rng.standard_normal((n, 2)), word_interior_mask=rng.random(n) < 0.6)
-            for n in (23, 1, 100, 7, 54, 2)
-        ]
+        lens = (23, 1, 100, 7, 54, 2)
+        prosody = self.packed(
+            [rng.standard_normal((n, 2)) for n in lens], [rng.random(n) < 0.6 for n in lens]
+        )
         tape = ag.Tape(dtype=dtype)
-        batched = enc.prosody_cnn(tape, patches).value
-        assert batched.shape == (len(patches), CnnConfig().output_dim)
-        for row, p in zip(batched, patches):
+        batched = enc.prosody_cnn(tape, prosody).value
+        assert batched.shape == (len(lens), CnnConfig().output_dim)
+        ends = np.cumsum(lens)
+        for row, n, end in zip(batched, lens, ends):
             x = tape.constant(
-                np.concatenate([p.frames, p.word_interior_mask[:, None]], axis=1)[None]
+                np.concatenate(
+                    [prosody.frames[end - n : end], prosody.mask[end - n : end, None]], axis=1
+                )[None]
             )
             alone = [
                 ag.max_pool_time(
-                    ag.relu(ag.conv1d(x, tape.watch(w), tape.watch(b))), [p.n_frames]
+                    ag.relu(ag.conv1d(x, tape.watch(w), tape.watch(b))), [n]
                 ).value[0]
                 for w, b in enc.cnn_filters
             ]
@@ -185,10 +196,9 @@ class TestProsodyCnn:
 
     def test_zero_patch_zero_bias_gives_zeros(self):
         enc = self.encoder()
-        frames = np.zeros((8, 2), dtype=np.float32)
-        patch = FramePatch(frames=frames, word_interior_mask=np.zeros(8, dtype=bool))
+        prosody = self.packed([np.zeros((8, 2), dtype=np.float32)], [np.zeros(8, dtype=bool)])
         tape = ag.Tape()
-        out = enc.prosody_cnn(tape, [patch])
+        out = enc.prosody_cnn(tape, prosody)
         np.testing.assert_array_equal(out.value, 0.0)
 
     def test_time_reversal_with_symmetric_filters(self):
@@ -200,10 +210,8 @@ class TestProsodyCnn:
         mask = np.zeros(9, dtype=bool)
         mask[2:7] = True  # symmetric mask so the reversed patch is well-formed
         tape = ag.Tape()
-        fwd = enc.prosody_cnn(tape, [FramePatch(frames=frames, word_interior_mask=mask)])
-        rev = enc.prosody_cnn(
-            tape, [FramePatch(frames=frames[::-1].copy(), word_interior_mask=mask[::-1].copy())]
-        )
+        fwd = enc.prosody_cnn(tape, self.packed([frames], [mask]))
+        rev = enc.prosody_cnn(tape, self.packed([frames[::-1]], [mask[::-1]]))
         np.testing.assert_allclose(fwd.value, rev.value, atol=1e-5)
 
 
@@ -297,7 +305,7 @@ class TestFullModelGradients:
             )
             return loss
 
-        err = ag.grad_check(f, params, n_samples=6, h=1e-5)
+        err = grad_check(f, params, n_samples=6, h=1e-5)
         assert err < 1e-3, f"max relative gradient error {err}"
 
 

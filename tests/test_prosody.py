@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prosoparse.encoder import ProsodyInputs
 from prosoparse.errors import AlignmentError, DataError, FormatError
 from prosoparse.prosody import (
     DurationStats,
-    FramePatch,
     FrameTrack,
     WordAlignment,
     compute_pause_duration,
@@ -86,29 +86,36 @@ class TestPauseDuration:
 
 class TestFramePatch:
     def test_patch_needs_a_frame(self):
-        with pytest.raises(DataError, match="no frames"):
-            FramePatch(frames=np.zeros((0, 2)), word_interior_mask=np.zeros(0, dtype=bool))
+        with pytest.raises(DataError, match="not positive frame counts"):
+            ProsodyInputs(
+                pause_before=np.zeros(2, np.int64),
+                pause_after=np.zeros(2, np.int64),
+                duration_scalars=np.zeros((2, 2), np.float32),
+                frames=np.zeros((3, 2), np.float32),
+                mask=np.zeros(3, dtype=bool),
+                patch_lens=np.array([3, 0]),
+            )
 
     def test_exact_frame_count_no_context(self):
         t = track()
-        patch = extract_frame_patch(t, WordAlignment("w", 0.50, 0.60), 0.0, 100)
-        assert patch.n_frames == 10
-        assert patch.word_interior_mask.all()
+        frames, mask = extract_frame_patch(t, WordAlignment("w", 0.50, 0.60), 0.0, 100)
+        assert frames.shape == (10, 2)
+        assert mask.all()
 
     def test_zero_padding_at_track_start(self):
         t = track()
-        patch = extract_frame_patch(t, WordAlignment("w", 0.0, 0.10), 0.05, 100)
-        assert patch.n_frames == 20  # 5 context + 10 word + 5 context
-        np.testing.assert_array_equal(patch.frames[:5], 0.0)
-        assert not patch.word_interior_mask[:5].any()
-        assert patch.word_interior_mask[5:15].all()
-        assert not patch.word_interior_mask[15:].any()
+        frames, mask = extract_frame_patch(t, WordAlignment("w", 0.0, 0.10), 0.05, 100)
+        assert len(frames) == len(mask) == 20  # 5 context + 10 word + 5 context
+        np.testing.assert_array_equal(frames[:5], 0.0)
+        assert not mask[:5].any()
+        assert mask[5:15].all()
+        assert not mask[15:].any()
 
     def test_center_crop_long_word(self):
         t = track(n=500)
         ali = WordAlignment("w", 0.5, 3.5)
-        patch = extract_frame_patch(t, ali, 0.0, 100)
-        assert patch.n_frames == 100
+        frames, _ = extract_frame_patch(t, ali, 0.0, 100)
+        assert len(frames) == 100
         # crop midpoint within half a frame of the word midpoint
         first = int(round((0.5 - t.start_time) / t.frame_period)) + (300 - 100) // 2
         mid_time = t.start_time + (first + 50) * t.frame_period
@@ -121,9 +128,7 @@ class TestFramePatch:
             WordAlignment("b", 0.40, 0.90),
             WordAlignment("c", 1.00, 1.50),
         ]
-        total = sum(
-            extract_frame_patch(t, a, 0.12, 100).word_interior_mask.sum() for a in alis
-        )
+        total = sum(extract_frame_patch(t, a, 0.12, 100)[1].sum() for a in alis)
         assert total <= t.n_frames
 
     def test_word_outside_track_rejected(self):
@@ -134,9 +139,9 @@ class TestFramePatch:
     def test_patch_values_match_track(self):
         t = track()
         ali = WordAlignment("w", 0.20, 0.30)
-        patch = extract_frame_patch(t, ali, 0.0, 100)
-        np.testing.assert_array_equal(patch.frames[:, 0], t.energy[20:30])
-        np.testing.assert_array_equal(patch.frames[:, 1], t.f0[20:30])
+        frames, _ = extract_frame_patch(t, ali, 0.0, 100)
+        np.testing.assert_array_equal(frames[:, 0], t.energy[20:30])
+        np.testing.assert_array_equal(frames[:, 1], t.f0[20:30])
 
 
 class TestNormalizeSpeaker:

@@ -115,6 +115,27 @@ def test_mutated_file_parses_or_is_data_error(tmp_path_factory, name, edits):
         pass
 
 
+@pytest.mark.parametrize(
+    "name,edit,lineno",
+    [
+        ("word_vectors", (b"the 0.5", b"the 1e39"), 1),
+        ("word_vectors", (b"dog 1e-3", b"dog nan"), 2),
+        ("vector_store", (b"7 8 9", b"nan inf 9"), 6),
+        ("track", (b"0.0200,0.400000", b"0.0200,nan"), 4),
+        ("track", (b"0.0300,0.450000,128.250000", b"0.0300,0.450000,inf"), 5),
+        ("alignments", (b"0.2500\t0.6000", b"0.2500\tinf"), 2),
+    ],
+    ids=["word-vector-overflow", "word-vector-nan", "store-nan-inf", "track-nan-energy",
+         "track-inf-f0", "alignment-inf-end"],
+)
+def test_non_finite_value_is_format_error(tmp_path, name, edit, lineno):
+    path = tmp_path / name
+    path.write_bytes(VALID[name].replace(*edit, 1))
+    assert path.read_bytes() != VALID[name]
+    with pytest.raises(FormatError, match=f"^{path}:{lineno}: "):
+        READERS[name](path)
+
+
 def test_parse_input_line_of_two_trees_is_data_error(tmp_path):
     path = tmp_path / "input"
     path.write_bytes(b"(S (NN a))\n(S (NN a)) (S (NN b))\n")

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import mul, sum_all, tiny_model_config
+from conftest import (
+    mul,
+    sum_all,
+    synthetic_vector_store,
+    tiny_model_config,
+    write_vector_store,
+)
 from prosoparse import training
 from prosoparse.chart import MarginInfo
 from prosoparse.errors import ConfigError, DataError, TrainingDivergedError, VocabularyError
@@ -188,8 +194,7 @@ class TestTrainLoop:
 
 class TestFrozenMode:
     def test_store_bit_identical_after_training(self, featurized_corpus, tmp_path):
-        from prosoparse.embeddings import load_vector_store, write_vector_store
-        from prosoparse.synthdata import synthetic_vector_store
+        from prosoparse.embeddings import load_vector_store
 
         c = featurized_corpus.sentences
         store = synthetic_vector_store(c, dim=12)
