@@ -13,12 +13,14 @@ freed as soon as nothing references them; ``backward`` on it raises.
 
 ``train`` is independent of recording: it only turns dropout on.  Storage
 is float32 by default (float64 available for gradient checking); attention,
-layer_norm and span_scores reduce in float64 regardless.  Those three are
-fused ops: each does the work of a chain of simpler ops with the same bits,
-forward and backward, as one tape entry that keeps fewer arrays.
-``layer_norm`` is affine (gain and bias), and it shares its float64
-backward step with ``span_scores``.  There is no broadcasting beyond
-bias/vector-over-rows; shapes are validated on every op.
+layer_norm, span_scores and gather_sum reduce in float64 regardless.  Where
+a chain of simpler ops gives the same bits, forward and backward, one op
+does its work as one tape entry: ``attention`` covers every head,
+``matmul`` adds an optional bias, and ``layer_norm`` is affine and shares
+its backward step with ``span_scores``.
+``gather_sum`` is signed, so the margin loss reads both trees' cells in one
+op.  There is no broadcasting beyond bias/vector-over-rows; shapes are
+validated on every op.
 
 Independent tapes share nothing except read-only parameter values, so
 separate sentences can be processed concurrently.
@@ -150,49 +152,24 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    tape = _same_tape("sub", a, b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError("sub", a.value.shape, b.value.shape)
-    out = Var(a.value - b.value, tape)
+def matmul(a, w, bias=None):
+    """``a @ w``, with a given ``bias`` added to every row in place: one
+    dense layer is one op."""
+    tape = _same_tape("matmul", *((a, w) if bias is None else (a, w, bias)))
+    bad_bias = bias is not None and bias.value.shape != w.value.shape[1:]
+    if a.value.ndim != 2 or w.value.ndim != 2 or a.value.shape[1] != w.value.shape[0] or bad_bias:
+        raise ShapeError("matmul", a.value.shape, w.value.shape)
+    out = Var(a.value @ w.value, tape)
+    if bias is not None:
+        out.value += bias.value
 
     def bwd():
         if out.grad is None:
             return
-        _accum(a, out.grad)
-        _accum(b, -out.grad)
-
-    tape._record(bwd)
-    return out
-
-
-def add_bias(x, b):
-    tape = _same_tape("add_bias", x, b)
-    if x.value.ndim != 2 or b.value.ndim != 1 or x.value.shape[1] != b.value.shape[0]:
-        raise ShapeError("add_bias", x.value.shape, b.value.shape)
-    out = Var(x.value + b.value[None, :], tape)
-
-    def bwd():
-        if out.grad is None:
-            return
-        _accum(x, out.grad)
-        _accum(b, out.grad.sum(axis=0))
-
-    tape._record(bwd)
-    return out
-
-
-def matmul(a, b):
-    tape = _same_tape("matmul", a, b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError("matmul", a.value.shape, b.value.shape)
-    out = Var(a.value @ b.value, tape)
-
-    def bwd():
-        if out.grad is None:
-            return
-        _accum(a, out.grad @ b.value.T)
-        _accum(b, a.value.T @ out.grad)
+        if bias is not None:
+            _accum(bias, out.grad.sum(axis=0))
+        _accum(a, out.grad @ w.value.T)
+        _accum(w, a.value.T @ out.grad)
 
     tape._record(bwd)
     return out
@@ -618,17 +595,18 @@ def slice_cols(x, lo, hi):
     return out
 
 
-def gather_sum(x, rows, cols):
-    """Sum of selected matrix entries x[rows[i], cols[i]] as a scalar."""
+def gather_sum(x, rows, cols, signs):
+    """Signed sum of matrix entries, sum of signs[i] * x[rows[i], cols[i]],
+    as a float64 sum rounded to a scalar of x's dtype.  Each listed entry
+    gets its sign times the output's gradient."""
     tape = x.tape
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    if x.value.ndim != 2 or rows.shape != cols.shape or rows.ndim != 1:
+    signs = np.asarray(signs, dtype=x.value.dtype)
+    if x.value.ndim != 2 or not rows.shape == cols.shape == signs.shape or rows.ndim != 1:
         raise ShapeError("gather_sum", x.value.shape, rows.shape)
     out = Var(
-        np.asarray(
-            x.value[rows, cols].sum(dtype=np.float64), dtype=x.value.dtype
-        ),
+        np.asarray((signs * x.value[rows, cols]).sum(dtype=np.float64), dtype=x.value.dtype),
         tape,
     )
 
@@ -636,7 +614,7 @@ def gather_sum(x, rows, cols):
         if out.grad is None:
             return
         g = np.zeros_like(x.value)
-        np.add.at(g, (rows, cols), out.grad)
+        np.add.at(g, (rows, cols), signs * out.grad)
         _accum(x, g)
 
     tape._record(bwd)

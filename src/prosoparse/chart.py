@@ -231,15 +231,9 @@ def margin_loss(scores, gold_spans):
     if correct or loss_value <= 0.0:
         return tape.constant(0.0), info
 
-    rows, cols = [], []
-    for a, b, li in sorted(pred_nonempty - gold_cells):
-        rows.append(scores.row_of[(a, b)])
-        cols.append(li)
-    pos = ag.gather_sum(scores.matrix, rows, cols) if rows else tape.constant(0.0)
-    rows, cols = [], []
-    for a, b, li in sorted(gold_cells - pred_nonempty):
-        rows.append(scores.row_of[(a, b)])
-        cols.append(li)
-    neg = ag.gather_sum(scores.matrix, rows, cols) if rows else tape.constant(0.0)
-    loss_var = ag.add(ag.sub(pos, neg), tape.constant(float(delta)))
-    return loss_var, info
+    # the two cell sets are disjoint, so each cell's gradient is +-seed
+    signed = [(*cell, 1.0) for cell in sorted(pred_nonempty - gold_cells)]
+    signed += [(*cell, -1.0) for cell in sorted(gold_cells - pred_nonempty)]
+    a, b, cols, signs = zip(*signed)
+    scored = ag.gather_sum(scores.matrix, scores.row_of[a, b], cols, signs)
+    return ag.add(scored, tape.constant(float(delta))), info

@@ -18,7 +18,7 @@ from . import evaluation as ev
 from .config import load_config, validate_paths, write_snapshot
 from .errors import ConfigError, DataError, NumericError, ProsoparseError, utf8_text
 from .model import ParserModel
-from .prosody import read_alignment_file, read_frame_track_file
+from .prosody import DEFAULT_CONTEXT_S, DEFAULT_MAX_FRAMES, read_alignment_file, read_frame_track_file
 from .training import fine_tune, median_report, train
 from .treebank import parse_ptb, read_tree_file, speechify, write_tree_file
 
@@ -55,8 +55,7 @@ def _attach_features(cfg, sentences, save=True, force=False):
         )
         want_hash = corpus_mod.content_hash(
             paths,
-            extra=f"{corpus_mod.FEATURES_VERSION}:{cfg.features.context_s}:"
-            f"{cfg.features.max_frames}",
+            extra=f"{corpus_mod.FEATURES_VERSION}:{DEFAULT_CONTEXT_S}:{DEFAULT_MAX_FRAMES}",
         )
         if not force and os.path.exists(cache):
             meta = corpus_mod.load_feature_cache(cache, sentences)
@@ -68,8 +67,6 @@ def _attach_features(cfg, sentences, save=True, force=False):
             sentences,
             read_alignment_file(cfg.data.alignments),
             _read_tracks(cfg.data.frame_tracks),
-            context_s=cfg.features.context_s,
-            max_frames=cfg.features.max_frames,
         )
         for warning in warnings:
             print(f"warning: {warning}", file=sys.stderr)

@@ -14,7 +14,6 @@ import yaml
 from .encoder import CnnConfig, EncoderConfig
 from .errors import ConfigError
 from .model import ModelConfig
-from .prosody import DEFAULT_CONTEXT_S, DEFAULT_MAX_FRAMES
 from .training import EmbeddingSpec, TrainConfig
 
 
@@ -38,12 +37,6 @@ class DataConfig:
 
 
 @dataclass
-class FeatureConfig:
-    context_s: float = DEFAULT_CONTEXT_S
-    max_frames: int = DEFAULT_MAX_FRAMES
-
-
-@dataclass
 class EvalConfig:
     delete_punctuation: bool = False
     n_resamples: int = 10000
@@ -54,7 +47,6 @@ class ExperimentConfig:
     data: DataConfig
     model: ModelConfig
     embedding: EmbeddingSpec
-    features: FeatureConfig
     train: TrainConfig
     eval: EvalConfig
     output_dir: str
@@ -63,6 +55,20 @@ class ExperimentConfig:
 
     def uses_prosody(self):
         return self.model.encoder.use_prosody
+
+
+# the keys of the top level and of the model section; every other section
+# is checked by its dataclass
+TOP_LEVEL_KEYS = ("data", "model", "train", "eval", "output_dir")
+MODEL_KEYS = ("encoder", "cnn", "span_hidden", "embedding")
+
+
+def _check_keys(raw, known, where):
+    unknown = sorted(str(k) for k in raw if k not in known)
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key(s) {', '.join(unknown)} (known: {', '.join(known)})"
+        )
 
 
 def _section(raw, name):
@@ -98,10 +104,12 @@ def load_config(path):
         raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    _check_keys(raw, TOP_LEVEL_KEYS, str(path))
 
     data = _build(DataConfig, _section(raw, "data"), "data")
 
     model_raw = _section(raw, "model")
+    _check_keys(model_raw, MODEL_KEYS, "config section 'model'")
     encoder = _build(EncoderConfig, _section(model_raw, "encoder"), "model.encoder")
     cnn = _build(CnnConfig, _section(model_raw, "cnn"), "model.cnn")
     try:
@@ -115,7 +123,6 @@ def load_config(path):
     emb_raw.setdefault("vectors_path", data.word_vectors)
     embedding = _build(EmbeddingSpec, emb_raw, "model.embedding")
 
-    features = _build(FeatureConfig, _section(raw, "features"), "features")
     train = _build(TrainConfig, _section(raw, "train"), "train")
     eval_cfg = _build(EvalConfig, _section(raw, "eval"), "eval")
 
@@ -127,7 +134,6 @@ def load_config(path):
         data=data,
         model=model,
         embedding=embedding,
-        features=features,
         train=train,
         eval=eval_cfg,
         output_dir=output_dir,

@@ -67,18 +67,13 @@ def _duration_scalars(pd_list):
     )
 
 
-def featurize(
-    sentences,
-    alignments,
-    tracks,
-    context_s=pros.DEFAULT_CONTEXT_S,
-    max_frames=pros.DEFAULT_MAX_FRAMES,
-):
+def featurize(sentences, alignments, tracks):
     """Attach ProsodyInputs to each sentence from alignments and frame tracks.
 
     ``alignments`` maps sentence_id -> [WordAlignment]; ``tracks`` maps
     speaker_id -> FrameTrack.  Tracks are z-scored per speaker first;
-    duration statistics are word-type means over all alignments.
+    duration statistics are word-type means over all alignments.  Frame
+    patches take ``extract_frame_patch``'s default context and length cap.
     Returns the list of warnings from speaker normalization.
     """
     norm_tracks, warnings = pros.normalize_speaker(tracks)
@@ -107,9 +102,7 @@ def featurize(
                 f"sentence {sent.sentence_id!r}: no frame track for speaker {speaker!r}"
             )
         pd_list = pros.compute_pause_duration(alis, stats)
-        frames, masks = zip(
-            *(pros.extract_frame_patch(track, ali, context_s, max_frames) for ali in alis)
-        )
+        frames, masks = zip(*(pros.extract_frame_patch(track, ali) for ali in alis))
         sent.speaker_id = speaker
         sent.prosody = ProsodyInputs(
             pause_before=np.array([p.pause_before_bucket for p in pd_list], np.int64),

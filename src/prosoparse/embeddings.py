@@ -179,7 +179,7 @@ class EmbeddingProvider:
         return cls("frozen", store.dim, store=store)
 
     @classmethod
-    def finetuned(cls, path, rng=None, dtype=np.float32):
+    def finetuned(cls, path, dtype=np.float32):
         words, vecs = load_word_vectors(path)
         vocab = WordVocab(words)
         table = np.empty((len(vocab), vecs.shape[1]), dtype=dtype)

@@ -321,19 +321,15 @@ class Encoder:
             pieces.append(ag.relu(ag.max_pool_time(conv, lens)))
         return ag.concat(pieces, axis=1)
 
-    def phi_matrix(self, tape, prosody):
-        """Pause/duration feature rows [T x PHI_DIM]."""
-        before = ag.embedding_lookup(tape, self.pause_before_table, prosody.pause_before)
-        after = ag.embedding_lookup(tape, self.pause_after_table, prosody.pause_after)
-        scalars = tape.constant(prosody.duration_scalars)
-        return ag.concat([before, after, scalars], axis=1)
-
     def prosody_stream(self, tape, prosody):
-        phi = self.phi_matrix(tape, prosody)
-        joint = ag.concat([phi, self.prosody_cnn(tape, prosody)], axis=1)
-        return ag.add_bias(
-            ag.matmul(joint, tape.watch(self.w_prosody)), tape.watch(self.b_prosody)
-        )
+        """Projected pause embeddings, duration scalars and CNN summaries."""
+        joint = ag.concat([
+            ag.embedding_lookup(tape, self.pause_before_table, prosody.pause_before),
+            ag.embedding_lookup(tape, self.pause_after_table, prosody.pause_after),
+            tape.constant(prosody.duration_scalars),
+            self.prosody_cnn(tape, prosody),
+        ], axis=1)
+        return ag.matmul(joint, tape.watch(self.w_prosody), tape.watch(self.b_prosody))
 
     # ------------------------------------------------------------------
 
@@ -355,8 +351,8 @@ class Encoder:
     def _feed_forward(self, tape, streams, layer):
         cfg = self.config
         x = ag.concat(streams, axis=1)
-        h = ag.relu(ag.add_bias(ag.matmul(x, tape.watch(layer.ff_w1)), tape.watch(layer.ff_b1)))
-        f = ag.add_bias(ag.matmul(h, tape.watch(layer.ff_w2)), tape.watch(layer.ff_b2))
+        h = ag.relu(ag.matmul(x, tape.watch(layer.ff_w1), tape.watch(layer.ff_b1)))
+        f = ag.matmul(h, tape.watch(layer.ff_w2), tape.watch(layer.ff_b2))
         f = ag.dropout(f, cfg.dropout)
         y = ag.add(x, f)
         outs = []
@@ -380,9 +376,7 @@ class Encoder:
                 f"embedding width {e_var.value.shape[1]} != encoder's {self.embed_dim}"
             )
 
-        content = ag.add_bias(
-            ag.matmul(e_var, tape.watch(self.w_content)), tape.watch(self.b_content)
-        )
+        content = ag.matmul(e_var, tape.watch(self.w_content), tape.watch(self.b_content))
         positions = ag.embedding_lookup(tape, self.pos_table, np.arange(T))
         streams = [content, positions]
         if cfg.use_prosody:

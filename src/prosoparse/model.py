@@ -1,15 +1,12 @@
 """Full parser model: embedding provider + encoder + span scorer.
 
 Also owns checkpoint I/O (named parameters against an architecture
-signature) and the weight-surgery helpers used to relate a text+prosody
-model to its text-only twin: zeroing the prosody pathway of the wider
-model reproduces the narrower model's span scores exactly, which doubles
-as a correctness check and as a warm-start path between the two variants.
+signature) and ``clone_model``, a structural copy at another precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -197,71 +194,4 @@ def clone_model(model, dtype=None, seed=0):
     src = {p.name: p for p in model.parameters()}
     for p in twin.parameters():
         p.value[...] = src[p.name].value.astype(dtype)
-    return twin
-
-
-# ----------------------------------------------------------------------
-# prosody-pathway surgery
-
-
-def _text_width(config):
-    return config.encoder.d_content + config.encoder.d_position
-
-
-def prosody_pathway(model):
-    """(parameter, column/row slice) pairs that inject or carry prosody.
-
-    Zeroing every listed slice makes the model's span scores equal those of
-    the text-only twin sharing its remaining weights.
-    """
-    if not model.uses_prosody:
-        return
-    d_text = _text_width(model.config)
-    enc = model.encoder
-    yield enc.w_prosody, np.s_[:]
-    yield enc.b_prosody, np.s_[:]
-    for layer in enc.layers:
-        pros_attn = layer.attn[-1]
-        for p in (pros_attn.wq, pros_attn.wk, pros_attn.wv, pros_attn.wo):
-            yield p, np.s_[:]
-        for norm in (layer.norm1[-1], layer.norm2[-1]):
-            yield norm.gain, np.s_[:]
-            yield norm.bias, np.s_[:]
-        yield layer.ff_w1, np.s_[d_text:, :]
-        yield layer.ff_w2, np.s_[:, d_text:]
-        yield layer.ff_b2, np.s_[d_text:]
-    start, stop = enc.sentinels[-1]
-    yield start, np.s_[:]
-    yield stop, np.s_[:]
-    yield model.scorer.w1, np.s_[d_text:, :]
-
-
-def zero_prosody_pathway(model):
-    for param, sl in prosody_pathway(model):
-        param.value[sl] = 0
-
-
-def build_text_twin(model, seed=0):
-    """Text-only model carrying the text-stream weights of a prosody model."""
-    cfg = model.config
-    text_cfg = replace(cfg, encoder=replace(cfg.encoder, d_prosody=0))
-    twin = ParserModel(
-        text_cfg, model.provider, model.label_vocab, seed=seed, dtype=model.dtype
-    )
-    d_text = _text_width(cfg)
-    src = {p.name: p.value for p in model.parameters()}
-    for p in twin.parameters():
-        if p.name not in src:
-            continue
-        s = src[p.name]
-        if s.shape == p.value.shape:
-            p.value[...] = s
-        elif p.name.endswith("ff.w1") or p.name == "span.w1":
-            p.value[...] = s[:d_text, :]
-        elif p.name.endswith("ff.w2"):
-            p.value[...] = s[:, :d_text]
-        elif p.name.endswith("ff.b2"):
-            p.value[...] = s[:d_text]
-        else:
-            raise DataError(f"cannot transplant parameter {p.name}: {s.shape} -> {p.value.shape}")
     return twin

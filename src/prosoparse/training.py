@@ -60,6 +60,10 @@ def build_provider(spec, train_sentences, seed=0):
     raise ConfigError(f"unknown embedding mode {spec.mode!r}")
 
 
+# fine-tuning continues a checkpoint at this fraction of the learning rate
+FINE_TUNE_LR_SCALE = 0.1
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     seeds: tuple = (1, 2, 3, 4, 5)
@@ -69,10 +73,6 @@ class TrainConfig:
     max_epochs: int = 50
     patience: int = 5
     corpus_weights: tuple = (1.0,)
-    fine_tune_lr_scale: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
@@ -104,12 +104,14 @@ class RunRecord:
 class Adam:
     """Adam with linear warmup then inverse-sqrt learning-rate decay."""
 
-    def __init__(self, params, learning_rate, warmup_steps, beta1=0.9, beta2=0.999,
-                 eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, learning_rate, warmup_steps):
         self.params = list(params)
         self.base_lr = learning_rate
         self.warmup = warmup_steps
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
@@ -176,14 +178,7 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
     """Shared epoch loop; returns a RunRecord (checkpoint = best dev epoch)."""
     os.makedirs(seed_dir, exist_ok=True)
     params = list(model.parameters())
-    opt = Adam(
-        params,
-        lr,
-        config.warmup_steps,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.adam_eps,
-    )
+    opt = Adam(params, lr, config.warmup_steps)
     record = RunRecord(seed=seed)
     record.checkpoint_path = os.path.join(seed_dir, "best.ckpt")
     stale = 0
@@ -350,5 +345,5 @@ def fine_tune(checkpoint_path, new_corpus, train_config, run_dir, dev_sentences,
         dev_sentences,
         seed,
         seed_dir,
-        train_config.learning_rate * train_config.fine_tune_lr_scale,
+        train_config.learning_rate * FINE_TUNE_LR_SCALE,
     )

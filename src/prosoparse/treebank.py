@@ -163,7 +163,7 @@ def _tokenize(text):
     return tokens
 
 
-def parse_ptb(text, strip_traces=True):
+def parse_ptb(text):
     """Parse zero or more bracketed trees from ``text``.
 
     ROOT/TOP wrappers are stripped, function tags removed from internal
@@ -185,9 +185,7 @@ def parse_ptb(text, strip_traces=True):
             and not tree.children[0].is_leaf()
         ):
             tree = tree.children[0]
-        if strip_traces:
-            tree = _prune(tree, _drop_trace, "trace removal")
-        trees.append(tree)
+        trees.append(_prune(tree, _drop_trace, "trace removal"))
     return trees
 
 

@@ -2,6 +2,7 @@ import gc
 import os
 import weakref
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +81,38 @@ def mul(a, b):
             ag._accum(a, out.grad * b_rows)
             gb = out.grad * a.value
             ag._accum(b, gb if b.value.shape == a.value.shape else gb.sum(axis=0))
+
+    tape._record(bwd)
+    return out
+
+
+def add_bias(x, b):
+    """A [T, d] Var plus a [d] bias on every row."""
+    tape = ag._same_tape("add_bias", x, b)
+    if x.value.ndim != 2 or b.value.shape != x.value.shape[1:]:
+        raise ShapeError("add_bias", x.value.shape, b.value.shape)
+    out = ag.Var(x.value + b.value[None, :], tape)
+
+    def bwd():
+        if out.grad is not None:
+            ag._accum(x, out.grad)
+            ag._accum(b, out.grad.sum(axis=0))
+
+    tape._record(bwd)
+    return out
+
+
+def sub(a, b):
+    """Elementwise difference of two Vars of one shape."""
+    tape = ag._same_tape("sub", a, b)
+    if a.value.shape != b.value.shape:
+        raise ShapeError("sub", a.value.shape, b.value.shape)
+    out = ag.Var(a.value - b.value, tape)
+
+    def bwd():
+        if out.grad is not None:
+            ag._accum(a, out.grad)
+            ag._accum(b, -out.grad)
 
     tape._record(bwd)
     return out
@@ -168,7 +201,7 @@ def _plain_layer_norm(x):
 
 def chain_layer_norm(x, gain, bias):
     """The oracle for ``ag.layer_norm``."""
-    return ag.add_bias(mul(_plain_layer_norm(x), gain), bias)
+    return add_bias(mul(_plain_layer_norm(x), gain), bias)
 
 
 # The factored attention as the per-head chain of tape ops that
@@ -307,7 +340,7 @@ def span_hidden(proj, b1, gain, beta):
 
 def chain_span_scores(proj, b1, gain, beta, w2, b2):
     """The oracle for ``ag.span_scores``."""
-    return ag.add_bias(ag.matmul(span_hidden(proj, b1, gain, beta), w2), b2)
+    return add_bias(ag.matmul(span_hidden(proj, b1, gain, beta), w2), b2)
 
 
 # The prosody CNN's pooling in its former order, rectify then pool, with
@@ -421,6 +454,73 @@ def _children(a, b, inner, leaf_nodes, merged):
             children.append(leaf_nodes[pos])
             pos += 1
     return children
+
+
+# Prosody-pathway surgery: zeroing the pathway of a text+prosody model makes
+# its span scores those of the text-only twin that carries its other weights.
+
+
+def _text_width(config):
+    return config.encoder.d_content + config.encoder.d_position
+
+
+def prosody_pathway(model):
+    """(parameter, column/row slice) pairs that inject or carry prosody.
+
+    Zeroing every listed slice makes the model's span scores equal those of
+    the text-only twin sharing its remaining weights.
+    """
+    if not model.uses_prosody:
+        return
+    d_text = _text_width(model.config)
+    enc = model.encoder
+    yield enc.w_prosody, np.s_[:]
+    yield enc.b_prosody, np.s_[:]
+    for layer in enc.layers:
+        pros_attn = layer.attn[-1]
+        for p in (pros_attn.wq, pros_attn.wk, pros_attn.wv, pros_attn.wo):
+            yield p, np.s_[:]
+        for norm in (layer.norm1[-1], layer.norm2[-1]):
+            yield norm.gain, np.s_[:]
+            yield norm.bias, np.s_[:]
+        yield layer.ff_w1, np.s_[d_text:, :]
+        yield layer.ff_w2, np.s_[:, d_text:]
+        yield layer.ff_b2, np.s_[d_text:]
+    start, stop = enc.sentinels[-1]
+    yield start, np.s_[:]
+    yield stop, np.s_[:]
+    yield model.scorer.w1, np.s_[d_text:, :]
+
+
+def zero_prosody_pathway(model):
+    for param, sl in prosody_pathway(model):
+        param.value[sl] = 0
+
+
+def build_text_twin(model, seed=0):
+    """Text-only model carrying the text-stream weights of a prosody model."""
+    cfg = model.config
+    text_cfg = replace(cfg, encoder=replace(cfg.encoder, d_prosody=0))
+    twin = ParserModel(
+        text_cfg, model.provider, model.label_vocab, seed=seed, dtype=model.dtype
+    )
+    d_text = _text_width(cfg)
+    src = {p.name: p.value for p in model.parameters()}
+    for p in twin.parameters():
+        if p.name not in src:
+            continue
+        s = src[p.name]
+        if s.shape == p.value.shape:
+            p.value[...] = s
+        elif p.name.endswith("ff.w1") or p.name == "span.w1":
+            p.value[...] = s[:d_text, :]
+        elif p.name.endswith("ff.w2"):
+            p.value[...] = s[:, :d_text]
+        elif p.name.endswith("ff.b2"):
+            p.value[...] = s[:d_text]
+        else:
+            raise DataError(f"cannot transplant parameter {p.name}: {s.shape} -> {p.value.shape}")
+    return twin
 
 
 # Frozen-mode vector stores: deterministic per-sentence vectors, and the

@@ -11,19 +11,20 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import attached_scores, build_tiny_model, grad_check, tiny_model_config
+from conftest import (
+    attached_scores,
+    build_text_twin,
+    build_tiny_model,
+    grad_check,
+    tiny_model_config,
+    zero_prosody_pathway,
+)
 from prosoparse import autograd as ag
 from prosoparse.chart import cky_decode, margin_loss
 from prosoparse.corpus import featurize
 from prosoparse.encoder import CnnConfig, EncoderConfig
 from prosoparse.evaluation import paired_bootstrap, parseval
-from prosoparse.model import (
-    ModelConfig,
-    ParserModel,
-    build_text_twin,
-    clone_model,
-    zero_prosody_pathway,
-)
+from prosoparse.model import ModelConfig, ParserModel, clone_model
 from prosoparse.synthdata import (
     ambiguity_corpus,
     overfit_corpus,

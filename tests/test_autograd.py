@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import (
+    add_bias,
     chain_attention,
     chain_layer_norm,
     chain_span_scores,
     grad_check,
     mul,
     relu_then_pool,
+    sub,
     sum_all,
 )
 from prosoparse import autograd as ag
@@ -44,11 +46,15 @@ class TestOpGradients:
             [((3, 4), 0.0), ((4, 5), 0.0)],
         )
 
+    def test_matmul_bias_grad(self):
+        check_op(
+            lambda tape, ps: sum_all(mul(ag.matmul(ps[0], ps[1], ps[2]), ps[3])),
+            [((3, 4), 0.0), ((4, 5), 0.0), ((5,), 0.0), ((3, 5), 0.0)],
+        )
+
     def test_add_sub_bias(self):
         check_op(
-            lambda tape, ps: sum_all(
-                ag.sub(ag.add_bias(ag.add(ps[0], ps[1]), ps[2]), ps[0])
-            ),
+            lambda tape, ps: sum_all(sub(add_bias(ag.add(ps[0], ps[1]), ps[2]), ps[0])),
             [((3, 4), 0.0), ((3, 4), 0.0), ((4,), 0.0)],
         )
 
@@ -114,7 +120,7 @@ class TestOpGradients:
 
     def test_gather_sum(self):
         check_op(
-            lambda tape, ps: ag.gather_sum(ps[0], np.array([0, 1, 1]), np.array([2, 0, 0])),
+            lambda tape, ps: ag.gather_sum(ps[0], [0, 1, 1, 0], [2, 0, 0, 1], [1, 1, 1, -1]),
             [((2, 3), 0.0)],
         )
 
@@ -295,6 +301,43 @@ class TestSpanScores:
 
     def test_single_span_is_one_row(self):
         assert list(ag._row_blocks(1)) == [(0, 1)]
+
+
+class TestMatmulBias:
+    """``ag.matmul`` with a bias against the matmul and add_bias ops it
+    replaced."""
+
+    @staticmethod
+    def run(dense, T, dtype):
+        rng = np.random.default_rng(T)
+        shapes = [(T, 12), (12, 20), (20,), (20, 7), (7,), (12, 5), (5,)]
+        inputs = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
+        weights = rng.standard_normal((T, 7)).astype(dtype)
+        tape = ag.Tape(dtype=dtype)
+        x, w1, b1, w2, b2, w3, b3 = xs = [tape.constant(v) for v in inputs]
+        h = dense(x, w1, b1)
+        y = dense(ag.relu(h), w2, b2)
+        unused = dense(x, w3, b3)  # reaches no loss
+        tape.backward(sum_all(mul(y, tape.constant(weights))))
+        assert unused.grad is None and w3.grad is None and b3.grad is None
+        return [h.value, y.value, unused.value] + [v.grad for v in xs[:5]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("T", [1, 2, 40])
+    def test_bit_identical_to_matmul_then_add_bias(self, dtype, T):
+        got = self.run(ag.matmul, T, dtype)
+        want = self.run(lambda x, w, b: add_bias(ag.matmul(x, w), b), T, dtype)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g.dtype == w.dtype == dtype and g.shape == w.shape, i
+            assert g.tobytes() == w.tobytes(), i
+
+    def test_checks_shapes(self):
+        t = tape64()
+        x, w = t.constant(np.ones((3, 4))), t.constant(np.ones((4, 2)))
+        with pytest.raises(ShapeError, match="matmul"):
+            ag.matmul(x, w, t.constant(np.ones(4)))
+        with pytest.raises(ShapeError, match="matmul"):
+            ag.matmul(x, w, t.constant(np.ones((1, 2))))
 
 
 class TestLayerNorm:

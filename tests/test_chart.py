@@ -4,7 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import attached_scores, chain_layer_norm, grad_check, mul, sum_all, tree_score
+from conftest import (
+    add_bias,
+    attached_scores,
+    chain_layer_norm,
+    grad_check,
+    mul,
+    sub,
+    sum_all,
+    tree_score,
+)
 from prosoparse import autograd as ag
 from prosoparse._kernels import _cky_fill_loops, cky_fill_numba, cky_fill_numpy
 from prosoparse.chart import (
@@ -88,9 +97,9 @@ def eight_op_span_scores(proj, b1, gain, beta, w2, b2):
     """The span scorer's hidden layer as the eight tape ops it once was,
     then the second layer's matmul and add_bias."""
     starts, ends, _ = span_index(proj.value.shape[0] - 1)
-    h = ag.add_bias(ag.sub(ag.take_rows(proj, ends), ag.take_rows(proj, starts)), b1)
+    h = add_bias(sub(ag.take_rows(proj, ends), ag.take_rows(proj, starts)), b1)
     h = chain_layer_norm(h, gain, beta)
-    return ag.add_bias(ag.matmul(ag.relu(h), w2), b2)
+    return add_bias(ag.matmul(ag.relu(h), w2), b2)
 
 
 def dense_decode_cells(dense):
@@ -137,6 +146,28 @@ def random_gold(rng, T):
             k = int(rng.integers(a + 1, b))
             stack += [(a, k), (k, b)]
     return gold
+
+
+def chain_margin_loss(dense, gold_idx, seed):
+    """The margin loss's score-matrix gradient and value as the chain of ops
+    it once was: unsigned gathers of the predicted-only and the gold-only
+    cells, their difference, plus the Hamming cost."""
+    cells, _ = dense_decode_cells(dense + hamming_augment(dense, gold_idx))
+    pred = {(a, b, li) for a, b, li in cells if li != 0}
+    gold = {(a, b, li) for (a, b), li in gold_idx.items()}
+    delta = HAMMING_COST * sum(li != gold_idx.get((a, b), 0) for a, b, li in cells)
+    scores = attached_scores(dense, VOCAB5)
+    tape = scores.matrix.tape
+
+    def gathered(picked):
+        if not picked:
+            return tape.constant(0.0)
+        a, b, cols = zip(*sorted(picked))
+        return ag.gather_sum(scores.matrix, scores.row_of[a, b], cols, np.ones(len(cols)))
+
+    loss = ag.add(sub(gathered(pred - gold), gathered(gold - pred)), tape.constant(delta))
+    tape.backward(loss, seed=seed)
+    return scores.matrix.grad, loss.value
 
 
 def literal_best_score(dense):
@@ -372,6 +403,25 @@ class TestMarginLoss:
         row = scores.row_of[(0, 2)]
         assert g[row, VOCAB5.index("VP")] > 0  # violator pushed down
         assert g[row, VOCAB5.index("NP")] < 0  # gold pushed up
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 6, 12])
+    def test_gradient_equals_sub_add_chain(self, T):
+        rng = np.random.default_rng(200 + T)
+        seen = 0
+        for _ in range(20):
+            dense = random_dense(rng, T, len(VOCAB5))
+            gold_idx = random_gold(rng, T)
+            gold = {LabeledSpan(a, b, VOCAB5.value(li)) for (a, b), li in gold_idx.items()}
+            scores = attached_scores(dense, VOCAB5)
+            loss, info = margin_loss(scores, gold)
+            if info.loss == 0.0:
+                continue
+            seen += 1
+            scores.matrix.tape.backward(loss, seed=0.25)
+            want_grad, want_loss = chain_margin_loss(dense, gold_idx, seed=0.25)
+            assert scores.matrix.grad.tobytes() == want_grad.tobytes()
+            assert float(loss.value) == pytest.approx(float(want_loss), abs=1e-9)
+        assert seen
 
 
 class TestScoreSpans:

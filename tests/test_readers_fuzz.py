@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prosoparse import cli
 from prosoparse.cli import _read_parse_input
 from prosoparse.config import load_config
 from prosoparse.embeddings import load_vector_store, load_word_vectors
@@ -183,16 +184,35 @@ def test_valid_config_loads(tmp_path):
         (b"widths: [3, 5]", b"widths: [3, 4.5]"),
         (b"span_hidden: 64", b"span_hidden: 12.5"),
         (b"span_hidden: 64", b"span_hidden: true"),
+        (b"train: {", b"trian: {"),
+        (b"span_hidden: 64", b"span_hiden: 64"),
     ],
     ids=["span-hidden-text", "seeds-int", "train-trees-int", "zero-heads", "not-utf8",
          "d-ff-float", "layers-float", "d-content-float", "d-ff-bool", "filters-float",
-         "width-float", "span-hidden-float", "span-hidden-bool"],
+         "width-float", "span-hidden-float", "span-hidden-bool", "unknown-section",
+         "unknown-model-key"],
 )
 def test_bad_config_value_is_config_error(tmp_path, edit):
     path = tmp_path / "config.yaml"
     path.write_bytes(VALID_CONFIG.replace(*edit))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        ((b"train: {", b"trian: {"), "trian"),
+        ((b"span_hidden: 64", b"span_hiden: 64"), "span_hiden"),
+        ((b"eval:", b"features: {context_s: 0.2}\neval:"), "features"),
+    ],
+    ids=["section", "model-key", "retired-features-section"],
+)
+def test_unknown_config_key_exits_2_and_is_named(tmp_path, capsys, edit, key):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(VALID_CONFIG.replace(*edit))
+    assert cli.main(["train", "--config", str(path)]) == 2
+    assert f"unknown key(s) {key} " in capsys.readouterr().err
 
 
 @given(edits=EDITS)
