@@ -1,15 +1,22 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 A recording ``Tape`` (the default) keeps one backward closure per op in a
-flat list; ``Tape.backward`` replays the list in reverse and then releases
-the tape.  A watched ``Parameter``'s leaf shares the parameter's ``grad``
-array, so gradients accumulate straight into it.  The closures hold their
-``Var`` operands and every ``Var`` holds its tape, so until it is released
-a tape is a reference cycle that keeps every array of its forward pass
-until the cyclic garbage collector runs.  A tape whose loss needs no
-backward (a zero loss) is released with ``Tape.release``.  A non-recording
-tape (``record=False``, for inference) keeps no closures, so its arrays are
-freed as soon as nothing references them; ``backward`` on it raises.
+flat list; ``Tape.backward`` replays the list in reverse, dropping each
+closure once it has run, and leaves the tape released.  A watched
+``Parameter``'s leaf shares the parameter's ``grad`` array, so gradients
+accumulate straight into it.  The closures hold their ``Var`` operands and
+every ``Var`` holds its tape, so until it is released a tape is a reference
+cycle that keeps every array of its forward pass until the cyclic garbage
+collector runs.  A tape whose loss needs no backward (a zero loss) is
+released with ``Tape.release``.  A non-recording tape (``record=False``, for
+inference) keeps no closures, so its arrays are freed as soon as nothing
+references them; ``backward`` on it raises.
+
+A tape's rows are usually the words of a length bucket: several sentences
+(segments) packed end to end.  Row-wise ops need not know the segments;
+``attention`` and ``dropout`` take the segment lengths, attend within each
+segment and draw each segment's mask from its own generator, so a segment
+gets the bits it gets on a tape of its own.
 
 ``train`` is independent of recording: it only turns dropout on.  Storage
 is float32 by default (float64 available for gradient checking); attention,
@@ -19,11 +26,13 @@ does its work as one tape entry: ``attention`` covers every head,
 ``matmul`` adds an optional bias, and ``layer_norm`` is affine and shares
 its backward step with ``span_scores``.
 ``gather_sum`` is signed, so the margin loss reads both trees' cells in one
-op.  There is no broadcasting beyond bias/vector-over-rows; shapes are
-validated on every op.
+op.  Ops keep what their backward needs and no more: ``conv1d`` rebuilds its
+im2col windows from its input, ``max_pool_time`` keeps the winning frames'
+indices and ``dropout`` a boolean mask.  There is no broadcasting beyond
+bias/vector-over-rows; shapes are validated on every op.
 
 Independent tapes share nothing except read-only parameter values, so
-separate sentences can be processed concurrently.
+separate buckets can be processed concurrently.
 """
 
 from __future__ import annotations
@@ -70,14 +79,18 @@ class Var:
 
 
 class Tape:
-    """One computation (typically: one sentence's forward pass).
+    """One computation: typically one length bucket's forward pass, whose
+    rows are the words of one or more sentences (segments) packed end to end.
 
-    ``record=False`` gives an inference tape that keeps no backward
-    closures; ``backward`` on it raises NumericError.
+    ``rngs`` holds one random Generator per segment, in segment order;
+    dropout draws each segment's mask from that segment's generator, so a
+    segment gets the masks it gets on a tape of its own.  ``record=False``
+    gives an inference tape that keeps no backward closures; ``backward`` on
+    it raises NumericError.
     """
 
-    def __init__(self, rng=None, train=False, dtype=np.float32, record=True):
-        self.rng = rng
+    def __init__(self, rngs=None, train=False, dtype=np.float32, record=True):
+        self.rngs = rngs
         self.train = train
         self.dtype = np.dtype(dtype)
         self.record = record
@@ -100,7 +113,11 @@ class Tape:
 
     def backward(self, loss, seed=1.0):
         """Backpropagate d(seed * loss) into every watched Parameter's grad,
-        then release the tape."""
+        then release the tape.
+
+        Each backward closure is dropped once it has run, so an op's output
+        and its gradient are freed once the ops that read them are done.
+        """
         if not self.record:
             raise NumericError("backward() on a tape that does not record")
         if loss.tape is not self:
@@ -108,9 +125,10 @@ class Tape:
         if loss.value.shape != ():
             raise ShapeError("backward", loss.value.shape)
         loss.grad = np.asarray(seed, dtype=self.dtype)
-        for fn in reversed(self._ops):
-            fn()
+        ops = self._ops
         self.release()
+        while ops:
+            ops.pop()()
 
     def release(self):
         """Drop the backward closures.
@@ -188,29 +206,68 @@ def relu(x):
     return out
 
 
-def _split_heads(x, heads, axes):
-    """[T, heads*dh] -> C-contiguous [heads, T, dh] (axes (1, 0, 2)) or
-    [heads, dh, T] (axes (1, 2, 0))."""
-    return np.ascontiguousarray(x.reshape(len(x), heads, -1).transpose(axes))
+def _segment_lengths(n_rows, lengths):
+    """Validated segment lengths over ``n_rows`` packed rows, as a list of
+    ints; None means one segment of every row."""
+    lengths = [n_rows] if lengths is None else [int(n) for n in lengths]
+    if not lengths or min(lengths) < 1 or sum(lengths) != n_rows:
+        raise ShapeError("segments", (n_rows,), tuple(lengths))
+    return lengths
 
 
-def _merge_heads(x, axes):
+def _length_groups(lengths):
+    """(T, rows) for each distinct segment length T: ``rows`` selects the
+    packed rows of the g segments of T rows, segment by segment ([g*T]), as
+    a slice when the segments are adjacent."""
+    firsts, row = {}, 0
+    for n in lengths:
+        firsts.setdefault(n, []).append(row)
+        row += n
+    for T in sorted(firsts):
+        first = firsts[T]
+        if first[-1] - first[0] == (len(first) - 1) * T:
+            yield T, slice(first[0], first[-1] + T)
+        else:
+            yield T, (np.array(first)[:, None] + np.arange(T)).ravel()
+
+
+# axes that split [g, T, heads, dh] rows into per-head blocks, and back
+_HEAD_ROWS = (0, 2, 1, 3)  # -> [g, heads, T, dh]; its own inverse
+_HEAD_COLS = (0, 2, 3, 1)  # -> [g, heads, dh, T]
+_HEAD_COLS_BACK = (0, 3, 1, 2)  # [g, heads, dh, T] -> [g, T, heads, dh]
+
+
+def _split_heads(x, heads, T, axes):
+    """[g*T, heads*dh] (g segments of T rows) -> C-contiguous [g*heads, T, dh]
+    (_HEAD_ROWS) or [g*heads, dh, T] (_HEAD_COLS)."""
+    y = np.ascontiguousarray(x.reshape(-1, T, heads, x.shape[1] // heads).transpose(axes))
+    return y.reshape(-1, y.shape[2], y.shape[3])
+
+
+def _merge_heads(x, heads, axes):
     """Inverse of _split_heads given the inverse axes, C-contiguous: BLAS
     rounds a strided operand differently."""
-    return np.ascontiguousarray(x.transpose(axes)).reshape(x.shape[axes[0]], -1)
+    y = np.ascontiguousarray(x.reshape(-1, heads, x.shape[1], x.shape[2]).transpose(axes))
+    return y.reshape(-1, heads * y.shape[3])
 
 
-def attention(qs, ks, vs, heads):
-    """Factored multi-head self-attention (Kitaev & Klein 2018) over streams.
+def attention(qs, ks, vs, heads, lengths=None):
+    """Factored multi-head self-attention (Kitaev & Klein 2018) over streams,
+    within each segment of packed rows.
 
-    qs, ks, vs: one [T, d_s] Var per stream s, each d_s divisible by
-    ``heads`` -> one [T, d_s] Var per stream.  Head h of stream s is columns
+    qs, ks, vs: one [N, d_s] Var per stream s, each d_s divisible by
+    ``heads`` -> one [N, d_s] Var per stream.  The N rows are segments of
+    ``lengths`` rows (default: one segment), and a row attends to the rows
+    of its own segment only.  Head h of stream s is columns
     h*dh:(h+1)*dh, dh = d_s / heads.  A head's logits are the sum over
     streams, in stream order, of q_h k_h^T / sqrt(dh); one float64 softmax
     per head gives the weights that every stream applies to its own values.
     Each head's q, k^T and v is a C-contiguous copy and gradients sum over
     streams in reverse order, so forward and backward give the bits of the
     per-head chain of slice, transpose, matmul, scale, add and softmax ops.
+    Segments of equal length are stacked into one batched product in which
+    each segment's heads are separate [T, T] blocks, so a segment gets the
+    bits it gets alone.
     """
     n = len(qs)
     if not (n == len(ks) == len(vs) > 0) or any(
@@ -220,37 +277,51 @@ def attention(qs, ks, vs, heads):
     ):
         raise ShapeError("attention", tuple(x.value.shape for x in (*qs, *ks, *vs)))
     tape = _same_tape("attention", *qs, *ks, *vs)
+    lengths = _segment_lengths(len(qs[0].value), lengths)
     dt = qs[0].value.dtype
     scales = [np.asarray(1.0 / np.sqrt(q.value.shape[1] // heads), dtype=dt) for q in qs]
-    q_h = [_split_heads(q.value, heads, (1, 0, 2)) for q in qs]
-    kt_h = [_split_heads(k.value, heads, (1, 2, 0)) for k in ks]
-    v_h = [_split_heads(v.value, heads, (1, 0, 2)) for v in vs]
-    logits = (q_h[0] @ kt_h[0]) * scales[0]
-    for s in range(1, n):
-        logits += (q_h[s] @ kt_h[s]) * scales[s]
-    e = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
-    y64 = e / e.sum(axis=-1, keepdims=True)
-    weights = y64.astype(dt)
-    outs = [Var(_merge_heads(weights @ vh, (1, 0, 2)), tape) for vh in v_h]
+    outs = [Var(np.empty_like(v.value), tape) for v in vs]
+    groups = []
+    for T, rows in _length_groups(lengths):
+        q_h = [_split_heads(q.value[rows], heads, T, _HEAD_ROWS) for q in qs]
+        kt_h = [_split_heads(k.value[rows], heads, T, _HEAD_COLS) for k in ks]
+        v_h = [_split_heads(v.value[rows], heads, T, _HEAD_ROWS) for v in vs]
+        logits = (q_h[0] @ kt_h[0]) * scales[0]
+        for s in range(1, n):
+            logits += (q_h[s] @ kt_h[s]) * scales[s]
+        e = np.exp(logits.astype(np.float64) - logits.max(axis=-1, keepdims=True))
+        y64 = e / e.sum(axis=-1, keepdims=True)
+        weights = y64.astype(dt)
+        for out, vh in zip(outs, v_h):
+            out.value[rows] = _merge_heads(weights @ vh, heads, _HEAD_ROWS)
+        groups.append((T, rows, q_h, kt_h, v_h, y64, weights))
 
     def bwd():
-        dw = None
-        for s in reversed(range(n)):
-            if outs[s].grad is None:
-                continue
-            g = _split_heads(outs[s].grad, heads, (1, 0, 2))
-            part = g @ v_h[s].transpose(0, 2, 1)
-            dw = part if dw is None else dw + part
-            _accum(vs[s], _merge_heads(weights.transpose(0, 2, 1) @ g, (1, 0, 2)))
-        if dw is None:
+        live = [s for s in reversed(range(n)) if outs[s].grad is not None]
+        if not live:
             return
-        g64 = dw.astype(np.float64)
-        dot = (g64 * y64).sum(axis=-1, keepdims=True)
-        dlogits = ((g64 - dot) * y64).astype(dt)
+        dv = {s: np.empty_like(vs[s].value) for s in live}
+        dk = [np.empty_like(k.value) for k in ks]
+        dq = [np.empty_like(q.value) for q in qs]
+        for T, rows, q_h, kt_h, v_h, y64, weights in groups:
+            dw = None
+            for s in live:
+                g = _split_heads(outs[s].grad[rows], heads, T, _HEAD_ROWS)
+                part = g @ v_h[s].transpose(0, 2, 1)
+                dw = part if dw is None else dw + part
+                dv[s][rows] = _merge_heads(weights.transpose(0, 2, 1) @ g, heads, _HEAD_ROWS)
+            g64 = dw.astype(np.float64)
+            dot = (g64 * y64).sum(axis=-1, keepdims=True)
+            dlogits = ((g64 - dot) * y64).astype(dt)
+            for s in reversed(range(n)):
+                dm = dlogits * scales[s]
+                dk[s][rows] = _merge_heads(q_h[s].transpose(0, 2, 1) @ dm, heads, _HEAD_COLS_BACK)
+                dq[s][rows] = _merge_heads(dm @ kt_h[s].transpose(0, 2, 1), heads, _HEAD_ROWS)
+        for s in live:
+            _accum(vs[s], dv[s])
         for s in reversed(range(n)):
-            dm = dlogits * scales[s]
-            _accum(ks[s], _merge_heads(q_h[s].transpose(0, 2, 1) @ dm, (2, 0, 1)))
-            _accum(qs[s], _merge_heads(dm @ kt_h[s].transpose(0, 2, 1), (1, 0, 2)))
+            _accum(ks[s], dk[s])
+            _accum(qs[s], dq[s])
 
     tape._record(bwd)
     return outs
@@ -421,26 +492,53 @@ def span_scores(proj, b1, gain, beta, w2, b2):
     return out
 
 
-def dropout(x, rate):
-    """Inverted dropout; identity when the tape is not in training mode."""
+def dropout(x, rate, lengths=None):
+    """Inverted dropout; identity when the tape is not in training mode.
+
+    The rows of x are segments of ``lengths`` rows (default: one segment),
+    and segment i's keep mask is drawn from ``tape.rngs[i]``.  The op keeps
+    the boolean mask; backward rebuilds the scaled float mask from it.
+    """
     tape = x.tape
     if not tape.train or rate <= 0.0:
         return x
     if rate >= 1.0:
         raise NumericError(f"dropout rate must be < 1, got {rate}")
-    if tape.rng is None:
-        raise NumericError("dropout requires a tape rng in training mode")
+    lengths = _segment_lengths(len(x.value), lengths)
+    if tape.rngs is None or len(tape.rngs) != len(lengths):
+        raise NumericError("dropout in training mode requires one tape rng per segment")
     keep = 1.0 - rate
-    mask = (tape.rng.random(x.value.shape) < keep).astype(x.value.dtype) / keep
-    out = Var(x.value * mask, tape)
+    dt = x.value.dtype
+    kept = np.concatenate([
+        rng.random((n, *x.value.shape[1:])) < keep for rng, n in zip(tape.rngs, lengths)
+    ])
+    out = Var(x.value * (kept.astype(dt) / keep), tape)
 
     def bwd():
         if out.grad is None:
             return
-        _accum(x, out.grad * mask)
+        _accum(x, out.grad * (kept.astype(dt) / keep))
 
     tape._record(bwd)
     return out
+
+
+def _conv_windows(x, width):
+    """im2col matrix of x [items, time, in_ch], same-padded with (width-1)//2
+    zero frames left and width//2 right: row i*time + t holds frames
+    t..t+width-1 of item i's padded input, in_ch values per frame.  It has
+    one spare zero row at the end: numpy computes a one-row product with
+    gemv, which rounds differently from gemm, so without it a lone one-frame
+    item would not give the bits it gives inside a batch."""
+    n, t, cin = x.shape
+    pad_l = (width - 1) // 2
+    xp = np.zeros((n, t + width - 1, cin), dtype=x.dtype)
+    xp[:, pad_l : pad_l + t] = x
+    spare = np.zeros((n * t + 1, width * cin), dtype=x.dtype)
+    windows = spare[:-1].reshape(n, t, width * cin)
+    for k in range(width):
+        windows[:, :, k * cin : (k + 1) * cin] = xp[:, k : k + t]
+    return spare
 
 
 def conv1d(x, w, b):
@@ -450,7 +548,8 @@ def conv1d(x, w, b):
     -> [items, time, out_ch].  Zero padding of (width-1)//2 left and
     width//2 right guarantees at least one output position for any input
     length.  An item whose trailing frames are zeros therefore gives, at its
-    leading frames, exactly what it gives without them.
+    leading frames, exactly what it gives without them.  The op keeps no
+    im2col matrix: backward rebuilds it from x.
     """
     tape = _same_tape("conv1d", x, w, b)
     if x.value.ndim != 3 or w.value.ndim != 3 or x.value.shape[2] != w.value.shape[1]:
@@ -459,32 +558,22 @@ def conv1d(x, w, b):
         raise ShapeError("conv1d bias", b.value.shape, w.value.shape)
     n, t, cin = x.value.shape
     width, _, cout = w.value.shape
-    pad_l = (width - 1) // 2
-    pad_r = width // 2
-    xp = np.zeros((n, t + pad_l + pad_r, cin), dtype=x.value.dtype)
-    xp[:, pad_l : pad_l + t] = x.value
     rows = n * t
-    # one spare zero row: numpy computes a one-row product with gemv, which
-    # rounds differently from gemm, so without it a lone one-frame item would
-    # not give the bits it gives inside a batch
-    spare = np.zeros((rows + 1, width * cin), dtype=x.value.dtype)
-    cols = spare[:rows]
-    windows = cols.reshape(n, t, width * cin)
-    for k in range(width):
-        windows[:, :, k * cin : (k + 1) * cin] = xp[:, k : k + t]
     w2d = w.value.reshape(width * cin, cout)
-    out = Var(((spare @ w2d)[:rows] + b.value[None, :]).reshape(n, t, cout), tape)
+    product = _conv_windows(x.value, width) @ w2d
+    out = Var((product[:rows] + b.value[None, :]).reshape(n, t, cout), tape)
 
     def bwd():
         if out.grad is None:
             return
         g = out.grad.reshape(rows, cout)
         _accum(b, g.sum(axis=0))
-        _accum(w, (cols.T @ g).reshape(width, cin, cout))
+        _accum(w, (_conv_windows(x.value, width)[:rows].T @ g).reshape(width, cin, cout))
         dcols = (g @ w2d.T).reshape(n, t, width * cin)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((n, t + width - 1, cin), dtype=x.value.dtype)
         for k in range(width):
             dxp[:, k : k + t] += dcols[:, :, k * cin : (k + 1) * cin]
+        pad_l = (width - 1) // 2
         _accum(x, dxp[:, pad_l : pad_l + t])
 
     tape._record(bwd)
@@ -495,8 +584,8 @@ def max_pool_time(x, lengths):
     """Max over time of each item's first ``lengths[i]`` frames.
 
     x: [items, time, ch] -> [items, ch].  Frames past an item's length never
-    win and get zero gradient; among equal values the first frame wins.  The
-    winning frames are found only in backward.
+    win and get zero gradient; among equal values the first frame wins.  A
+    recording tape keeps only the winning frames' [items, ch] indices.
     """
     tape = x.tape
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -508,11 +597,13 @@ def max_pool_time(x, lengths):
     padded = np.arange(t)[None, :, None] >= lengths[:, None, None]
     masked = np.where(padded, -np.inf, x.value)
     out = Var(masked.max(axis=1), tape)
+    if not tape.record:
+        return out
+    idx = masked.argmax(axis=1)
 
     def bwd():
         if out.grad is None:
             return
-        idx = masked.argmax(axis=1)
         g = np.zeros_like(x.value)
         g[np.arange(n)[:, None], idx, np.arange(c)[None, :]] = out.grad
         _accum(x, g)

@@ -286,11 +286,21 @@ def cmd_parse(cfg, args):
     )
     model, _ = ParserModel.load(args.checkpoint, store=_store_for(cfg))
     sentences = _read_parse_input(args.input)
+    # a sentence too long for the position table fails alone: the others are
+    # still parsed and written, and the command exits with the data-error code
+    max_len = model.config.encoder.max_len
+    too_long = [s for s in sentences if len(s) > max_len]
+    for s in too_long:
+        print(
+            f"data error: sentence {s.sentence_id} has {len(s)} words, over max_len {max_len}",
+            file=sys.stderr,
+        )
+    sentences = [s for s in sentences if len(s) <= max_len]
     if model.uses_prosody:
         if cfg.data.alignments:
             _match_alignment_ids(sentences, read_alignment_file(cfg.data.alignments))
         _attach_features(cfg, sentences, save=False)
-    trees = [model.parse_sentence(s).tree for s in sentences]
+    trees = [d.tree for d in model.parse_sentences(sentences)]
     out = args.output or "-"
     if out == "-":
         for t in trees:
@@ -298,7 +308,7 @@ def cmd_parse(cfg, args):
     else:
         write_tree_file(out, trees)
         print(f"wrote {len(trees)} parses to {out}")
-    return 0
+    return EXIT_DATA if too_long else 0
 
 
 def cmd_evaluate(cfg, args):

@@ -200,21 +200,30 @@ class EmbeddingProvider:
         if self.trainable:
             yield self.table
 
-    def embed(self, tape, sentence_id, tokens):
-        """e_i matrix [T x dim] for the sentence's word tokens."""
-        T = len(tokens)
+    def embed(self, tape, sentence_ids, token_lists):
+        """e_i matrix [N x dim] of sentences' word tokens, packed end to end.
+
+        In learned mode on a training tape, sentence i's UNK word dropout is
+        drawn from ``tape.rngs[i]``.
+        """
         if self.mode == "frozen":
-            mat = self.store.sentences.get(sentence_id)
-            if mat is None:
-                raise DataError(f"sentence {sentence_id!r} missing from vector store")
-            if mat.shape[0] != T:
-                raise AlignmentError(
-                    f"sentence {sentence_id!r}: store has {mat.shape[0]} vectors "
-                    f"for {T} tokens"
-                )
-            return tape.constant(mat)
-        ids = np.array([self.vocab.index_or_unk(w) for w in tokens], dtype=np.int64)
-        if self.mode == "learned" and tape.train and tape.rng is not None:
-            drop = tape.rng.random(T) < UNK_DROPOUT_P
-            ids[drop] = 0
-        return ag.embedding_lookup(tape, self.table, ids)
+            mats = []
+            for sid, tokens in zip(sentence_ids, token_lists):
+                mat = self.store.sentences.get(sid)
+                if mat is None:
+                    raise DataError(f"sentence {sid!r} missing from vector store")
+                if mat.shape[0] != len(tokens):
+                    raise AlignmentError(
+                        f"sentence {sid!r}: store has {mat.shape[0]} vectors "
+                        f"for {len(tokens)} tokens"
+                    )
+                mats.append(mat)
+            return tape.constant(np.concatenate(mats))
+        ids = [
+            np.array([self.vocab.index_or_unk(w) for w in tokens], dtype=np.int64)
+            for tokens in token_lists
+        ]
+        if self.mode == "learned" and tape.train and tape.rngs is not None:
+            for rng, sent_ids in zip(tape.rngs, ids, strict=True):
+                sent_ids[rng.random(len(sent_ids)) < UNK_DROPOUT_P] = 0
+        return ag.embedding_lookup(tape, self.table, np.concatenate(ids))

@@ -12,18 +12,22 @@ so that a model whose prosody pathway is zeroed is numerically identical to
 a narrower text-only model with the same remaining weights; each stream norm
 is one affine ``layer_norm`` op with its own gain and bias.
 
-The prosody CNN reads a sentence's frame patches packed end to end
-(``ProsodyInputs``), scattered into one zero-padded [T, longest patch, 3]
-array.
+The encoder runs over a length bucket: the words of one or more sentences
+packed end to end as the rows of one matrix.  Projections, feed-forward
+blocks, norms, dropout and the prosody CNN run once over all rows; only
+attention sees the sentence boundaries, and a word attends to the words of
+its own sentence.  The prosody CNN reads the words' frame patches packed end
+to end (``ProsodyInputs``), scattered into one zero-padded [words, longest
+patch, 3] array.
 
 Word outputs are split into forward/backward halves per stream to build
-fencepost (word boundary) vectors, with learned sentinel halves at the
-sentence edges.
+fencepost (word boundary) vectors, with learned sentinel halves at each
+sentence's edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,7 +119,8 @@ class EncoderConfig:
 
 @dataclass
 class ProsodyInputs:
-    """Per-word prosodic inputs for one sentence.
+    """Per-word prosodic inputs for one sentence (or, joined by
+    ``join_prosody``, for the words of several sentences in order).
 
     The words' energy/f0 frame patches are packed end to end: word i owns
     ``patch_lens[i]`` consecutive rows of ``frames`` and ``mask``, starting
@@ -146,6 +151,16 @@ class ProsodyInputs:
             raise DataError(f"pause arrays do not hold {T} words")
         if self.duration_scalars.shape != (T, N_DURATION_SCALARS):
             raise DataError("bad duration block")
+
+
+def join_prosody(prosodies):
+    """Sentences' ProsodyInputs joined end to end: the inputs of all their
+    words, in order."""
+    if len(prosodies) == 1:
+        return prosodies[0]
+    return ProsodyInputs(*(
+        np.concatenate([getattr(p, f.name) for p in prosodies]) for f in fields(ProsodyInputs)
+    ))
 
 
 @dataclass
@@ -296,13 +311,13 @@ class Encoder:
         Energy, f0 and the word-interior mask enter as three channels.  The
         packed patches are scattered into a [T, longest patch] array, each
         zero-padded at its end, so each filter width is one convolution
-        (same padding), max-pool over time and rectification for the whole
-        sentence.  relu is monotone, so pooling before rectifying gives the
-        values and gradients of pooling the rectified frames, on T rows
-        instead of every frame.  Each word pools over its own frames only,
-        and the zero padding is exactly its per-word same padding, so its row
-        equals what its patch gives alone.  The per-width outputs are
-        concatenated in ascending width order.
+        (same padding), max-pool over time and rectification for all the
+        words, of one sentence or of a joined bucket.  relu is monotone, so
+        pooling before rectifying gives the values and gradients of pooling
+        the rectified frames, on T rows instead of every frame.  Each word
+        pools over its own frames only, and the zero padding is exactly its
+        per-word same padding, so its row equals what its patch gives alone.
+        The per-width outputs are concatenated in ascending width order.
         """
         lens = prosody.patch_lens
         width = lens.max()
@@ -333,27 +348,27 @@ class Encoder:
 
     # ------------------------------------------------------------------
 
-    def _attention(self, tape, streams, layer):
+    def _attention(self, tape, streams, layer, lengths):
         cfg = self.config
         qs, ks, vs = [], [], []
         for x, attn in zip(streams, layer.attn):
             qs.append(ag.matmul(x, tape.watch(attn.wq)))
             ks.append(ag.matmul(x, tape.watch(attn.wk)))
             vs.append(ag.matmul(x, tape.watch(attn.wv)))
-        merged = ag.attention(qs, ks, vs, cfg.heads)
+        merged = ag.attention(qs, ks, vs, cfg.heads, lengths)
         outs = []
         for si, (x, attn) in enumerate(zip(streams, layer.attn)):
             proj = ag.matmul(merged[si], tape.watch(attn.wo))
-            proj = ag.dropout(proj, cfg.dropout)
+            proj = ag.dropout(proj, cfg.dropout, lengths)
             outs.append(layer.norm1[si](tape, ag.add(x, proj)))
         return outs
 
-    def _feed_forward(self, tape, streams, layer):
+    def _feed_forward(self, tape, streams, layer, lengths):
         cfg = self.config
         x = ag.concat(streams, axis=1)
         h = ag.relu(ag.matmul(x, tape.watch(layer.ff_w1), tape.watch(layer.ff_b1)))
         f = ag.matmul(h, tape.watch(layer.ff_w2), tape.watch(layer.ff_b2))
-        f = ag.dropout(f, cfg.dropout)
+        f = ag.dropout(f, cfg.dropout, lengths)
         y = ag.add(x, f)
         outs = []
         lo = 0
@@ -363,41 +378,67 @@ class Encoder:
             lo += dim
         return outs
 
-    def encode(self, tape, e_var, prosody=None):
-        """Fencepost representations [(T+1) x d_total] for one sentence."""
+    def encode(self, tape, e_var, lengths, prosodies=None):
+        """Fencepost representations of each sentence of a packed bucket.
+
+        e_var: [N, embed_dim] word embeddings of sentences of ``lengths``
+        words, packed end to end; prosodies: each sentence's ProsodyInputs.
+        Every layer runs once over the N rows, and attention stays within
+        each sentence.  Returns one EncodedSentence per sentence, whose
+        [(T+1) x d_total] fenceposts are rows of one packed fencepost matrix.
+        """
         cfg = self.config
-        T = e_var.value.shape[0]
-        if T < 1:
+        lengths = [int(T) for T in lengths]
+        if not lengths or min(lengths) < 1:
             raise DataError("cannot encode an empty sentence")
-        if T > cfg.max_len:
-            raise LengthError(f"sentence length {T} exceeds max_len {cfg.max_len}")
+        if max(lengths) > cfg.max_len:
+            raise LengthError(f"sentence length {max(lengths)} exceeds max_len {cfg.max_len}")
+        N = e_var.value.shape[0]
         if e_var.value.shape[1] != self.embed_dim:
             raise DataError(
                 f"embedding width {e_var.value.shape[1]} != encoder's {self.embed_dim}"
             )
+        if sum(lengths) != N:
+            raise DataError(f"{N} embedding rows for sentences of {sum(lengths)} words")
 
         content = ag.matmul(e_var, tape.watch(self.w_content), tape.watch(self.b_content))
-        positions = ag.embedding_lookup(tape, self.pos_table, np.arange(T))
+        positions = ag.embedding_lookup(
+            tape, self.pos_table, [j for T in lengths for j in range(T)]
+        )
         streams = [content, positions]
         if cfg.use_prosody:
-            if prosody is None:
+            if prosodies is None:
                 raise DataError("model expects prosodic features but none were given")
-            streams.append(self.prosody_stream(tape, prosody))
+            streams.append(self.prosody_stream(tape, join_prosody(prosodies)))
 
         for i, layer in enumerate(self.layers):
-            streams = self._attention(tape, streams, layer)
-            streams = self._feed_forward(tape, streams, layer)
+            streams = self._attention(tape, streams, layer, lengths)
+            streams = self._feed_forward(tape, streams, layer, lengths)
             for s in streams:
                 ag.check_finite(s, f"encoder layer {i}")
 
-        pieces = []
-        for si, (x, dim) in enumerate(zip(streams, cfg.stream_dims)):
-            half = dim // 2
-            fwd = ag.slice_cols(x, 0, half)
-            bwd = ag.slice_cols(x, half, dim)
-            start, stop = self.sentinels[si]
-            fwd_stack = ag.concat([tape.watch(start), fwd], axis=0)
-            bwd_stack = ag.concat([bwd, tape.watch(stop)], axis=0)
-            pieces.append(ag.concat([fwd_stack, bwd_stack], axis=1))
+        # Fencepost j of a sentence of T words starting at word w joins the
+        # forward halves of word w+j-1 and the backward halves of word w+j.
+        # Row N holds each stream's start sentinel in its forward half and its
+        # stop sentinel in its backward half, for j = 0 and j = T.
+        fwd_rows, bwd_rows, w = [], [], 0
+        for T in lengths:
+            words = list(range(w, w + T))
+            fwd_rows += [N, *words]
+            bwd_rows += [*words, N]
+            w += T
+        sentinels = ag.concat([tape.watch(p) for pair in self.sentinels for p in pair], axis=1)
+        rows = ag.concat([ag.concat(streams, axis=1), sentinels], axis=0)
+        fwd = ag.take_rows(rows, fwd_rows)
+        bwd = ag.take_rows(rows, bwd_rows)
+        pieces, lo = [], 0
+        for dim in cfg.stream_dims:
+            half = lo + dim // 2
+            pieces += [ag.slice_cols(fwd, lo, half), ag.slice_cols(bwd, half, lo + dim)]
+            lo += dim
         fenceposts = ag.concat(pieces, axis=1)
-        return EncodedSentence(fenceposts=fenceposts, n_words=T)
+        encoded, lo = [], 0
+        for T in lengths:
+            encoded.append(EncodedSentence(ag.take_rows(fenceposts, np.arange(lo, lo + T + 1)), T))
+            lo += T + 1
+        return encoded

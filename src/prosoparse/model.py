@@ -20,6 +20,21 @@ from .treebank import LabelVocab
 
 CHECKPOINT_KIND = "prosoparse-checkpoint"
 CHECKPOINT_VERSION = 1
+# words per parse bucket: enough rows that per-op overhead stops dominating
+PARSE_BUCKET_WORDS = 512
+
+
+def length_buckets(lengths, max_words):
+    """Index lists of consecutive runs of the sentences sorted by (length,
+    position), each holding at most ``max_words`` words, or one sentence."""
+    buckets, words = [], max_words
+    for i in sorted(range(len(lengths)), key=lambda i: (lengths[i], i)):
+        if words + lengths[i] > max_words:
+            buckets.append([])
+            words = 0
+        buckets[-1].append(i)
+        words += lengths[i]
+    return buckets
 
 
 @dataclass(frozen=True)
@@ -77,31 +92,55 @@ class ParserModel:
 
     # ------------------------------------------------------------------
 
-    def score_sentence(self, tape, sent):
-        e = self.provider.embed(tape, sent.sentence_id, sent.words)
-        prosody = sent.prosody if self.uses_prosody else None
+    def score_sentences(self, tape, sents):
+        """SpanScores of each sentence, encoded together as one packed
+        bucket in the given order."""
+        prosodies = None
         if self.uses_prosody:
-            if prosody is None:
-                raise DataError(
-                    f"sentence {sent.sentence_id!r} has no prosodic features but "
-                    "the model expects them"
-                )
-            if len(prosody.patch_lens) != len(sent.tokens):
-                raise AlignmentError(
-                    f"sentence {sent.sentence_id!r}: prosodic features cover "
-                    f"{len(prosody.patch_lens)} words for {len(sent.tokens)} tokens"
-                )
-        encoded = self.encoder.encode(tape, e, prosody)
-        return score_spans(tape, encoded, self.scorer, self.label_vocab)
+            prosodies = [s.prosody for s in sents]
+            for sent, prosody in zip(sents, prosodies):
+                if prosody is None:
+                    raise DataError(
+                        f"sentence {sent.sentence_id!r} has no prosodic features but "
+                        "the model expects them"
+                    )
+                if len(prosody.patch_lens) != len(sent.tokens):
+                    raise AlignmentError(
+                        f"sentence {sent.sentence_id!r}: prosodic features cover "
+                        f"{len(prosody.patch_lens)} words for {len(sent.tokens)} tokens"
+                    )
+        e = self.provider.embed(tape, [s.sentence_id for s in sents], [s.words for s in sents])
+        encoded = self.encoder.encode(tape, e, [len(s.tokens) for s in sents], prosodies)
+        return [score_spans(tape, enc, self.scorer, self.label_vocab) for enc in encoded]
+
+    def score_sentence(self, tape, sent):
+        return self.score_sentences(tape, [sent])[0]
+
+    def parse_sentences(self, sents):
+        """Best tree of each sentence, in input order.
+
+        Sentences are sorted by length (ties by input position) and parsed
+        in buckets of at most PARSE_BUCKET_WORDS words (a longer sentence
+        alone), one non-recording tape per bucket.
+        """
+        decoded = [None] * len(sents)
+        for bucket in length_buckets([len(s.tokens) for s in sents], PARSE_BUCKET_WORDS):
+            tape = ag.Tape(train=False, record=False, dtype=self.dtype)
+            group = [sents[i] for i in bucket]
+            for i, sent, scores in zip(bucket, group, self.score_sentences(tape, group)):
+                decoded[i] = cky_decode(scores, sent.tokens)
+        return decoded
 
     def parse_sentence(self, sent):
-        tape = ag.Tape(train=False, record=False, dtype=self.dtype)
-        scores = self.score_sentence(tape, sent)
-        return cky_decode(scores, sent.tokens)
+        return self.parse_sentences([sent])[0]
+
+    def sentence_losses(self, tape, sents):
+        """(loss Var, MarginInfo) of each sentence, encoded as one bucket."""
+        scores = self.score_sentences(tape, sents)
+        return [margin_loss(sc, sent.gold_spans) for sc, sent in zip(scores, sents)]
 
     def sentence_loss(self, tape, sent):
-        scores = self.score_sentence(tape, sent)
-        return margin_loss(scores, sent.gold_spans)
+        return self.sentence_losses(tape, [sent])[0]
 
     # ------------------------------------------------------------------
 

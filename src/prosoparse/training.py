@@ -1,7 +1,10 @@
 """Optimization loop: multi-seed training, early stopping, fine-tuning.
 
 Every run is reproducible from (seed, config, data): batch order, dropout
-masks and parameter init all derive from seeded generators.  Seeds are
+masks and parameter init all derive from seeded generators.  Each batch of
+similar-length sentences is one packed forward pass on one tape, with one
+backward of the sum of its sentences' nonzero margins; each sentence still
+draws its dropout masks from its own generator.  Seeds are
 independent; with --jobs they run as separate processes.  Metric logs hold
 one line per epoch (epoch, train_loss, dev_F1) and contain nothing
 non-deterministic, so re-running a config reproduces them byte for byte.
@@ -9,6 +12,7 @@ non-deterministic, so re-running a config reproduces them byte for byte.
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -169,7 +173,7 @@ def epoch_batches(corpora, weights, batch_size, rng):
 
 
 def evaluate_f1(model, sentences):
-    preds = [model.parse_sentence(s).tree for s in sentences]
+    preds = [d.tree for d in model.parse_sentences(sentences)]
     golds = [s.tree for s in sentences]
     return parseval(golds, preds).f1
 
@@ -194,23 +198,25 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
             for bi, batch in enumerate(batches):
                 for p in params:
                     p.zero_grad()
-                scale = 1.0 / len(batch)
-                for si, sent in enumerate(batch):
-                    tape = ag.Tape(
-                        rng=np.random.default_rng(
-                            np.random.SeedSequence((seed, epoch, bi, si))
-                        ),
-                        train=True,
-                        dtype=model.dtype,
-                    )
-                    loss_var, info = model.sentence_loss(tape, sent)
+                tape = ag.Tape(
+                    rngs=[
+                        np.random.default_rng(np.random.SeedSequence((seed, epoch, bi, si)))
+                        for si in range(len(batch))
+                    ],
+                    train=True,
+                    dtype=model.dtype,
+                )
+                margins = []
+                for loss_var, info in model.sentence_losses(tape, batch):
                     if not np.isfinite(info.loss):
                         raise TrainingDivergedError(seed, opt.t)
                     epoch_loss += info.loss
                     if info.loss > 0.0:
-                        tape.backward(loss_var, seed=scale)
-                    else:
-                        tape.release()
+                        margins.append(loss_var)
+                if margins:
+                    tape.backward(functools.reduce(ag.add, margins), seed=1.0 / len(batch))
+                else:
+                    tape.release()
                 n_sentences += len(batch)
                 opt.step()
             train_loss = epoch_loss / max(n_sentences, 1)
@@ -301,7 +307,7 @@ def median_report(records, test_sentences=None, store=None):
     summary = MedianSummary(chosen_seed=chosen.seed, chosen_record=chosen)
     if test_sentences:
         model, _ = ParserModel.load(chosen.checkpoint_path, store=store)
-        preds = [model.parse_sentence(s).tree for s in test_sentences]
+        preds = [d.tree for d in model.parse_sentences(test_sentences)]
         summary.test_f1 = parseval([s.tree for s in test_sentences], preds).f1
         summary.predictions = preds
     return summary

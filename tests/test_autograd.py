@@ -32,7 +32,7 @@ def check_op(build, n_params, tol=1e-6, seed=0, train=False):
     ]
 
     def f():
-        tape = ag.Tape(rng=np.random.default_rng(seed), train=train, dtype=np.float64)
+        tape = ag.Tape(rngs=[np.random.default_rng(seed)], train=train, dtype=np.float64)
         return build(tape, [tape.watch(p) for p in params])
 
     err = grad_check(f, params, n_samples=40, h=1e-5)
@@ -241,6 +241,42 @@ class TestAttention:
             assert g.tobytes() == w.tobytes(), i
             # the matmuls that consume them round a strided array differently
             assert g.flags.c_contiguous, i
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lengths", [(3, 5, 3, 1, 5, 5), (4, 4, 6, 7), (1, 1), (9,)])
+    def test_segments_bit_identical_to_each_segment_alone(self, dtype, lengths):
+        # equal lengths that are adjacent (5, 5) and apart (3 .. 3, 5 .. 5)
+        widths, heads = (64, 32, 32), 2
+        N = sum(lengths)
+        rng = np.random.default_rng(N)
+        inputs = [rng.standard_normal((N, d)).astype(dtype) for d in widths * 3]
+        weights = [rng.standard_normal((N, d)).astype(dtype) for d in widths]
+
+        def run(rows, segments):
+            tape = ag.Tape(dtype=dtype)
+            xs = [tape.constant(x[rows]) for x in inputs]
+            outs = ag.attention(xs[:3], xs[3:6], xs[6:], heads, segments)
+            loss = sum_all(mul(outs[0], tape.constant(weights[0][rows])))
+            for out, w in zip(outs[1:], weights[1:]):
+                loss = ag.add(loss, sum_all(mul(out, tape.constant(w[rows]))))
+            tape.backward(loss)
+            return [out.value for out in outs] + [x.grad for x in xs]
+
+        packed = run(slice(None), lengths)
+        lo = 0
+        for n in lengths:
+            alone = run(slice(lo, lo + n), None)
+            for i, (p, a) in enumerate(zip(packed, alone)):
+                assert p.dtype == a.dtype == dtype, i
+                assert p[lo : lo + n].tobytes() == a.tobytes(), (lo, i)
+            lo += n
+
+    def test_checks_segments(self):
+        t = tape64()
+        x = t.constant(np.ones((5, 4)))
+        for lengths in ((2, 2), (5, 0), (), (6, -1)):
+            with pytest.raises(ShapeError, match="segments"):
+                ag.attention([x], [x], [x], 2, lengths)
 
     def test_checks_shapes(self):
         t = tape64()
@@ -502,12 +538,34 @@ class TestOpSemantics:
 
     def test_dropout_train_mode_deterministic(self):
         def run():
-            t = ag.Tape(rng=np.random.default_rng(42), train=True, dtype=np.float64)
+            t = ag.Tape(rngs=[np.random.default_rng(42)], train=True, dtype=np.float64)
             return ag.dropout(t.constant(np.ones((20, 20))), 0.3).value
 
         a, b = run(), run()
         np.testing.assert_array_equal(a, b)
         assert (a == 0).any() and (a > 1).any()
+
+    def test_dropout_segments_draw_from_their_own_rngs(self):
+        x = np.random.default_rng(1).standard_normal((9, 5))
+        lengths = (4, 2, 3)
+
+        def run(rows, seeds, segments):
+            t = ag.Tape(rngs=[np.random.default_rng(s) for s in seeds], train=True,
+                        dtype=np.float64)
+            v = t.constant(x[rows])
+            out = ag.dropout(v, 0.3, segments)
+            t.backward(sum_all(out))
+            return out.value, v.grad
+
+        packed = run(slice(None), (5, 6, 7), lengths)
+        lo = 0
+        for seed, n in zip((5, 6, 7), lengths):
+            alone = run(slice(lo, lo + n), (seed,), None)
+            for p, a in zip(packed, alone):
+                assert p[lo : lo + n].tobytes() == a.tobytes()
+            lo += n
+        with pytest.raises(NumericError, match="one tape rng per segment"):
+            run(slice(None), (5, 6), lengths)
 
     def test_shape_mismatch_named(self):
         t = tape64()
@@ -519,7 +577,7 @@ class TestOpSemantics:
     def test_determinism_same_seed_bit_identical(self):
         def run(seed):
             rng = np.random.default_rng(seed)
-            t = ag.Tape(rng=rng, train=True, dtype=np.float32)
+            t = ag.Tape(rngs=[rng], train=True, dtype=np.float32)
             x = t.constant(np.ones((8, 8), dtype=np.float32))
             y = ag.dropout(ag.relu(ag.matmul(x, x)), 0.1)
             return y.value.tobytes()

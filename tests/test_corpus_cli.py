@@ -290,6 +290,33 @@ class TestCliWorkflow:
         golds = read_tree_file(ws["corpus"] / "test.trees")
         assert len(preds) == len(golds) == 4
 
+    def test_parse_writes_what_fits_and_reports_over_length_sentences(
+        self, cli_workspace, trained_run1, tmp_path, capsys
+    ):
+        ws = cli_workspace
+        lines = (ws["corpus"] / "test.trees").read_text().splitlines()
+        too_long = " ".join(["uh/UH"] * 31)  # max_len is 30
+        src = tmp_path / "mixed.txt"
+        src.write_text("\n".join(lines[:2] + [too_long] + lines[2:] + [too_long]) + "\n")
+        out = tmp_path / "mixed.trees"
+        capsys.readouterr()
+        rc = cli.main([
+            "parse", "--config", str(ws["config"]),
+            "--checkpoint", str(trained_run1 / "seed1" / "best.ckpt"),
+            "--input", str(src), "--output", str(out),
+        ])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"data error: sentence {sid} has 31 words, over max_len 30"
+            for sid in ("s00002", "s00005")
+        ]
+        preds = read_tree_file(out)
+        golds = read_tree_file(ws["corpus"] / "test.trees")
+        assert [[leaf.word for leaf in t.leaves()] for t in preds] == [
+            [leaf.word for leaf in t.leaves()] for t in golds
+        ]
+
     def test_parse_prosody_checkpoint_without_tracks_is_data_error(self, cli_workspace,
                                                                    trained_run1):
         ws = cli_workspace

@@ -77,7 +77,7 @@ class TestProviders:
         prov = EmbeddingProvider.learned(self.sentences(), dim=8, min_count=2)
         assert "cat" in prov.vocab and "dog" not in prov.vocab  # count 1 < 2
         tape = ag.Tape()
-        out = prov.embed(tape, "x", ["cat", "zebra"])
+        out = prov.embed(tape, ["x"], [["cat", "zebra"]])
         np.testing.assert_array_equal(out.value[1], prov.table.value[0])  # UNK row
 
     def test_frozen_identical_calls_and_no_grad(self):
@@ -86,8 +86,8 @@ class TestProviders:
         prov = EmbeddingProvider.frozen(store)
         sent = corpus.sentences[0]
         t1, t2 = ag.Tape(), ag.Tape()
-        a = prov.embed(t1, sent.sentence_id, sent.words)
-        b = prov.embed(t2, sent.sentence_id, sent.words)
+        a = prov.embed(t1, [sent.sentence_id], [sent.words])
+        b = prov.embed(t2, [sent.sentence_id], [sent.words])
         np.testing.assert_array_equal(a.value, b.value)
         assert list(prov.parameters()) == []
 
@@ -97,7 +97,7 @@ class TestProviders:
         prov = EmbeddingProvider.frozen(store)
         missing = corpus.sentences[2]
         with pytest.raises(DataError, match="missing"):
-            prov.embed(ag.Tape(), missing.sentence_id, missing.words)
+            prov.embed(ag.Tape(), [missing.sentence_id], [missing.words])
 
     def test_frozen_token_count_mismatch(self):
         corpus = overfit_corpus(n_sentences=2)
@@ -105,7 +105,7 @@ class TestProviders:
         prov = EmbeddingProvider.frozen(store)
         sent = corpus.sentences[0]
         with pytest.raises(AlignmentError, match=sent.sentence_id):
-            prov.embed(ag.Tape(), sent.sentence_id, sent.words + ["extra"])
+            prov.embed(ag.Tape(), [sent.sentence_id], [sent.words + ["extra"]])
 
     def test_finetuned_rows_update_only_for_used_words(self, tmp_path):
         path = tmp_path / "glove.txt"
@@ -113,7 +113,7 @@ class TestProviders:
         prov = EmbeddingProvider.finetuned(path)
         before = prov.table.value.copy()
         tape = ag.Tape()
-        out = prov.embed(tape, "x", ["cat", "cat"])
+        out = prov.embed(tape, ["x"], [["cat", "cat"]])
         loss = sum_all(mul(out, out))
         tape.backward(loss)
         prov.table.value -= 0.1 * prov.table.grad
@@ -137,12 +137,12 @@ class TestProviders:
     def test_unk_dropout_only_in_training(self):
         prov = EmbeddingProvider.learned(self.sentences(), dim=4, min_count=1)
         words = ["the", "cat", "runs"] * 200
-        out_eval = prov.embed(ag.Tape(train=False), "x", words)
+        out_eval = prov.embed(ag.Tape(train=False), ["x"], [words])
         unk_row = prov.table.value[0]
         assert not any(np.array_equal(row, unk_row) for row in out_eval.value)
         # training replaces exactly the tokens whose rng draw falls under p
         out_train = prov.embed(
-            ag.Tape(rng=np.random.default_rng(0), train=True), "x", words
+            ag.Tape(rngs=[np.random.default_rng(0)], train=True), ["x"], [words]
         )
         dropped = np.random.default_rng(0).random(len(words)) < 0.01
         assert dropped.any()
@@ -174,8 +174,8 @@ class TestProviderSwap:
         learned = EmbeddingProvider.learned([s.words for s in sents], dim=8, min_count=1)
         frozen = EmbeddingProvider.frozen(synthetic_vector_store(sents, dim=8))
         tape = ag.Tape()
-        e1 = learned.embed(tape, sents[0].sentence_id, sents[0].words)
-        e2 = frozen.embed(tape, sents[0].sentence_id, sents[0].words)
+        e1 = learned.embed(tape, [sents[0].sentence_id], [sents[0].words])
+        e2 = frozen.embed(tape, [sents[0].sentence_id], [sents[0].words])
         assert not np.array_equal(e1.value, e2.value)  # e_i does change
         assert feature_hash(sents) == before  # phi/s inputs do not
 

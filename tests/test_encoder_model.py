@@ -22,11 +22,13 @@ from prosoparse.errors import (
     LengthError,
     NumericError,
 )
+from prosoparse import model as model_mod
 from prosoparse.model import ModelConfig, ParserModel, clone_model
+from prosoparse.treebank import parse_ptb
 
 
-def sent_scores(model, sent, train=False, rng=None):
-    tape = ag.Tape(rng=rng, train=train, dtype=model.dtype)
+def sent_scores(model, sent):
+    tape = ag.Tape(dtype=model.dtype)
     return model.score_sentence(tape, sent)
 
 
@@ -42,8 +44,8 @@ class TestEncoderShapes:
         model = build_tiny_model(sents)
         one = next(s for s in sents if len(s) == 1)
         tape = ag.Tape(dtype=model.dtype)
-        e = model.provider.embed(tape, one.sentence_id, one.words)
-        enc = model.encoder.encode(tape, e, one.prosody)
+        e = model.provider.embed(tape, [one.sentence_id], [one.words])
+        (enc,) = model.encoder.encode(tape, e, [1], [one.prosody])
         assert enc.fenceposts.value.shape == (2, model.config.encoder.d_total)
 
     def test_too_long_sentence(self, featurized_corpus):
@@ -52,7 +54,7 @@ class TestEncoderShapes:
         tape = ag.Tape(dtype=model.dtype)
         e = tape.constant(np.zeros((50, model.provider.dim), dtype=np.float32))
         with pytest.raises(LengthError):
-            model.encoder.encode(tape, e, None)
+            model.encoder.encode(tape, e, [50], None)
 
     def test_nan_detection_names_layer(self, featurized_corpus):
         sents = featurized_corpus.sentences
@@ -68,9 +70,9 @@ def capture_attention(monkeypatch):
     captured = []
     real = ag.attention
 
-    def spy(qs, ks, vs, heads):
+    def spy(qs, ks, vs, heads, lengths=None):
         captured.append(([q.value.copy() for q in qs], [k.value.copy() for k in ks], heads))
-        return real(qs, ks, vs, heads)
+        return real(qs, ks, vs, heads, lengths)
 
     monkeypatch.setattr(ag, "attention", spy)
     return captured
@@ -120,15 +122,15 @@ class TestAttention:
         model = build_tiny_model(sents, prosody=False)
         sent = max(sents, key=len)
         tape = ag.Tape(dtype=model.dtype)
-        e = model.provider.embed(tape, sent.sentence_id, sent.words)
-        out = model.encoder.encode(tape, e, None).fenceposts.value
+        e = model.provider.embed(tape, [sent.sentence_id], [sent.words])
+        out = model.encoder.encode(tape, e, [len(sent)], None)[0].fenceposts.value
 
         perm = np.arange(len(sent))[::-1].copy()
         tape2 = ag.Tape(dtype=model.dtype)
         e2 = model.provider.embed(
-            tape2, sent.sentence_id, [sent.words[i] for i in perm]
+            tape2, [sent.sentence_id], [[sent.words[i] for i in perm]]
         )
-        out2 = model.encoder.encode(tape2, e2, None).fenceposts.value
+        out2 = model.encoder.encode(tape2, e2, [len(sent)], None)[0].fenceposts.value
         assert not np.allclose(out, out2, atol=1e-4)
 
 
@@ -319,6 +321,27 @@ class TestInference:
             assert got.tree.linearize() == want.tree.linearize()
             assert got.total_score == want.total_score
 
+    def test_parse_sentences_in_input_order_and_stable(self, featurized_corpus,
+                                                      monkeypatch):
+        sents = featurized_corpus.sentences
+        model = build_tiny_model(sents)
+        monkeypatch.setattr(model_mod, "PARSE_BUCKET_WORDS", 16)
+        buckets = model_mod.length_buckets([len(s) for s in sents], 16)
+        assert len(buckets) > 4
+
+        def parsed(group):
+            return [(d.tree.linearize(), repr(d.total_score))
+                    for d in model.parse_sentences(group)]
+
+        got = parsed(sents)
+        for (text, _), sent in zip(got, sents):
+            assert text == parse_ptb(text)[0].linearize()
+            assert [leaf.word for leaf in parse_ptb(text)[0].leaves()] == sent.words
+        assert parsed(sents) == got
+        # the buckets on their own, last first: the same bytes
+        for bucket in reversed(buckets):
+            assert parsed([sents[i] for i in bucket]) == [got[i] for i in bucket]
+
     def test_parse_frees_its_tape_without_the_cycle_collector(
         self, featurized_corpus, tape_refs
     ):
@@ -353,18 +376,112 @@ class TestInference:
 
 class TestTrainingTape:
     def test_op_count_and_kinds_pinned(self, featurized_corpus):
-        # two layers of three streams, each stream norm one layer_norm op,
-        # each biased dense layer one matmul, the margin one signed gather_sum
+        # a bucket of one: two layers of three streams, each stream norm one
+        # layer_norm op, each biased dense layer one matmul, the fenceposts
+        # two row gathers from the words and sentinels plus one per sentence,
+        # the margin one signed gather_sum
         model = build_tiny_model(featurized_corpus.sentences, dropout=0.1)
-        tape = ag.Tape(rng=np.random.default_rng(0), train=True, dtype=model.dtype)
+        tape = ag.Tape(rngs=[np.random.default_rng(0)], train=True, dtype=model.dtype)
         model.sentence_loss(tape, featurized_corpus.sentences[0])
         kinds = collections.Counter(fn.__qualname__.split(".")[0] for fn in tape._ops)
         assert kinds == {
-            "add": 9, "attention": 2, "concat": 14, "conv1d": 2, "dropout": 8,
+            "add": 9, "attention": 2, "concat": 8, "conv1d": 2, "dropout": 8,
             "gather_sum": 1, "layer_norm": 12, "matmul": 31, "max_pool_time": 2,
-            "relu": 4, "slice_cols": 12, "span_scores": 1, "take_rows": 4,
+            "relu": 4, "slice_cols": 12, "span_scores": 1, "take_rows": 7,
         }
-        assert len(tape._ops) == 102
+        assert len(tape._ops) == 99
+
+    def test_packed_tape_adds_only_per_sentence_scoring(self, featurized_corpus):
+        # each further sentence records its fencepost rows, scorer matmul,
+        # span_scores, gather_sum and add: the encoder runs once
+        sents = featurized_corpus.sentences[:6]
+        model = build_tiny_model(sents, dropout=0.1)
+        tape = ag.Tape(rngs=[np.random.default_rng(i) for i in range(6)], train=True,
+                       dtype=model.dtype)
+        results = model.sentence_losses(tape, sents)
+        assert all(info.loss > 0 for _, info in results)
+        kinds = {fn.__qualname__.split(".")[0] for fn in tape._ops}
+        assert len(kinds) == 13
+        assert len(tape._ops) == 99 + 5 * 5
+
+
+class RecordingRng:
+    """A random Generator that keeps every array it draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self, shape):
+        out = self._rng.random(shape)
+        self.draws.append(out)
+        return out
+
+
+def short_sized_model(sentences):
+    """A float64 model of the sizes the train-short benchmark trains."""
+    config = ModelConfig(
+        encoder=EncoderConfig(layers=2, heads=2, d_content=64, d_position=32,
+                              d_prosody=32, d_ff=128, dropout=0.1, max_len=40),
+        cnn=CnnConfig(widths=(3, 5), filters_per_width=8),
+        span_hidden=64,
+    )
+    tiny = build_tiny_model(sentences, dtype=np.float64, emb_dim=32)
+    return ParserModel(config, tiny.provider, tiny.label_vocab, seed=3, dtype=np.float64)
+
+
+class TestPackedBucket:
+    """One packed bucket against buckets of one, in float64 with dropout on."""
+
+    @pytest.fixture(params=["tiny", "train-short-sized"])
+    def model(self, request, featurized_corpus):
+        sents = featurized_corpus.sentences
+        if request.param == "tiny":
+            return build_tiny_model(sents, dtype=np.float64, dropout=0.1)
+        return short_sized_model(sents)
+
+    @staticmethod
+    def run(model, monkeypatch, sents, seeds, backprop):
+        """Each sentence's loss, rng draws and dropout keep masks, and the
+        parameter gradients of sentence ``backprop``'s loss, from one tape."""
+        masks = []
+        real = ag.dropout
+
+        def spy(x, rate, lengths=None):
+            out = real(x, rate, lengths)
+            masks.append(out.value != 0)
+            return out
+
+        monkeypatch.setattr(ag, "dropout", spy)
+        rngs = [RecordingRng(seed) for seed in seeds]
+        tape = ag.Tape(rngs=rngs, train=True, dtype=np.float64)
+        for p in model.parameters():
+            p.zero_grad()
+        results = model.sentence_losses(tape, sents)
+        tape.backward(results[backprop][0])
+        monkeypatch.undo()
+        grads = [p.grad.copy() for p in model.parameters()]
+        return [info.loss for _, info in results], [r.draws for r in rngs], masks, grads
+
+    def test_losses_gradients_and_masks_match_buckets_of_one(
+        self, model, featurized_corpus, monkeypatch
+    ):
+        # lengths 1 to 6, several sentences of each but the shortest
+        batch = sorted(featurized_corpus.sentences[:10], key=len)
+        seeds = [(7, i) for i in range(len(batch))]
+        starts = np.cumsum([0] + [len(s) for s in batch])
+        for i, sent in enumerate(batch):
+            packed = self.run(model, monkeypatch, batch, seeds, i)
+            alone = self.run(model, monkeypatch, [sent], seeds[i : i + 1], 0)
+            assert packed[0][i] == pytest.approx(alone[0][0], rel=1e-9)
+            assert [d.tobytes() for d in packed[1][i]] == [d.tobytes() for d in alone[1][0]]
+            assert len(packed[2]) == len(alone[2]) == 8
+            for p_mask, a_mask in zip(packed[2], alone[2]):
+                assert p_mask[starts[i] : starts[i + 1]].tobytes() == a_mask.tobytes()
+            for p, p_grad, a_grad in zip(model.parameters(), packed[3], alone[3]):
+                scale = max(np.abs(a_grad).max(), 1e-12)
+                assert np.abs(p_grad - a_grad).max() <= 1e-6 * scale, p.name
+        assert sum(loss > 0.0 for loss in packed[0]) >= 8
 
 
 class TestCheckpoints:

@@ -8,6 +8,7 @@ from conftest import (
     tiny_model_config,
     write_vector_store,
 )
+from prosoparse import model as model_mod
 from prosoparse import training
 from prosoparse.chart import MarginInfo
 from prosoparse.errors import ConfigError, DataError, TrainingDivergedError, VocabularyError
@@ -168,13 +169,14 @@ class TestTrainLoop:
     def test_zero_loss_sentences_free_their_tapes(
         self, featurized_corpus, tmp_path, monkeypatch, tape_refs
     ):
-        real = ParserModel.sentence_loss
+        real = model_mod.margin_loss
 
-        def zero_loss(self, tape, sent):
-            loss, info = real(self, tape, sent)
-            return tape.constant(0.0), MarginInfo(loss=0.0, delta=info.delta, correct=True)
+        def zero_loss(scores, gold_spans):
+            _, info = real(scores, gold_spans)
+            zero = scores.matrix.tape.constant(0.0)
+            return zero, MarginInfo(loss=0.0, delta=info.delta, correct=True)
 
-        monkeypatch.setattr(ParserModel, "sentence_loss", zero_loss)
+        monkeypatch.setattr(model_mod, "margin_loss", zero_loss)
         c = featurized_corpus.sentences
         model = ParserModel(
             tiny_model_config(), training.build_provider(SPEC, c[:8]),
@@ -184,7 +186,20 @@ class TestTrainLoop:
             model, [c[:8]], tiny_train_config(max_epochs=1), c[:2], 1,
             str(tmp_path / "seed1"), 4e-3,
         )
-        assert len(tape_refs) == 8 + 2  # one per training and per dev sentence
+        assert len(tape_refs) == 1 + 1  # one per training batch and per dev bucket
+        assert all(ref() is None for ref in tape_refs)
+
+    def test_batch_tapes_free_after_backward(self, featurized_corpus, tmp_path, tape_refs):
+        c = featurized_corpus.sentences
+        model = ParserModel(
+            tiny_model_config(dropout=0.1), training.build_provider(SPEC, c[:16]),
+            LabelVocab.from_trees([s.tree for s in c]),
+        )
+        training._optimize(
+            model, [c[:16]], tiny_train_config(max_epochs=1), c[:2], 1,
+            str(tmp_path / "seed1"), 4e-3,
+        )
+        assert len(tape_refs) == 2 + 1  # two batches of 8, one dev bucket
         assert all(ref() is None for ref in tape_refs)
 
     def test_empty_corpus_rejected(self, tmp_path):
