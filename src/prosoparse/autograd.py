@@ -14,9 +14,11 @@ references them; ``backward`` on it raises.
 
 A tape's rows are usually the words of a length bucket: several sentences
 (segments) packed end to end.  Row-wise ops need not know the segments;
-``attention`` and ``dropout`` take the segment lengths, attend within each
-segment and draw each segment's mask from its own generator, so a segment
-gets the bits it gets on a tape of its own.
+``attention``, ``dropout`` and ``span_scores`` take the segment lengths.
+They attend within each segment, draw each segment's mask from its own
+generator, and score the spans within each segment, so a segment gets the
+bits it gets on a tape of its own (``span_scores`` within rounding of a
+larger product, and exactly for a bucket of one).
 
 ``train`` is independent of recording: it only turns dropout on.  Storage
 is float32 by default (float64 available for gradient checking); attention,
@@ -26,10 +28,11 @@ does its work as one tape entry: ``attention`` covers every head,
 ``matmul`` adds an optional bias, and ``layer_norm`` is affine and shares
 its backward step with ``span_scores``.
 ``gather_sum`` is signed, so the margin loss reads both trees' cells in one
-op.  Ops keep what their backward needs and no more: ``conv1d`` rebuilds its
-im2col windows from its input, ``max_pool_time`` keeps the winning frames'
-indices and ``dropout`` a boolean mask.  There is no broadcasting beyond
-bias/vector-over-rows; shapes are validated on every op.
+op, and adds into the gradient in place.  Ops keep what their backward needs
+and no more: ``conv1d`` takes its input as data (no gradient reaches it) and
+rebuilds its im2col windows from it, ``max_pool_time`` keeps the winning
+frames' indices and ``dropout`` a boolean mask.  There is no broadcasting
+beyond bias/vector-over-rows; shapes are validated on every op.
 
 Independent tapes share nothing except read-only parameter values, so
 separate buckets can be processed concurrently.
@@ -397,22 +400,39 @@ def _row_blocks(n):
     return zip(bounds[:-1], bounds[1:])
 
 
-def span_scores(proj, b1, gain, beta, w2, b2):
-    """The span scorer's two layers over every fencepost pair a < b:
-    ``relu(layer_norm(proj[b] - proj[a] + b1) * gain + beta) @ w2 + b2``.
+def span_pairs(lengths):
+    """(starts, ends): every pair of rows a < b within each segment of packed
+    rows of ``lengths`` rows, segment after segment, each segment's pairs
+    ordered by start and then end (``np.triu_indices`` order)."""
+    n = np.asarray(lengths, dtype=np.int64)
+    rows = np.arange(n.sum())
+    # pairs that start at each row: the rows after it in its segment
+    per_row = np.repeat(np.cumsum(n), n) - rows - 1
+    starts = np.repeat(rows, per_row)
+    ends = starts + 1 + np.arange(len(starts)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    return starts, ends
 
-    proj: [T+1, h] first-layer fenceposts; w2: [h, L] -> [T(T+1)/2, L], one
-    row per span in ``np.triu_indices(T + 1, 1)`` order (by start, then end).
-    Each span's mean and variance come from float64 statistics of the T+1
-    fenceposts: with P = proj and Q = proj + b1, centered by their row means
-    as Pc and Qc, a span's mean is mean(Q[b]) - mean(P[a]) and its variance
-    is (|Qc[b]|^2 + |Pc[a]|^2 - 2 Pc[a].Qc[b]) / h.  The hidden rows are
-    formed, normalized, rectified and multiplied by w2 in blocks of
-    SPAN_BLOCK_ROWS rows, so the forward pass builds no [spans, h] array;
-    each block's product has the bits of the full one.  Backward rebuilds the
-    hidden rows with the same arithmetic, then takes the backward steps of
-    the bias, the product and the hidden layer in turn, and sums each start's
-    block of span gradients back onto its fenceposts.
+
+def span_scores(proj, b1, gain, beta, w2, b2, lengths=None):
+    """The span scorer's two layers over every fencepost pair a < b of each
+    segment: ``relu(layer_norm(proj[b] - proj[a] + b1) * gain + beta) @ w2 + b2``.
+
+    proj: [R, h] first-layer fenceposts, segments of ``lengths`` rows packed
+    end to end (default: one segment); w2: [h, L] -> [spans, L], the rows of
+    ``span_pairs(lengths)``: a segment of n rows gives n(n-1)/2 rows, by start
+    and then end, one segment after another.  Each span's mean and variance
+    come from float64 statistics of the fenceposts: with P = proj and
+    Q = proj + b1, centered by their row means as Pc and Qc, a span's mean is
+    mean(Q[b]) - mean(P[a]) and its variance is
+    (|Qc[b]|^2 + |Pc[a]|^2 - 2 Pc[a].Qc[b]) / h, the cross term read from its
+    segment's own [n, n] Gram block.  The hidden rows are formed, normalized,
+    rectified and multiplied by w2 in blocks of SPAN_BLOCK_ROWS rows, so the
+    forward pass builds no [spans, h] array; each block's product has the bits
+    of the full one.  Backward works one segment at a time, so its [spans, h]
+    buffers never exceed one segment's: it rebuilds the segment's hidden rows
+    with the same arithmetic, takes the backward steps of the product and the
+    hidden layer in turn, and sums each start's block of span gradients back
+    onto its fenceposts.
     """
     tape = _same_tape("span_scores", proj, b1, gain, beta, w2, b2)
     if (
@@ -423,19 +443,29 @@ def span_scores(proj, b1, gain, beta, w2, b2):
         or b2.value.shape != w2.value.shape[1:]
     ):
         raise ShapeError("span_scores", proj.value.shape, w2.value.shape)
-    n, h = proj.value.shape
-    starts, ends = np.triu_indices(n, 1)
+    h = proj.value.shape[1]
+    lengths = _segment_lengths(len(proj.value), lengths)
+    starts, ends = span_pairs(lengths)
+    # (first row, rows, first span, spans) of each segment
+    segments, row, span = [], 0, 0
+    for n in lengths:
+        segments.append((row, n, span, n * (n - 1) // 2))
+        row += n
+        span += n * (n - 1) // 2
     p64 = proj.value.astype(np.float64)
     q64 = p64 + b1.value
     p_mean = p64.mean(axis=-1)
     q_mean = q64.mean(axis=-1)
     p64 -= p_mean[:, None]
     q64 -= q_mean[:, None]
-    gram = p64 @ q64.T
+    cross = np.empty(len(starts))
+    for row, n, span, S in segments:
+        gram = p64[row : row + n] @ q64[row : row + n].T
+        cross[span : span + S] = gram[starts[span : span + S] - row, ends[span : span + S] - row]
     var = (
         np.square(q64).sum(axis=-1)[ends]
         + np.square(p64).sum(axis=-1)[starts]
-        - 2.0 * gram[starts, ends]
+        - 2.0 * cross
     ) / h
     # cancellation guard: the three terms may leave a tiny negative variance
     std = np.sqrt(np.maximum(var, 0.0) + LN_EPS)
@@ -464,28 +494,36 @@ def span_scores(proj, b1, gain, beta, w2, b2):
         np.matmul(hidden(y, y), w2.value, out=out.value[lo:hi])
     out.value += b2.value
 
-    def bwd():
-        if out.grad is None:
-            return
-        _accum(b2, out.grad.sum(axis=0))
-        y = normalized(0, len(starts))
+    def segment_bwd(row, n, span, S, dproj):
+        """One segment's backward, summed into its rows of ``dproj``; its
+        buffers are freed on return."""
+        grad = out.grad[span : span + S]
+        y = normalized(span, span + S)
         hid = hidden(y, np.empty_like(y))
-        g = out.grad @ w2.value.T
-        _accum(w2, hid.T @ out.grad)
+        g = grad @ w2.value.T
+        _accum(w2, hid.T @ grad)
         g *= hid > 0
         _accum(beta, g.sum(axis=0))
         _accum(gain, (g * y).sum(axis=0))
         g *= gain.value
-        dx = _layer_norm_backward(g, y, std[:, None])
+        dx = _layer_norm_backward(g, y, std[span : span + S, None])
         _accum(b1, dx.sum(axis=0))
-        # rows of start a are contiguous and end at a+1..T
-        dproj = np.zeros_like(proj.value)
+        # rows of start a are contiguous and end at a+1..n-1
+        seg = dproj[row : row + n]
         lo = 0
         for a in range(n - 1):
             block = dx[lo : lo + n - 1 - a]
-            dproj[a] -= block.sum(axis=0)
-            dproj[a + 1 :] += block
+            seg[a] -= block.sum(axis=0)
+            seg[a + 1 :] += block
             lo += n - 1 - a
+
+    def bwd():
+        if out.grad is None:
+            return
+        _accum(b2, out.grad.sum(axis=0))
+        dproj = np.zeros_like(proj.value)
+        for segment in segments:
+            segment_bwd(*segment, dproj)
         _accum(proj, dproj)
 
     tape._record(bwd)
@@ -544,23 +582,22 @@ def _conv_windows(x, width):
 def conv1d(x, w, b):
     """Same-padded 1-D convolution over time, one per item.
 
-    x: [items, time, in_ch]; w: [width, in_ch, out_ch]; b: [out_ch]
-    -> [items, time, out_ch].  Zero padding of (width-1)//2 left and
-    width//2 right guarantees at least one output position for any input
-    length.  An item whose trailing frames are zeros therefore gives, at its
-    leading frames, exactly what it gives without them.  The op keeps no
-    im2col matrix: backward rebuilds it from x.
+    x: [items, time, in_ch] input data, an ndarray (it gets no gradient);
+    w: [width, in_ch, out_ch] and b: [out_ch] Vars -> [items, time, out_ch].
+    Zero padding of (width-1)//2 left and width//2 right guarantees at least
+    one output position for any input length.  An item whose trailing frames
+    are zeros therefore gives, at its leading frames, exactly what it gives
+    without them.  The op keeps no im2col matrix: backward rebuilds it from x.
     """
-    tape = _same_tape("conv1d", x, w, b)
-    if x.value.ndim != 3 or w.value.ndim != 3 or x.value.shape[2] != w.value.shape[1]:
-        raise ShapeError("conv1d", x.value.shape, w.value.shape)
+    tape = _same_tape("conv1d", w, b)
+    if x.ndim != 3 or w.value.ndim != 3 or x.shape[2] != w.value.shape[1]:
+        raise ShapeError("conv1d", x.shape, w.value.shape)
     if b.value.ndim != 1 or b.value.shape[0] != w.value.shape[2]:
         raise ShapeError("conv1d bias", b.value.shape, w.value.shape)
-    n, t, cin = x.value.shape
+    n, t, cin = x.shape
     width, _, cout = w.value.shape
     rows = n * t
-    w2d = w.value.reshape(width * cin, cout)
-    product = _conv_windows(x.value, width) @ w2d
+    product = _conv_windows(x, width) @ w.value.reshape(width * cin, cout)
     out = Var((product[:rows] + b.value[None, :]).reshape(n, t, cout), tape)
 
     def bwd():
@@ -568,13 +605,7 @@ def conv1d(x, w, b):
             return
         g = out.grad.reshape(rows, cout)
         _accum(b, g.sum(axis=0))
-        _accum(w, (_conv_windows(x.value, width)[:rows].T @ g).reshape(width, cin, cout))
-        dcols = (g @ w2d.T).reshape(n, t, width * cin)
-        dxp = np.zeros((n, t + width - 1, cin), dtype=x.value.dtype)
-        for k in range(width):
-            dxp[:, k : k + t] += dcols[:, :, k * cin : (k + 1) * cin]
-        pad_l = (width - 1) // 2
-        _accum(x, dxp[:, pad_l : pad_l + t])
+        _accum(w, (_conv_windows(x, width)[:rows].T @ g).reshape(width, cin, cout))
 
     tape._record(bwd)
     return out
@@ -689,7 +720,8 @@ def slice_cols(x, lo, hi):
 def gather_sum(x, rows, cols, signs):
     """Signed sum of matrix entries, sum of signs[i] * x[rows[i], cols[i]],
     as a float64 sum rounded to a scalar of x's dtype.  Each listed entry
-    gets its sign times the output's gradient."""
+    gets its sign times the output's gradient, added into x's gradient in
+    place: a bucket's sentences each gather from one score matrix."""
     tape = x.tape
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -704,9 +736,9 @@ def gather_sum(x, rows, cols, signs):
     def bwd():
         if out.grad is None:
             return
-        g = np.zeros_like(x.value)
-        np.add.at(g, (rows, cols), signs * out.grad)
-        _accum(x, g)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.value)
+        np.add.at(x.grad, (rows, cols), signs * out.grad)
 
     tape._record(bwd)
     return out

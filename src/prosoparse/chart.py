@@ -1,19 +1,21 @@
 """Span scoring, exact CKY decoding, and the structured margin loss.
 
-A sentence's spans are scored in one batch: the fencepost difference
-r(a, b) = fencepost(b) - fencepost(a) feeds a two-layer network producing
-one score per constituent label.  The first layer is linear in r(a, b), so it
-is applied to the T + 1 fenceposts before the difference is taken: a matmul
-over T + 1 rows instead of one over all T(T + 1)/2 spans.  One op,
-``autograd.span_scores``, does the rest: it takes each span's layer-norm mean
-and variance from statistics of those T + 1 rows, and forms, normalizes and
-rectifies the span rows and multiplies them by the second layer a block of
-rows at a time, giving the [spans, labels] score matrix.  Decoding and the
-margin loss read that matrix row by row.  The empty label (index 0) scores 0
-whatever its matrix column holds; it marks chart cells that vanish when the
-binarized tree is reassembled into an n-ary one.  Decoding maximizes the
-additive span score exactly; training minimizes a hinge against the
-cost-augmented argmax.
+A length bucket's spans are scored in one batch: the fencepost difference
+r(a, b) = fencepost(b) - fencepost(a) of each sentence feeds a two-layer
+network producing one score per constituent label.  The first layer is
+linear in r(a, b), so it is applied to the bucket's packed fenceposts
+(T + 1 rows per sentence) before the difference is taken: one matmul over
+those rows instead of one over all the spans.  One op,
+``autograd.span_scores``, does the rest: it takes each span's layer-norm
+mean and variance from statistics of its sentence's fenceposts, and forms,
+normalizes and rectifies the span rows and multiplies them by the second
+layer a block of rows at a time, giving one [spans, labels] score matrix
+holding each sentence's spans in turn.  Decoding and the margin loss read
+one sentence's rows of that matrix through its row offset.  The empty label
+(index 0) scores 0 whatever its matrix column holds; it marks chart cells
+that vanish when the binarized tree is reassembled into an n-ary one.
+Decoding maximizes the additive span score exactly; training minimizes a
+hinge against the cost-augmented argmax.
 """
 
 from __future__ import annotations
@@ -32,44 +34,69 @@ HAMMING_COST = 1.0
 
 @dataclass
 class SpanScores:
-    """Label scores of every span, as the rows of a tape Var.
+    """Label scores of every span of one or more sentences, as rows of a tape
+    Var.
 
-    ``matrix`` has shape [n_spans, n_labels], with ``row_of[a, b]`` the row
-    of span a < b (an int array of shape [T+1, T+1]).  Column 0, the empty
+    The sentences have ``lengths`` words.  Their spans are the rows of
+    ``matrix`` ([rows, n_labels]) from row ``offset`` on, one sentence after
+    another, each sentence's T(T+1)/2 spans in span order (by start, then end;
+    see ``span_rows``).  ``sentences()`` gives each sentence's SpanScores, a
+    view of the same matrix at that sentence's offset.  Column 0, the empty
     label's, is never read: the empty label scores 0, plus its Hamming cost
     in the margin loss.
     """
 
     vocab: object
-    n_words: int
     matrix: ag.Var
-    row_of: np.ndarray
+    lengths: list
+    offset: int = 0
+
+    @property
+    def n_words(self):
+        """The fencepost rows of the sentences, packed, minus one: a lone
+        sentence's word count."""
+        return sum(self.lengths) + len(self.lengths) - 1
 
     @property
     def n_labels(self):
         return self.matrix.value.shape[1]
 
     @property
+    def rows(self):
+        """The sentences' score rows, a view of the matrix."""
+        n = sum(T * (T + 1) // 2 for T in self.lengths)
+        return self.matrix.value[self.offset : self.offset + n]
+
+    def sentences(self):
+        """Each sentence's SpanScores, in order."""
+        offset = self.offset
+        for T in self.lengths:
+            yield SpanScores(self.vocab, self.matrix, [T], offset)
+            offset += T * (T + 1) // 2
+
+    @property
     def dense(self):
-        """The scores as a read-only float64 [T+1, T+1, n_labels] tensor, built
-        on each read; ``dense[a, b]`` is meaningful for a < b, and its
-        empty-label column is 0.  ``perfbench/run.py`` reads it; nothing in
-        the package does."""
-        T = self.n_words
-        dense = np.zeros((T + 1, T + 1, self.n_labels), dtype=np.float64)
-        dense[np.triu_indices(T + 1, 1)] = self.matrix.value
+        """The scores as a read-only float64 [n_words+1, n_words+1, n_labels]
+        tensor over the packed fencepost rows, built on each read: block
+        diagonal, one [T+1, T+1] block per sentence, whose cell [a, b] is
+        meaningful for a < b.  The empty-label column is 0.
+        ``perfbench/run.py`` reads it; nothing in the package does."""
+        R = self.n_words + 1
+        dense = np.zeros((R, R, self.n_labels), dtype=np.float64)
+        dense[ag.span_pairs([T + 1 for T in self.lengths])] = self.rows
         dense[:, :, 0] = 0.0
         dense.flags.writeable = False
         return dense
 
 
-def span_index(n_words):
-    """(starts, ends) of all spans 0 <= a < b <= T in lexicographic order,
-    plus ``row_of`` with ``row_of[starts, ends] = arange(len(starts))``."""
-    starts, ends = np.triu_indices(n_words + 1, 1)
-    row_of = np.full((n_words + 1, n_words + 1), -1, dtype=np.int64)
-    row_of[starts, ends] = np.arange(len(starts))
-    return starts, ends, row_of
+def span_rows(n_words):
+    """``row_of`` of a sentence of T = n_words words: the [T+1, T+1] int array
+    whose cell [a, b] is the row of span a < b in span order (by start, then
+    end) and -1 where a >= b."""
+    a = np.arange(n_words + 1)
+    # a*T - a(a-1)/2 spans start before a, and span (a, b) is b - a - 1 more
+    first = a * (2 * n_words - a - 1) // 2 - 1
+    return np.where(a[None, :] > a[:, None], first[:, None] + a, -1)
 
 
 class SpanScorer:
@@ -96,13 +123,19 @@ class SpanScorer:
         yield from (self.w1, self.b1, self.ln_gain, self.ln_bias, self.w2, self.b2)
 
 
-def score_spans(tape, encoded, scorer, vocab):
-    """Score every span of an encoded sentence: returns SpanScores."""
-    _, _, row_of = span_index(encoded.n_words)
-    proj = ag.matmul(encoded.fenceposts, tape.watch(scorer.w1))
+def score_spans(tape, fenceposts, scorer, vocab, lengths):
+    """Score every span of a bucket's sentences: returns SpanScores.
+
+    fenceposts: the packed fencepost Var of sentences of ``lengths`` words,
+    T + 1 rows per sentence.  One scorer matmul and one ``span_scores`` op
+    cover the bucket.
+    """
+    proj = ag.matmul(fenceposts, tape.watch(scorer.w1))
     layer = (scorer.b1, scorer.ln_gain, scorer.ln_bias, scorer.w2, scorer.b2)
-    matrix = ag.span_scores(proj, *(tape.watch(p) for p in layer))
-    return SpanScores(vocab=vocab, n_words=encoded.n_words, matrix=matrix, row_of=row_of)
+    matrix = ag.span_scores(
+        proj, *(tape.watch(p) for p in layer), [T + 1 for T in lengths]
+    )
+    return SpanScores(vocab=vocab, matrix=matrix, lengths=list(lengths))
 
 
 @dataclass
@@ -146,6 +179,13 @@ def _decode_cells(rows, empty, row_of):
     return cells, float(total)
 
 
+def _lone_sentence(scores):
+    """The word count of one sentence's SpanScores."""
+    if len(scores.lengths) != 1:
+        raise DataError(f"decoding takes one sentence's scores, got {len(scores.lengths)}")
+    return scores.lengths[0]
+
+
 def cky_decode(scores, leaves):
     """Exact best tree under additive span scores.
 
@@ -154,10 +194,10 @@ def cky_decode(scores, leaves):
     reconstruction; unary chains collapsed in composite labels are expanded
     back.
     """
-    T = scores.n_words
+    T = _lone_sentence(scores)
     if T < 1 or len(leaves) != T:
         raise DataError(f"scores cover {T} words but {len(leaves)} leaves given")
-    cells, total = _decode_cells(scores.matrix.value, 0.0, scores.row_of)
+    cells, total = _decode_cells(scores.rows, 0.0, span_rows(T))
     spans = []
     for a, b, li in cells:
         label = scores.vocab.value(li)
@@ -198,25 +238,26 @@ def margin_loss(scores, gold_spans):
     argmax; it is 0 exactly when the gold tree wins by the margin.
     Returns (loss Var on the scoring tape, MarginInfo).
     """
-    T = scores.n_words
+    T = _lone_sentence(scores)
     vocab = scores.vocab
     gold = _check_gold_spans(gold_spans, T)
     gold_idx = {(s.a, s.b): vocab.index(s.label) for s in gold}
 
-    rows = scores.matrix.value.astype(np.float64)
+    row_of = span_rows(T)
+    rows = scores.rows.astype(np.float64)
     augmented = rows + HAMMING_COST
     empty = np.zeros(len(rows))
     for (a, b), li in gold_idx.items():
-        r = scores.row_of[a, b]
+        r = row_of[a, b]
         augmented[r, li] = rows[r, li]
         empty[r] = HAMMING_COST
 
-    cells, _ = _decode_cells(augmented, empty, scores.row_of)
-    pred_raw = sum(rows[scores.row_of[a, b], li] for a, b, li in cells if li != 0)
+    cells, _ = _decode_cells(augmented, empty, row_of)
+    pred_raw = sum(rows[row_of[a, b], li] for a, b, li in cells if li != 0)
     delta = sum(
         0.0 if li == gold_idx.get((a, b), 0) else HAMMING_COST for a, b, li in cells
     )
-    gold_raw = sum(rows[scores.row_of[a, b], li] for (a, b), li in gold_idx.items())
+    gold_raw = sum(rows[row_of[a, b], li] for (a, b), li in gold_idx.items())
     loss_value = pred_raw + delta - gold_raw
 
     gold_cells = {(a, b, li) for (a, b), li in gold_idx.items()}
@@ -235,5 +276,5 @@ def margin_loss(scores, gold_spans):
     signed = [(*cell, 1.0) for cell in sorted(pred_nonempty - gold_cells)]
     signed += [(*cell, -1.0) for cell in sorted(gold_cells - pred_nonempty)]
     a, b, cols, signs = zip(*signed)
-    scored = ag.gather_sum(scores.matrix, scores.row_of[a, b], cols, signs)
+    scored = ag.gather_sum(scores.matrix, scores.offset + row_of[a, b], cols, signs)
     return ag.add(scored, tape.constant(float(delta))), info

@@ -22,7 +22,8 @@ patch, 3] array.
 
 Word outputs are split into forward/backward halves per stream to build
 fencepost (word boundary) vectors, with learned sentinel halves at each
-sentence's edges.
+sentence's edges.  The bucket's fenceposts are one packed matrix, each
+sentence's T + 1 rows in turn, which the span scorer reads whole.
 """
 
 from __future__ import annotations
@@ -161,12 +162,6 @@ def join_prosody(prosodies):
     return ProsodyInputs(*(
         np.concatenate([getattr(p, f.name) for p in prosodies]) for f in fields(ProsodyInputs)
     ))
-
-
-@dataclass
-class EncodedSentence:
-    fenceposts: ag.Var  # [(T+1) x d_total]
-    n_words: int
 
 
 def _xavier(rng, fan_in, fan_out, dtype):
@@ -329,10 +324,9 @@ class Encoder:
         flat = x.reshape(-1, CNN_IN_CHANNELS)
         flat[rows, :2] = prosody.frames
         flat[rows, 2] = prosody.mask
-        x_var = tape.constant(x)
         pieces = []
         for wmat, bias in self.cnn_filters:
-            conv = ag.conv1d(x_var, tape.watch(wmat), tape.watch(bias))
+            conv = ag.conv1d(x, tape.watch(wmat), tape.watch(bias))
             pieces.append(ag.relu(ag.max_pool_time(conv, lens)))
         return ag.concat(pieces, axis=1)
 
@@ -384,8 +378,9 @@ class Encoder:
         e_var: [N, embed_dim] word embeddings of sentences of ``lengths``
         words, packed end to end; prosodies: each sentence's ProsodyInputs.
         Every layer runs once over the N rows, and attention stays within
-        each sentence.  Returns one EncodedSentence per sentence, whose
-        [(T+1) x d_total] fenceposts are rows of one packed fencepost matrix.
+        each sentence.  Returns the bucket's packed fencepost matrix, a
+        [N + len(lengths), d_total] Var holding each sentence's T+1 fenceposts
+        in turn.
         """
         cfg = self.config
         lengths = [int(T) for T in lengths]
@@ -436,9 +431,4 @@ class Encoder:
             half = lo + dim // 2
             pieces += [ag.slice_cols(fwd, lo, half), ag.slice_cols(bwd, half, lo + dim)]
             lo += dim
-        fenceposts = ag.concat(pieces, axis=1)
-        encoded, lo = [], 0
-        for T in lengths:
-            encoded.append(EncodedSentence(ag.take_rows(fenceposts, np.arange(lo, lo + T + 1)), T))
-            lo += T + 1
-        return encoded
+        return ag.concat(pieces, axis=1)

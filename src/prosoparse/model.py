@@ -93,8 +93,8 @@ class ParserModel:
     # ------------------------------------------------------------------
 
     def score_sentences(self, tape, sents):
-        """SpanScores of each sentence, encoded together as one packed
-        bucket in the given order."""
+        """SpanScores of a bucket of sentences, encoded and scored together
+        in the given order; ``.sentences()`` gives each sentence's."""
         prosodies = None
         if self.uses_prosody:
             prosodies = [s.prosody for s in sents]
@@ -110,11 +110,12 @@ class ParserModel:
                         f"{len(prosody.patch_lens)} words for {len(sent.tokens)} tokens"
                     )
         e = self.provider.embed(tape, [s.sentence_id for s in sents], [s.words for s in sents])
-        encoded = self.encoder.encode(tape, e, [len(s.tokens) for s in sents], prosodies)
-        return [score_spans(tape, enc, self.scorer, self.label_vocab) for enc in encoded]
+        lengths = [len(s.tokens) for s in sents]
+        fenceposts = self.encoder.encode(tape, e, lengths, prosodies)
+        return score_spans(tape, fenceposts, self.scorer, self.label_vocab, lengths)
 
     def score_sentence(self, tape, sent):
-        return self.score_sentences(tape, [sent])[0]
+        return self.score_sentences(tape, [sent])
 
     def parse_sentences(self, sents):
         """Best tree of each sentence, in input order.
@@ -126,9 +127,9 @@ class ParserModel:
         decoded = [None] * len(sents)
         for bucket in length_buckets([len(s.tokens) for s in sents], PARSE_BUCKET_WORDS):
             tape = ag.Tape(train=False, record=False, dtype=self.dtype)
-            group = [sents[i] for i in bucket]
-            for i, sent, scores in zip(bucket, group, self.score_sentences(tape, group)):
-                decoded[i] = cky_decode(scores, sent.tokens)
+            scores = self.score_sentences(tape, [sents[i] for i in bucket])
+            for i, sent_scores in zip(bucket, scores.sentences()):
+                decoded[i] = cky_decode(sent_scores, sents[i].tokens)
         return decoded
 
     def parse_sentence(self, sent):
@@ -136,7 +137,7 @@ class ParserModel:
 
     def sentence_losses(self, tape, sents):
         """(loss Var, MarginInfo) of each sentence, encoded as one bucket."""
-        scores = self.score_sentences(tape, sents)
+        scores = self.score_sentences(tape, sents).sentences()
         return [margin_loss(sc, sent.gold_spans) for sc, sent in zip(scores, sents)]
 
     def sentence_loss(self, tape, sent):

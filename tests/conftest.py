@@ -9,7 +9,7 @@ import pytest
 
 import prosoparse
 from prosoparse import autograd as ag
-from prosoparse.chart import SpanScores, span_index
+from prosoparse.chart import SpanScores, span_rows
 from prosoparse.corpus import featurize
 from prosoparse.embeddings import EmbeddingProvider, VectorStore
 from prosoparse.encoder import CnnConfig, EncoderConfig
@@ -379,9 +379,8 @@ def attached_scores(dense, vocab):
     """SpanScores whose matrix (on a float64 tape) holds ``dense[a, b]`` as
     the row of span a < b."""
     T = dense.shape[0] - 1
-    starts, ends, row_of = span_index(T)
-    matrix = ag.Tape(dtype=np.float64).constant(dense[starts, ends])
-    return SpanScores(vocab=vocab, n_words=T, matrix=matrix, row_of=row_of)
+    matrix = ag.Tape(dtype=np.float64).constant(dense[np.triu_indices(T + 1, 1)])
+    return SpanScores(vocab=vocab, matrix=matrix, lengths=[T])
 
 
 # The total score of a tree's spans, summed cell by cell: the oracle of
@@ -391,8 +390,9 @@ def attached_scores(dense, vocab):
 def tree_score(scores, spans):
     """Sum of the scores of the given non-empty labeled spans."""
     total = 0.0
+    row_of = span_rows(scores.n_words)
     for s in spans:
-        row = scores.row_of[s.a, s.b]
+        row = row_of[s.a, s.b]
         total += float(scores.matrix.value[row, scores.vocab.index(s.label)])
     return float(total)
 

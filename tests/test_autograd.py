@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,23 +88,24 @@ class TestOpGradients:
         )
 
     def test_conv1d_and_pool(self):
+        # conv1d's input is data: only the filters and bias get gradients
+        x = np.random.default_rng(1).standard_normal((2, 9, 2))
         check_op(
-            lambda tape, ps: sum_all(
-                ag.max_pool_time(ag.conv1d(ps[0], ps[1], ps[2]), [9, 9])
-            ),
-            [((2, 9, 2), 0.0), ((3, 2, 4), 0.0), ((4,), 0.0)],
+            lambda tape, ps: sum_all(ag.max_pool_time(ag.conv1d(x, ps[0], ps[1]), [9, 9])),
+            [((3, 2, 4), 0.0), ((4,), 0.0)],
             tol=1e-5,
         )
 
     def test_conv1d_and_pool_ragged_lengths(self):
         lengths = [1, 6, 9]
+        x = np.random.default_rng(1).standard_normal((3, 9, 2))
         convs = []
 
         def build(tape, ps):
-            convs.append(ag.conv1d(ps[0], ps[1], ps[2]))
+            convs.append(ag.conv1d(x, ps[0], ps[1]))
             return sum_all(ag.max_pool_time(convs[-1], lengths))
 
-        check_op(build, [((3, 9, 2), 0.0), ((4, 2, 5), 0.0), ((5,), 0.0)], tol=1e-5)
+        check_op(build, [((4, 2, 5), 0.0), ((5,), 0.0)], tol=1e-5)
         # the conv output of the first f() call, whose tape ran backward
         grad = convs[0].grad
         for i, n in enumerate(lengths):
@@ -338,6 +340,83 @@ class TestSpanScores:
     def test_single_span_is_one_row(self):
         assert list(ag._row_blocks(1)) == [(0, 1)]
 
+    @staticmethod
+    def run_bucket(lengths, dtype, i, alone, hidden=32, n_labels=8):
+        """Score rows and every input gradient of a bucket of sentences of
+        ``lengths`` words, for a loss that weights sentence i's rows only;
+        ``alone`` scores sentence i on its own."""
+        rows = np.cumsum([0] + [T + 1 for T in lengths])
+        spans = np.cumsum([0] + [T * (T + 1) // 2 for T in lengths])
+        rng = np.random.default_rng(len(lengths))
+        proj = rng.standard_normal((rows[-1], hidden)).astype(dtype)
+        vecs = [rng.standard_normal(hidden).astype(dtype) for _ in range(3)]
+        vecs[1] += 1.0  # gains near 1
+        w2 = rng.standard_normal((hidden, n_labels)).astype(dtype)
+        b2 = rng.standard_normal(n_labels).astype(dtype)
+        weights = rng.standard_normal((spans[-1], n_labels)).astype(dtype)
+        weights[: spans[i]] = weights[spans[i + 1] :] = 0.0
+        if alone:
+            proj, weights = proj[rows[i] : rows[i + 1]], weights[spans[i] : spans[i + 1]]
+            lengths = lengths[i : i + 1]
+        tape = ag.Tape(dtype=dtype)
+        xs = [tape.constant(x) for x in (proj, *vecs, w2, b2)]
+        out = ag.span_scores(*xs, [T + 1 for T in lengths])
+        tape.backward(sum_all(mul(out, tape.constant(weights))))
+        return [out.value] + [x.grad for x in xs], rows[i : i + 2], spans[i : i + 2]
+
+    # rows may round differently inside a larger product (measured: 4e-16
+    # in float64, 2.5e-7 in float32)
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize(
+        "lengths", [(5, 1, 5, 40, 40, 2), (2, 2, 1, 2), (40, 5, 1), (1, 40)]
+    )
+    def test_segments_match_each_sentence_alone(self, dtype, tol, lengths):
+        # equal lengths that are adjacent (40, 40 and 2, 2) and apart (5 .. 5)
+        for i in range(len(lengths)):
+            packed, (r0, r1), (s0, s1) = self.run_bucket(lengths, dtype, i, alone=False)
+            alone, _, _ = self.run_bucket(lengths, dtype, i, alone=True)
+            packed[0] = packed[0][s0:s1]
+            assert not packed[1][:r0].any() and not packed[1][r1:].any()
+            packed[1] = packed[1][r0:r1]
+            for k, (p, a) in enumerate(zip(packed, alone)):
+                assert p.dtype == a.dtype == dtype and p.shape == a.shape, (i, k)
+                scale = max(np.abs(a).max(), 1e-30)
+                assert np.abs(p - a).max() <= tol * scale, (i, k)
+
+    def test_segments_check_lengths(self):
+        t = tape64()
+        proj, vec = t.constant(np.ones((5, 4))), t.constant(np.ones(4))
+        w2, b2 = t.constant(np.ones((4, 2))), t.constant(np.ones(2))
+        for lengths in ((2, 2), (5, 0), (), (6, -1)):
+            with pytest.raises(ShapeError, match="segments"):
+                ag.span_scores(proj, vec, vec, vec, w2, b2, lengths)
+
+    def test_bucket_backward_works_one_sentence_at_a_time(self):
+        # the peak of a two-sentence bucket's backward exceeds a lone
+        # sentence's by less than one float64 [spans, h] buffer: no
+        # span-sized buffer of the backward covers both sentences
+        T, hidden, n_labels = 40, 256, 8
+        n_spans = T * (T + 1) // 2
+
+        def peak(n_sents):
+            rng = np.random.default_rng(0)
+            tape = tape64()
+            xs = [tape.constant(rng.standard_normal(shape)) for shape in (
+                (n_sents * (T + 1), hidden), (hidden,), (hidden,), (hidden,),
+                (hidden, n_labels), (n_labels,))]
+            out = ag.span_scores(*xs, [T + 1] * n_sents)
+            loss = sum_all(mul(out, tape.constant(rng.standard_normal(out.shape))))
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, two = peak(1), peak(2)
+        assert one > 3 * n_spans * hidden * 8
+        assert two - one < n_spans * hidden * 8
+
 
 class TestMatmulBias:
     """``ag.matmul`` with a bias against the matmul and add_bias ops it
@@ -439,8 +518,8 @@ class TestProsodyPooling:
 
         def run(pool):
             tape = ag.Tape(dtype=dtype)
-            xs = [tape.constant(v) for v in (x, w, b)]
-            out = pool(ag.conv1d(*xs), lengths)
+            xs = [tape.constant(v) for v in (w, b)]
+            out = pool(ag.conv1d(x, *xs), lengths)
             tape.backward(sum_all(mul(out, tape.constant(weights))))
             return [out.value] + [v.grad for v in xs]
 
@@ -502,18 +581,17 @@ class TestOpSemantics:
 
     def test_conv1d_width1_identity(self):
         t = tape64()
-        x = t.constant(np.random.default_rng(0).standard_normal((2, 7, 2)))
+        x = np.random.default_rng(0).standard_normal((2, 7, 2))
         w = t.constant(np.eye(2)[None, :, :])  # width 1, identity across channels
         b = t.constant(np.zeros(2))
         out = ag.conv1d(x, w, b)
-        np.testing.assert_allclose(out.value, x.value)
+        np.testing.assert_allclose(out.value, x)
 
     def test_conv1d_short_input_still_valid(self):
         t = tape64()
-        x = t.constant(np.ones((1, 1, 2)))
         w = t.constant(np.ones((5, 2, 3)))
         b = t.constant(np.zeros(3))
-        assert ag.conv1d(x, w, b).value.shape == (1, 1, 3)
+        assert ag.conv1d(np.ones((1, 1, 2)), w, b).value.shape == (1, 1, 3)
 
     def test_max_pool_time_ignores_padding_first_max_wins(self):
         t = tape64()

@@ -19,13 +19,13 @@ from prosoparse._kernels import _cky_fill_loops, cky_fill_numba, cky_fill_numpy
 from prosoparse.chart import (
     HAMMING_COST,
     SpanScorer,
+    SpanScores,
     _decode_cells,
     cky_decode,
     margin_loss,
     score_spans,
-    span_index,
+    span_rows,
 )
-from prosoparse.encoder import EncodedSentence
 from prosoparse.errors import CrossingSpanError, DataError, ShapeError
 from prosoparse.treebank import LabelVocab, LabeledSpan, tree_to_spans
 
@@ -54,9 +54,10 @@ def encoded_and_scorer(T, d_in=6, hidden=5, n_labels=4, seed=0):
     return fenceposts, scorer
 
 
-def score_with(tape, fenceposts, scorer, T):
-    encoded = EncodedSentence(fenceposts=tape.watch(fenceposts), n_words=T)
-    return score_spans(tape, encoded, scorer, LabelVocab(["S", "NP", "VP"]))
+def score_with(tape, fenceposts, scorer):
+    T = fenceposts.value.shape[0] - 1
+    vocab = LabelVocab(["S", "NP", "VP"])
+    return score_spans(tape, tape.watch(fenceposts), scorer, vocab, [T])
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +97,7 @@ def enumerate_shapes(a, b):
 def eight_op_span_scores(proj, b1, gain, beta, w2, b2):
     """The span scorer's hidden layer as the eight tape ops it once was,
     then the second layer's matmul and add_bias."""
-    starts, ends, _ = span_index(proj.value.shape[0] - 1)
+    starts, ends = np.triu_indices(proj.value.shape[0], 1)
     h = add_bias(sub(ag.take_rows(proj, ends), ag.take_rows(proj, starts)), b1)
     h = chain_layer_norm(h, gain, beta)
     return add_bias(ag.matmul(ag.relu(h), w2), b2)
@@ -163,7 +164,8 @@ def chain_margin_loss(dense, gold_idx, seed):
         if not picked:
             return tape.constant(0.0)
         a, b, cols = zip(*sorted(picked))
-        return ag.gather_sum(scores.matrix, scores.row_of[a, b], cols, np.ones(len(cols)))
+        rows = span_rows(len(dense) - 1)[a, b]
+        return ag.gather_sum(scores.matrix, rows, cols, np.ones(len(cols)))
 
     loss = ag.add(sub(gathered(pred - gold), gathered(gold - pred)), tape.constant(delta))
     tape.backward(loss, seed=seed)
@@ -400,7 +402,7 @@ class TestMarginLoss:
         assert info.loss > 0
         scores.matrix.tape.backward(loss)
         g = scores.matrix.grad
-        row = scores.row_of[(0, 2)]
+        row = span_rows(T)[0, 2]
         assert g[row, VOCAB5.index("VP")] > 0  # violator pushed down
         assert g[row, VOCAB5.index("NP")] < 0  # gold pushed up
 
@@ -426,17 +428,31 @@ class TestMarginLoss:
 
 class TestScoreSpans:
     def test_span_index_order_and_rows(self):
-        starts, ends, row_of = span_index(4)
         pairs = [(a, b) for a in range(4) for b in range(a + 1, 5)]
+        starts, ends = ag.span_pairs([5])
         assert list(zip(starts.tolist(), ends.tolist())) == pairs
-        assert [row_of[p] for p in pairs] == list(range(len(pairs)))
+        for T in (1, 2, 4, 13):
+            starts, ends = np.triu_indices(T + 1, 1)
+            want = np.full((T + 1, T + 1), -1)
+            want[starts, ends] = np.arange(len(starts))
+            assert span_rows(T).tolist() == want.tolist()
+
+    def test_span_pairs_of_a_bucket(self):
+        # each segment's pairs, shifted to its rows, one segment after another
+        lengths = [6, 1, 2, 6, 41, 3]
+        want, row = [], 0
+        for n in lengths:
+            want += [(row + a, row + b) for a, b in zip(*np.triu_indices(n, 1))]
+            row += n
+        starts, ends = ag.span_pairs(lengths)
+        assert list(zip(starts.tolist(), ends.tolist())) == want
 
     def test_factored_first_layer_matches_span_differences(self):
         T = 9
         fenceposts, scorer = encoded_and_scorer(T)
         tape = ag.Tape(dtype=np.float64)
-        scores = score_with(tape, fenceposts, scorer, T)
-        starts, ends, _ = span_index(T)
+        scores = score_with(tape, fenceposts, scorer)
+        starts, ends = np.triu_indices(T + 1, 1)
         f = fenceposts.value
         h = (f[ends] - f[starts]) @ scorer.w1.value + scorer.b1.value
         mu = h.mean(axis=-1, keepdims=True)
@@ -448,14 +464,66 @@ class TestScoreSpans:
     def test_dense_view(self):
         T = 5
         fenceposts, scorer = encoded_and_scorer(T)
-        scores = score_with(ag.Tape(dtype=np.float64), fenceposts, scorer, T)
-        starts, ends, _ = span_index(T)
+        scores = score_with(ag.Tape(dtype=np.float64), fenceposts, scorer)
+        starts, ends = np.triu_indices(T + 1, 1)
         expected = np.zeros((T + 1, T + 1, scorer.n_labels))
         expected[starts, ends] = scores.matrix.value
         expected[:, :, 0] = 0.0
         dense = scores.dense
         assert dense.tobytes() == expected.tobytes()
         assert not dense.flags.writeable
+
+    def test_bucket_is_block_diagonal_and_views_score_each_sentence(self):
+        lengths = [3, 1, 5, 3]
+        rows = np.cumsum([0] + [T + 1 for T in lengths])
+        fenceposts, scorer = encoded_and_scorer(rows[-1] - 1)
+        vocab = LabelVocab(["S", "NP", "VP"])
+        tape = ag.Tape(dtype=np.float64)
+        scores = score_spans(tape, tape.constant(fenceposts.value), scorer, vocab, lengths)
+        assert scores.n_words == rows[-1] - 1
+        dense = scores.dense
+        on_blocks = np.zeros(dense.shape[:2], dtype=bool)
+        for T, view, lo in zip(lengths, scores.sentences(), rows):
+            alone_tape = ag.Tape(dtype=np.float64)
+            alone = score_spans(
+                alone_tape, alone_tape.constant(fenceposts.value[lo : lo + T + 1]), scorer,
+                vocab, [T],
+            )
+            assert view.matrix is scores.matrix and view.n_words == T
+            np.testing.assert_allclose(view.rows, alone.rows, rtol=1e-12, atol=0)
+            block = dense[lo : lo + T + 1, lo : lo + T + 1]
+            np.testing.assert_allclose(block, alone.dense, rtol=1e-12, atol=0)
+            on_blocks[lo : lo + T + 1, lo : lo + T + 1] = True
+            decoded, want = cky_decode(view, leaves(T)), cky_decode(alone, leaves(T))
+            assert decoded.tree == want.tree
+        assert not dense[~on_blocks].any()
+        with pytest.raises(DataError, match="one sentence"):
+            cky_decode(scores, leaves(scores.n_words))
+
+    def test_margin_of_a_view_reads_and_writes_its_rows(self):
+        rng = np.random.default_rng(8)
+        denses = [random_dense(rng, T, len(VOCAB5)) for T in (3, 4, 3)]
+        golds = [random_gold(rng, len(d) - 1) for d in denses]
+        bucket = np.concatenate([d[np.triu_indices(len(d), 1)] for d in denses])
+        spans = np.cumsum([0] + [len(d) * (len(d) - 1) // 2 for d in denses])
+        seen = 0
+        for i, (dense, gold_idx) in enumerate(zip(denses, golds)):
+            gold = {LabeledSpan(a, b, VOCAB5.value(li)) for (a, b), li in gold_idx.items()}
+            tape = ag.Tape(dtype=np.float64)
+            matrix = tape.constant(bucket)
+            views = SpanScores(VOCAB5, matrix, [len(d) - 1 for d in denses]).sentences()
+            loss, info = margin_loss(list(views)[i], gold)
+            alone = attached_scores(dense, VOCAB5)
+            want_loss, want_info = margin_loss(alone, gold)
+            assert info == want_info
+            if info.loss == 0.0:
+                continue
+            seen += 1
+            tape.backward(loss)
+            alone.matrix.tape.backward(want_loss)
+            assert not matrix.grad[: spans[i]].any() and not matrix.grad[spans[i + 1] :].any()
+            assert matrix.grad[spans[i] : spans[i + 1]].tobytes() == alone.matrix.grad.tobytes()
+        assert seen
 
     def test_grad_check_fenceposts_and_first_layer(self):
         T = 6
@@ -466,7 +534,7 @@ class TestScoreSpans:
 
         def f():
             tape = ag.Tape(dtype=np.float64)
-            scores = score_with(tape, fenceposts, scorer, T)
+            scores = score_with(tape, fenceposts, scorer)
             return sum_all(mul(scores.matrix, tape.constant(weights)))
 
         params = [fenceposts, scorer.w1, scorer.b1, scorer.ln_gain, scorer.ln_bias]
@@ -538,8 +606,8 @@ class TestScoreSpans:
         tape = ag.Tape(record=False)
         tracemalloc.start()
         try:
-            encoded = EncodedSentence(fenceposts=tape.constant(fenceposts), n_words=T)
-            cky_decode(score_spans(tape, encoded, scorer, vocab), leaves(T))
+            scores = score_spans(tape, tape.constant(fenceposts), scorer, vocab, [T])
+            cky_decode(scores, leaves(T))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -551,8 +619,8 @@ class TestDecodeFromRows:
 
     @staticmethod
     def rows_of(dense, rng):
-        starts, ends, row_of = span_index(dense.shape[0] - 1)
-        rows = dense[starts, ends]
+        row_of = span_rows(dense.shape[0] - 1)
+        rows = dense[np.triu_indices(dense.shape[0], 1)]
         rows[:, 0] = rng.standard_normal(len(rows))  # never read
         return rows, row_of
 

@@ -45,8 +45,8 @@ class TestEncoderShapes:
         one = next(s for s in sents if len(s) == 1)
         tape = ag.Tape(dtype=model.dtype)
         e = model.provider.embed(tape, [one.sentence_id], [one.words])
-        (enc,) = model.encoder.encode(tape, e, [1], [one.prosody])
-        assert enc.fenceposts.value.shape == (2, model.config.encoder.d_total)
+        fenceposts = model.encoder.encode(tape, e, [1], [one.prosody])
+        assert fenceposts.value.shape == (2, model.config.encoder.d_total)
 
     def test_too_long_sentence(self, featurized_corpus):
         sents = featurized_corpus.sentences
@@ -123,14 +123,14 @@ class TestAttention:
         sent = max(sents, key=len)
         tape = ag.Tape(dtype=model.dtype)
         e = model.provider.embed(tape, [sent.sentence_id], [sent.words])
-        out = model.encoder.encode(tape, e, [len(sent)], None)[0].fenceposts.value
+        out = model.encoder.encode(tape, e, [len(sent)], None).value
 
         perm = np.arange(len(sent))[::-1].copy()
         tape2 = ag.Tape(dtype=model.dtype)
         e2 = model.provider.embed(
             tape2, [sent.sentence_id], [[sent.words[i] for i in perm]]
         )
-        out2 = model.encoder.encode(tape2, e2, [len(sent)], None)[0].fenceposts.value
+        out2 = model.encoder.encode(tape2, e2, [len(sent)], None).value
         assert not np.allclose(out, out2, atol=1e-4)
 
 
@@ -182,11 +182,9 @@ class TestProsodyCnn:
         assert batched.shape == (len(lens), CnnConfig().output_dim)
         ends = np.cumsum(lens)
         for row, n, end in zip(batched, lens, ends):
-            x = tape.constant(
-                np.concatenate(
-                    [prosody.frames[end - n : end], prosody.mask[end - n : end, None]], axis=1
-                )[None]
-            )
+            x = np.concatenate(
+                [prosody.frames[end - n : end], prosody.mask[end - n : end, None]], axis=1
+            )[None].astype(dtype)
             alone = [
                 ag.max_pool_time(
                     ag.relu(ag.conv1d(x, tape.watch(w), tape.watch(b))), [n]
@@ -378,8 +376,8 @@ class TestTrainingTape:
     def test_op_count_and_kinds_pinned(self, featurized_corpus):
         # a bucket of one: two layers of three streams, each stream norm one
         # layer_norm op, each biased dense layer one matmul, the fenceposts
-        # two row gathers from the words and sentinels plus one per sentence,
-        # the margin one signed gather_sum
+        # two row gathers from the words and sentinels, the spans one scorer
+        # matmul and one span_scores, the margin one signed gather_sum
         model = build_tiny_model(featurized_corpus.sentences, dropout=0.1)
         tape = ag.Tape(rngs=[np.random.default_rng(0)], train=True, dtype=model.dtype)
         model.sentence_loss(tape, featurized_corpus.sentences[0])
@@ -387,22 +385,24 @@ class TestTrainingTape:
         assert kinds == {
             "add": 9, "attention": 2, "concat": 8, "conv1d": 2, "dropout": 8,
             "gather_sum": 1, "layer_norm": 12, "matmul": 31, "max_pool_time": 2,
-            "relu": 4, "slice_cols": 12, "span_scores": 1, "take_rows": 7,
+            "relu": 4, "slice_cols": 12, "span_scores": 1, "take_rows": 6,
         }
-        assert len(tape._ops) == 99
+        assert len(tape._ops) == 98
 
     def test_packed_tape_adds_only_per_sentence_scoring(self, featurized_corpus):
-        # each further sentence records its fencepost rows, scorer matmul,
-        # span_scores, gather_sum and add: the encoder runs once
+        # each further sentence records its margin's gather_sum and add: the
+        # encoder, the scorer matmul and span_scores run once per bucket
         sents = featurized_corpus.sentences[:6]
         model = build_tiny_model(sents, dropout=0.1)
         tape = ag.Tape(rngs=[np.random.default_rng(i) for i in range(6)], train=True,
                        dtype=model.dtype)
         results = model.sentence_losses(tape, sents)
         assert all(info.loss > 0 for _, info in results)
-        kinds = {fn.__qualname__.split(".")[0] for fn in tape._ops}
+        kinds = collections.Counter(fn.__qualname__.split(".")[0] for fn in tape._ops)
         assert len(kinds) == 13
-        assert len(tape._ops) == 99 + 5 * 5
+        assert kinds["span_scores"] == 1 and kinds["matmul"] == 31
+        assert kinds["gather_sum"] == 6
+        assert len(tape._ops) == 98 + 2 * 5
 
 
 class RecordingRng:

@@ -26,11 +26,16 @@ def run_bench(env, workload, seed, trace):
     assert r.returncode == 0, r.stderr
     result = json.loads(r.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+    return result
 
 
 @pytest.mark.parametrize("workload", ["parse-long", "train-long", "train-short"])
 def test_traced_run_is_correct(child_env, workload):
-    run_bench(child_env, workload, 0, 1)
+    metrics = run_bench(child_env, workload, 0, 1)["metrics"]
+    # the model.score_spans hook still sees the scoring work, on training
+    # buckets as on parses
+    assert metrics["chart.spans_scored"]["value"] > 0
+    assert metrics["chart.score_spans_ms"]["value"] > 0
 
 
 def test_untraced_run_prints_a_parse_deeper_than_the_recursion_limit(child_env):
