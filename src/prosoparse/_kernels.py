@@ -1,11 +1,10 @@
 """Chart-filling kernels for CKY decoding.
 
 The fill is cubic in sentence length.  When numba (an optional extra) is
-installed, the reference loops are JIT-compiled; setting the environment
-variable ``PROSOPARSE_NUMBA=0``, or lacking numba, selects the slice-based
-numpy fallback, one vectorized step per span length.  It adds the same pairs
-of scalars and breaks ties the same way as the loops, so its tables are
-bit-identical to theirs.
+installed, the reference loops are JIT-compiled; without it the slice-based
+numpy fallback runs, one vectorized step per span length.  It adds the same
+pairs of scalars and breaks ties the same way as the loops, so its tables
+are bit-identical to theirs.
 ``python3 perfbench/run.py --workload parse-long --trace 1`` checks that
 against ``_cky_fill_loops`` and times the active kernel at T = 10..160; on
 a 2-vCPU VM with one BLAS thread the fallback took 0.88, 2.3 and 6.4 ms at
@@ -14,20 +13,7 @@ T = 40, 80 and 160 (``kernels.cky_fill_ms.T40/T80/T160``).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-NUMBA_ENV_VAR = "PROSOPARSE_NUMBA"
-
-
-def _env_wants_numba():
-    return os.environ.get(NUMBA_ENV_VAR, "1").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-        "off",
-    )
 
 
 def _cky_fill_loops(label_best):
@@ -86,14 +72,12 @@ def cky_fill_numpy(label_best):
     return best, split
 
 
-cky_fill_numba = None
-if _env_wants_numba():
-    try:
-        from numba import njit
+try:
+    from numba import njit
 
-        cky_fill_numba = njit(cache=True)(_cky_fill_loops)
-    except ImportError:
-        cky_fill_numba = None
+    cky_fill_numba = njit(cache=True)(_cky_fill_loops)
+except ImportError:
+    cky_fill_numba = None
 
 cky_fill = cky_fill_numba if cky_fill_numba is not None else cky_fill_numpy
 USING_NUMBA = cky_fill_numba is not None

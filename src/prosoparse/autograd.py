@@ -27,18 +27,20 @@ a chain of simpler ops gives the same bits, forward and backward, one op
 does its work as one tape entry: ``attention`` covers every head,
 ``matmul`` adds an optional bias, and ``layer_norm`` is affine and shares
 its backward step with ``span_scores``.
-``gather_sum`` is signed, so the margin loss reads both trees' cells in one
-op, and adds into the gradient in place.  Ops keep what their backward needs
-and no more: ``conv1d`` takes its input as data (no gradient reaches it) and
-rebuilds its im2col windows from it, ``max_pool_time`` keeps the winning
-frames' indices and ``dropout`` a boolean mask.  There is no broadcasting
-beyond bias/vector-over-rows; shapes are validated on every op.
+``gather_sum`` is signed, so a batch's margin loss reads every sentence's
+cells in one op, and adds into the gradient in place.  Ops keep what their
+backward needs and no more: ``conv1d`` takes its input as data (no gradient
+reaches it) and rebuilds its im2col windows from it, ``max_pool_time`` keeps
+the winning frames' indices and ``dropout`` a boolean mask.  There is no
+broadcasting beyond bias/vector-over-rows; shapes are validated on every op.
 
 Independent tapes share nothing except read-only parameter values, so
 separate buckets can be processed concurrently.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -219,19 +221,13 @@ def _segment_lengths(n_rows, lengths):
 
 
 def _length_groups(lengths):
-    """(T, rows) for each distinct segment length T: ``rows`` selects the
-    packed rows of the g segments of T rows, segment by segment ([g*T]), as
-    a slice when the segments are adjacent."""
-    firsts, row = {}, 0
-    for n in lengths:
-        firsts.setdefault(n, []).append(row)
+    """(T, rows) for each run of consecutive segments of T rows: ``rows``
+    slices the run's packed rows."""
+    row = 0
+    for T, run in itertools.groupby(lengths):
+        n = T * len(list(run))
+        yield T, slice(row, row + n)
         row += n
-    for T in sorted(firsts):
-        first = firsts[T]
-        if first[-1] - first[0] == (len(first) - 1) * T:
-            yield T, slice(first[0], first[-1] + T)
-        else:
-            yield T, (np.array(first)[:, None] + np.arange(T)).ravel()
 
 
 # axes that split [g, T, heads, dh] rows into per-head blocks, and back
@@ -268,8 +264,8 @@ def attention(qs, ks, vs, heads, lengths=None):
     Each head's q, k^T and v is a C-contiguous copy and gradients sum over
     streams in reverse order, so forward and backward give the bits of the
     per-head chain of slice, transpose, matmul, scale, add and softmax ops.
-    Segments of equal length are stacked into one batched product in which
-    each segment's heads are separate [T, T] blocks, so a segment gets the
+    Each run of equal-length segments (all of a length, in a sorted bucket)
+    is one batched product of per-head [T, T] blocks, so a segment gets the
     bits it gets alone.
     """
     n = len(qs)
@@ -721,7 +717,7 @@ def gather_sum(x, rows, cols, signs):
     """Signed sum of matrix entries, sum of signs[i] * x[rows[i], cols[i]],
     as a float64 sum rounded to a scalar of x's dtype.  Each listed entry
     gets its sign times the output's gradient, added into x's gradient in
-    place: a bucket's sentences each gather from one score matrix."""
+    place: one gather reads the cells of every sentence of a bucket."""
     tape = x.tape
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)

@@ -10,8 +10,10 @@ those rows instead of one over all the spans.  One op,
 mean and variance from statistics of its sentence's fenceposts, and forms,
 normalizes and rectifies the span rows and multiplies them by the second
 layer a block of rows at a time, giving one [spans, labels] score matrix
-holding each sentence's spans in turn.  Decoding and the margin loss read
-one sentence's rows of that matrix through its row offset.  The empty label
+holding each sentence's spans in turn.  Decoding reads one sentence's rows
+of that matrix through its row offset; the margin loss decodes each
+sentence that way and sums the bucket's losses in one signed gather over
+the matrix.  The empty label
 (index 0) scores 0 whatever its matrix column holds; it marks chart cells
 that vanish when the binarized tree is reassembled into an n-ary one.
 Decoding maximizes the additive span score exactly; training minimizes a
@@ -93,10 +95,10 @@ def span_rows(n_words):
     """``row_of`` of a sentence of T = n_words words: the [T+1, T+1] int array
     whose cell [a, b] is the row of span a < b in span order (by start, then
     end) and -1 where a >= b."""
-    a = np.arange(n_words + 1)
-    # a*T - a(a-1)/2 spans start before a, and span (a, b) is b - a - 1 more
-    first = a * (2 * n_words - a - 1) // 2 - 1
-    return np.where(a[None, :] > a[:, None], first[:, None] + a, -1)
+    row_of = np.full((n_words + 1, n_words + 1), -1)
+    starts, ends = ag.span_pairs([n_words + 1])
+    row_of[starts, ends] = np.arange(len(starts))
+    return row_of
 
 
 class SpanScorer:
@@ -179,13 +181,6 @@ def _decode_cells(rows, empty, row_of):
     return cells, float(total)
 
 
-def _lone_sentence(scores):
-    """The word count of one sentence's SpanScores."""
-    if len(scores.lengths) != 1:
-        raise DataError(f"decoding takes one sentence's scores, got {len(scores.lengths)}")
-    return scores.lengths[0]
-
-
 def cky_decode(scores, leaves):
     """Exact best tree under additive span scores.
 
@@ -194,7 +189,9 @@ def cky_decode(scores, leaves):
     reconstruction; unary chains collapsed in composite labels are expanded
     back.
     """
-    T = _lone_sentence(scores)
+    if len(scores.lengths) != 1:
+        raise DataError(f"decoding takes one sentence's scores, got {len(scores.lengths)}")
+    T = scores.lengths[0]
     if T < 1 or len(leaves) != T:
         raise DataError(f"scores cover {T} words but {len(leaves)} leaves given")
     cells, total = _decode_cells(scores.rows, 0.0, span_rows(T))
@@ -229,52 +226,65 @@ class MarginInfo:
     correct: bool
 
 
-def margin_loss(scores, gold_spans):
-    """Structured hinge against the cost-augmented argmax tree.
+def margin_loss(scores, golds):
+    """Structured hinge against the cost-augmented argmax tree, summed over
+    a bucket's sentences.
 
     Every (span, label) chart entry pays cost 1 unless it matches the gold
     assignment, where a span absent from the gold tree counts the empty
-    label as gold.  The loss is scored-margin violation of the augmented
-    argmax; it is 0 exactly when the gold tree wins by the margin.
-    Returns (loss Var on the scoring tape, MarginInfo).
+    label as gold.  A sentence's loss is the scored-margin violation of its
+    augmented argmax; it is 0 exactly when the gold tree wins by the margin.
+    golds: each sentence's gold spans.  Returns (loss Var on the scoring
+    tape, [MarginInfo]): one signed gather of the predicted-only (+1) and
+    gold-only (-1) cells of each sentence with a positive loss, plus their
+    Hamming costs; a constant 0 when there is none.
     """
-    T = _lone_sentence(scores)
+    if len(golds) != len(scores.lengths):
+        raise DataError(f"{len(golds)} gold trees for {len(scores.lengths)} sentences")
     vocab = scores.vocab
-    gold = _check_gold_spans(gold_spans, T)
-    gold_idx = {(s.a, s.b): vocab.index(s.label) for s in gold}
+    infos, signed, deltas = [], [], 0.0
+    for view, gold_spans in zip(scores.sentences(), golds):
+        T = view.lengths[0]
+        gold = _check_gold_spans(gold_spans, T)
+        gold_idx = {(s.a, s.b): vocab.index(s.label) for s in gold}
 
-    row_of = span_rows(T)
-    rows = scores.rows.astype(np.float64)
-    augmented = rows + HAMMING_COST
-    empty = np.zeros(len(rows))
-    for (a, b), li in gold_idx.items():
-        r = row_of[a, b]
-        augmented[r, li] = rows[r, li]
-        empty[r] = HAMMING_COST
+        row_of = span_rows(T)
+        rows = view.rows.astype(np.float64)
+        augmented = rows + HAMMING_COST
+        empty = np.zeros(len(rows))
+        for (a, b), li in gold_idx.items():
+            r = row_of[a, b]
+            augmented[r, li] = rows[r, li]
+            empty[r] = HAMMING_COST
 
-    cells, _ = _decode_cells(augmented, empty, row_of)
-    pred_raw = sum(rows[row_of[a, b], li] for a, b, li in cells if li != 0)
-    delta = sum(
-        0.0 if li == gold_idx.get((a, b), 0) else HAMMING_COST for a, b, li in cells
-    )
-    gold_raw = sum(rows[row_of[a, b], li] for (a, b), li in gold_idx.items())
-    loss_value = pred_raw + delta - gold_raw
+        cells, _ = _decode_cells(augmented, empty, row_of)
+        pred_raw = sum(rows[row_of[a, b], li] for a, b, li in cells if li != 0)
+        delta = sum(
+            0.0 if li == gold_idx.get((a, b), 0) else HAMMING_COST for a, b, li in cells
+        )
+        gold_raw = sum(rows[row_of[a, b], li] for (a, b), li in gold_idx.items())
+        loss_value = pred_raw + delta - gold_raw
 
-    gold_cells = {(a, b, li) for (a, b), li in gold_idx.items()}
-    pred_nonempty = {(a, b, li) for a, b, li in cells if li != 0}
-    correct = pred_nonempty == gold_cells
-    info = MarginInfo(
-        loss=max(0.0, float(loss_value)),
-        delta=float(delta),
-        correct=correct,
-    )
+        gold_cells = {(a, b, li) for (a, b), li in gold_idx.items()}
+        pred_nonempty = {(a, b, li) for a, b, li in cells if li != 0}
+        correct = pred_nonempty == gold_cells
+        info = MarginInfo(
+            loss=max(0.0, float(loss_value)),
+            delta=float(delta),
+            correct=correct,
+        )
+        infos.append(info)
+        if correct or loss_value <= 0.0:
+            continue
+        # sentences' cells are disjoint, and so are each one's two trees',
+        # so each cell's gradient is +-seed
+        signed += [(view.offset + row_of[a, b], li, 1.0)
+                   for a, b, li in sorted(pred_nonempty - gold_cells)]
+        signed += [(view.offset + row_of[a, b], li, -1.0)
+                   for a, b, li in sorted(gold_cells - pred_nonempty)]
+        deltas += delta
     tape = scores.matrix.tape
-    if correct or loss_value <= 0.0:
-        return tape.constant(0.0), info
-
-    # the two cell sets are disjoint, so each cell's gradient is +-seed
-    signed = [(*cell, 1.0) for cell in sorted(pred_nonempty - gold_cells)]
-    signed += [(*cell, -1.0) for cell in sorted(gold_cells - pred_nonempty)]
-    a, b, cols, signs = zip(*signed)
-    scored = ag.gather_sum(scores.matrix, scores.offset + row_of[a, b], cols, signs)
-    return ag.add(scored, tape.constant(float(delta))), info
+    if not signed:
+        return tape.constant(0.0), infos
+    scored = ag.gather_sum(scores.matrix, *zip(*signed))
+    return ag.add(scored, tape.constant(deltas)), infos

@@ -135,13 +135,15 @@ class ParserModel:
     def parse_sentence(self, sent):
         return self.parse_sentences([sent])[0]
 
-    def sentence_losses(self, tape, sents):
-        """(loss Var, MarginInfo) of each sentence, encoded as one bucket."""
-        scores = self.score_sentences(tape, sents).sentences()
-        return [margin_loss(sc, sent.gold_spans) for sc, sent in zip(scores, sents)]
+    def batch_loss(self, tape, sents):
+        """(loss Var, [MarginInfo]) of a bucket of sentences, encoded and
+        scored as one bucket: the Var is the sum of their margin losses."""
+        scores = self.score_sentences(tape, sents)
+        return margin_loss(scores, [s.gold_spans for s in sents])
 
     def sentence_loss(self, tape, sent):
-        return self.sentence_losses(tape, [sent])[0]
+        loss, [info] = self.batch_loss(tape, [sent])
+        return loss, info
 
     # ------------------------------------------------------------------
 

@@ -2,17 +2,17 @@
 
 Every run is reproducible from (seed, config, data): batch order, dropout
 masks and parameter init all derive from seeded generators.  Each batch of
-similar-length sentences is one packed forward pass on one tape, with one
-backward of the sum of its sentences' nonzero margins; each sentence still
-draws its dropout masks from its own generator.  Seeds are
-independent; with --jobs they run as separate processes.  Metric logs hold
-one line per epoch (epoch, train_loss, dev_F1) and contain nothing
-non-deterministic, so re-running a config reproduces them byte for byte.
+similar-length sentences is one packed forward pass on one tape; its loss,
+the sum of its sentences' margins, is one signed gather plus one add, with
+one backward.  Each sentence still draws its dropout masks from its own
+generator.  Seeds are independent; with --jobs they run as separate
+processes.  Metric logs hold one line per epoch (epoch, train_loss, dev_F1)
+and contain nothing non-deterministic, so re-running a config reproduces
+them byte for byte.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -159,8 +159,6 @@ def epoch_batches(corpora, weights, batch_size, rng):
     """
     active = [(c, w) for c, w in zip(corpora, weights) if w > 0]
     pools = [length_bucketed_batches(c, batch_size, rng) for c, _ in active]
-    if len(pools) == 1:
-        return pools[0]
     out = []
     remaining = [list(reversed(p)) for p in pools]
     w = np.array([wt for _, wt in active], dtype=np.float64)
@@ -206,15 +204,13 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
                     train=True,
                     dtype=model.dtype,
                 )
-                margins = []
-                for loss_var, info in model.sentence_losses(tape, batch):
+                loss, infos = model.batch_loss(tape, batch)
+                for info in infos:
                     if not np.isfinite(info.loss):
                         raise TrainingDivergedError(seed, opt.t)
                     epoch_loss += info.loss
-                    if info.loss > 0.0:
-                        margins.append(loss_var)
-                if margins:
-                    tape.backward(functools.reduce(ag.add, margins), seed=1.0 / len(batch))
+                if any(info.loss > 0.0 for info in infos):
+                    tape.backward(loss, seed=1.0 / len(batch))
                 else:
                     tape.release()
                 n_sentences += len(batch)

@@ -559,12 +559,9 @@ def featurized_corpus():
 def child_env():
     """Environment for a child Python that imports the same prosoparse.
 
-    The directory holding the imported package goes first on PYTHONPATH, and
-    PROSOPARSE_NUMBA is dropped so a child sees the flag unset unless the
-    test sets it.
+    The directory holding the imported package goes first on PYTHONPATH.
     """
     env = dict(os.environ)
-    env.pop("PROSOPARSE_NUMBA", None)
     root = os.path.dirname(os.path.dirname(prosoparse.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     return env

@@ -112,7 +112,7 @@ def test_criterion_2_gradient_fidelity():
         def f():
             tape = ag.Tape(train=False, dtype=np.float64)
             scores = model.score_sentence(tape, sent)
-            loss, _ = margin_loss(scores, sent.gold_spans)
+            loss, _ = margin_loss(scores, [sent.gold_spans])
             return loss
 
         err = grad_check(f, params, n_samples=50, h=1e-5)

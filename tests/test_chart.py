@@ -194,7 +194,7 @@ def literal_best_score(dense):
 # ----------------------------------------------------------------------
 
 class TestKernels:
-    def test_env_flag_selects_fallback(self, child_env):
+    def test_numba_import_selects_kernel(self, child_env):
         import subprocess
         import sys
 
@@ -209,15 +209,11 @@ class TestKernels:
             "print(k.USING_NUMBA, k.cky_fill is k.cky_fill_numpy)"
         )
 
-        def run(env):
-            r = subprocess.run(
-                [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-            )
-            assert r.returncode == 0, r.stderr
-            return r.stdout.split()
-
-        assert run({**child_env, "PROSOPARSE_NUMBA": "0"}) == ["False", "True"]
-        assert run(child_env) == [str(has_numba), str(not has_numba)]
+        r = subprocess.run(
+            [sys.executable, "-c", probe], env=child_env, capture_output=True, text=True
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == [str(has_numba), str(not has_numba)]
 
     def test_both_paths_bit_identical(self):
         rng = np.random.default_rng(0)
@@ -319,7 +315,7 @@ class TestMarginLoss:
         for s in self.gold():
             dense[s.a, s.b, VOCAB5.index(s.label)] = 10.0
         scores = attached_scores(dense, VOCAB5)
-        loss, info = margin_loss(scores, self.gold())
+        loss, [info] = margin_loss(scores, [self.gold()])
         assert float(loss.value) == 0.0
         assert info.loss == 0.0 and info.correct
 
@@ -329,14 +325,14 @@ class TestMarginLoss:
         dense = np.zeros((4, 4, len(VOCAB5)))
         for s in self.gold():
             dense[s.a, s.b, VOCAB5.index(s.label)] = 10.0
-        _, info = margin_loss(attached_scores(dense, VOCAB5), self.gold())
+        _, [info] = margin_loss(attached_scores(dense, VOCAB5), [self.gold()])
         assert info.loss == 3.0  # one spurious bracket per length-1 span
 
     def test_all_zero_scores_loss_is_delta(self):
         T = 3
         dense = np.zeros((T + 1, T + 1, len(VOCAB5)))
         scores = attached_scores(dense, VOCAB5)
-        loss, info = margin_loss(scores, self.gold())
+        loss, [info] = margin_loss(scores, [self.gold()])
         # The augmented decode maximizes the Hamming cost alone; its loss
         # must equal the independently enumerated augmented optimum.
         augment = hamming_augment(
@@ -353,7 +349,7 @@ class TestMarginLoss:
             T = 3
             dense = random_dense(rng, T, len(VOCAB5))
             scores = attached_scores(dense, VOCAB5)
-            loss, info = margin_loss(scores, self.gold())
+            loss, [info] = margin_loss(scores, [self.gold()])
             if info.correct:
                 assert info.loss == 0.0
             else:
@@ -366,7 +362,7 @@ class TestMarginLoss:
         for _ in range(50):
             dense = random_dense(rng, 3, len(VOCAB5))
             scores = attached_scores(dense, VOCAB5)
-            _, info = margin_loss(scores, gold)
+            _, [info] = margin_loss(scores, [gold])
             augment = hamming_augment(
                 dense, {(s.a, s.b): VOCAB5.index(s.label) for s in gold}
             )
@@ -379,11 +375,11 @@ class TestMarginLoss:
         gold = sorted(self.gold())
         for _ in range(20):
             dense = random_dense(rng, 3, len(VOCAB5))
-            base = margin_loss(attached_scores(dense, VOCAB5), gold)[1].loss
+            base = margin_loss(attached_scores(dense, VOCAB5), [gold])[1][0].loss
             for s in gold:
                 boosted = dense.copy()
                 boosted[s.a, s.b, VOCAB5.index(s.label)] += 1.5
-                new = margin_loss(attached_scores(boosted, VOCAB5), gold)[1].loss
+                new = margin_loss(attached_scores(boosted, VOCAB5), [gold])[1][0].loss
                 assert new <= base + 1e-9
 
     def test_crossing_gold_spans_rejected(self):
@@ -391,14 +387,14 @@ class TestMarginLoss:
         scores = attached_scores(dense, VOCAB5)
         bad = {LabeledSpan(0, 2, "NP"), LabeledSpan(1, 3, "VP"), LabeledSpan(0, 3, "S")}
         with pytest.raises(CrossingSpanError):
-            margin_loss(scores, bad)
+            margin_loss(scores, [bad])
 
     def test_gradient_signs(self):
         T = 3
         dense = np.zeros((T + 1, T + 1, len(VOCAB5)))
         dense[0, 2, VOCAB5.index("VP")] = 5.0  # wrong label on a gold span
         scores = attached_scores(dense, VOCAB5)
-        loss, info = margin_loss(scores, self.gold())
+        loss, [info] = margin_loss(scores, [self.gold()])
         assert info.loss > 0
         scores.matrix.tape.backward(loss)
         g = scores.matrix.grad
@@ -415,7 +411,7 @@ class TestMarginLoss:
             gold_idx = random_gold(rng, T)
             gold = {LabeledSpan(a, b, VOCAB5.value(li)) for (a, b), li in gold_idx.items()}
             scores = attached_scores(dense, VOCAB5)
-            loss, info = margin_loss(scores, gold)
+            loss, [info] = margin_loss(scores, [gold])
             if info.loss == 0.0:
                 continue
             seen += 1
@@ -501,29 +497,34 @@ class TestScoreSpans:
             cky_decode(scores, leaves(scores.n_words))
 
     def test_margin_of_a_view_reads_and_writes_its_rows(self):
+        # one margin over a bucket: each sentence's info and gradient block
+        # are those of its margin alone
         rng = np.random.default_rng(8)
         denses = [random_dense(rng, T, len(VOCAB5)) for T in (3, 4, 3)]
         golds = [random_gold(rng, len(d) - 1) for d in denses]
+        golds = [{LabeledSpan(a, b, VOCAB5.value(li)) for (a, b), li in g.items()} for g in golds]
         bucket = np.concatenate([d[np.triu_indices(len(d), 1)] for d in denses])
         spans = np.cumsum([0] + [len(d) * (len(d) - 1) // 2 for d in denses])
-        seen = 0
-        for i, (dense, gold_idx) in enumerate(zip(denses, golds)):
-            gold = {LabeledSpan(a, b, VOCAB5.value(li)) for (a, b), li in gold_idx.items()}
-            tape = ag.Tape(dtype=np.float64)
-            matrix = tape.constant(bucket)
-            views = SpanScores(VOCAB5, matrix, [len(d) - 1 for d in denses]).sentences()
-            loss, info = margin_loss(list(views)[i], gold)
+        tape = ag.Tape(dtype=np.float64)
+        matrix = tape.constant(bucket)
+        loss, infos = margin_loss(SpanScores(VOCAB5, matrix, [len(d) - 1 for d in denses]), golds)
+        assert sum(info.loss > 0.0 for info in infos) >= 2
+        tape.backward(loss)
+        for i, (dense, gold) in enumerate(zip(denses, golds)):
             alone = attached_scores(dense, VOCAB5)
-            want_loss, want_info = margin_loss(alone, gold)
-            assert info == want_info
-            if info.loss == 0.0:
+            want_loss, [want_info] = margin_loss(alone, [gold])
+            assert infos[i] == want_info
+            block = matrix.grad[spans[i] : spans[i + 1]]
+            if want_info.loss == 0.0:
+                assert not block.any()
                 continue
-            seen += 1
-            tape.backward(loss)
             alone.matrix.tape.backward(want_loss)
-            assert not matrix.grad[: spans[i]].any() and not matrix.grad[spans[i + 1] :].any()
-            assert matrix.grad[spans[i] : spans[i + 1]].tobytes() == alone.matrix.grad.tobytes()
-        assert seen
+            assert block.tobytes() == alone.matrix.grad.tobytes()
+
+    def test_margin_needs_one_gold_per_sentence(self):
+        scores = SpanScores(VOCAB5, ag.Tape().constant(np.zeros((9, len(VOCAB5)))), [2, 2, 1])
+        with pytest.raises(DataError, match="3 sentences"):
+            margin_loss(scores, [set(), set()])
 
     def test_grad_check_fenceposts_and_first_layer(self):
         T = 6

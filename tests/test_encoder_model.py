@@ -13,7 +13,7 @@ from conftest import (
     zero_prosody_pathway,
 )
 from prosoparse import autograd as ag
-from prosoparse.chart import cky_decode
+from prosoparse.chart import cky_decode, margin_loss
 from prosoparse.encoder import CnnConfig, Encoder, EncoderConfig, ProsodyInputs
 from prosoparse.errors import (
     CheckpointError,
@@ -300,9 +300,7 @@ class TestFullModelGradients:
             scores = model64.score_sentence(tape, sent)
             # hinge at a fixed (generally wrong) gold: gradient flows through
             # encoder, CNN and scorer
-            loss, _ = __import__("prosoparse.chart", fromlist=["margin_loss"]).margin_loss(
-                scores, sent.gold_spans
-            )
+            loss, _ = margin_loss(scores, [sent.gold_spans])
             return loss
 
         err = grad_check(f, params, n_samples=6, h=1e-5)
@@ -390,19 +388,20 @@ class TestTrainingTape:
         assert len(tape._ops) == 98
 
     def test_packed_tape_adds_only_per_sentence_scoring(self, featurized_corpus):
-        # each further sentence records its margin's gather_sum and add: the
-        # encoder, the scorer matmul and span_scores run once per bucket
+        # the encoder, the scorer matmul, span_scores and the margin's
+        # gather_sum and add run once per bucket: six sentences record the
+        # ops of one
         sents = featurized_corpus.sentences[:6]
         model = build_tiny_model(sents, dropout=0.1)
         tape = ag.Tape(rngs=[np.random.default_rng(i) for i in range(6)], train=True,
                        dtype=model.dtype)
-        results = model.sentence_losses(tape, sents)
-        assert all(info.loss > 0 for _, info in results)
+        _, infos = model.batch_loss(tape, sents)
+        assert all(info.loss > 0 for info in infos)
         kinds = collections.Counter(fn.__qualname__.split(".")[0] for fn in tape._ops)
         assert len(kinds) == 13
         assert kinds["span_scores"] == 1 and kinds["matmul"] == 31
-        assert kinds["gather_sum"] == 6
-        assert len(tape._ops) == 98 + 2 * 5
+        assert kinds["gather_sum"] == 1
+        assert len(tape._ops) == 98
 
 
 class RecordingRng:
@@ -441,9 +440,9 @@ class TestPackedBucket:
         return short_sized_model(sents)
 
     @staticmethod
-    def run(model, monkeypatch, sents, seeds, backprop):
+    def run(model, monkeypatch, sents, seeds):
         """Each sentence's loss, rng draws and dropout keep masks, and the
-        parameter gradients of sentence ``backprop``'s loss, from one tape."""
+        parameter gradients of the batch's loss, from one tape."""
         masks = []
         real = ag.dropout
 
@@ -457,11 +456,11 @@ class TestPackedBucket:
         tape = ag.Tape(rngs=rngs, train=True, dtype=np.float64)
         for p in model.parameters():
             p.zero_grad()
-        results = model.sentence_losses(tape, sents)
-        tape.backward(results[backprop][0])
+        loss, infos = model.batch_loss(tape, sents)
+        tape.backward(loss)
         monkeypatch.undo()
         grads = [p.grad.copy() for p in model.parameters()]
-        return [info.loss for _, info in results], [r.draws for r in rngs], masks, grads
+        return [info.loss for info in infos], [r.draws for r in rngs], masks, grads
 
     def test_losses_gradients_and_masks_match_buckets_of_one(
         self, model, featurized_corpus, monkeypatch
@@ -470,17 +469,21 @@ class TestPackedBucket:
         batch = sorted(featurized_corpus.sentences[:10], key=len)
         seeds = [(7, i) for i in range(len(batch))]
         starts = np.cumsum([0] + [len(s) for s in batch])
+        packed = self.run(model, monkeypatch, batch, seeds)
+        summed = [np.zeros_like(g) for g in packed[3]]
         for i, sent in enumerate(batch):
-            packed = self.run(model, monkeypatch, batch, seeds, i)
-            alone = self.run(model, monkeypatch, [sent], seeds[i : i + 1], 0)
+            alone = self.run(model, monkeypatch, [sent], seeds[i : i + 1])
             assert packed[0][i] == pytest.approx(alone[0][0], rel=1e-9)
             assert [d.tobytes() for d in packed[1][i]] == [d.tobytes() for d in alone[1][0]]
             assert len(packed[2]) == len(alone[2]) == 8
             for p_mask, a_mask in zip(packed[2], alone[2]):
                 assert p_mask[starts[i] : starts[i + 1]].tobytes() == a_mask.tobytes()
-            for p, p_grad, a_grad in zip(model.parameters(), packed[3], alone[3]):
-                scale = max(np.abs(a_grad).max(), 1e-12)
-                assert np.abs(p_grad - a_grad).max() <= 1e-6 * scale, p.name
+            for total, a_grad in zip(summed, alone[3]):
+                total += a_grad
+        # the batch's gradient is the sum of its sentences' gradients alone
+        for p, p_grad, want in zip(model.parameters(), packed[3], summed):
+            scale = max(np.abs(want).max(), 1e-12)
+            assert np.abs(p_grad - want).max() <= 1e-6 * scale, p.name
         assert sum(loss > 0.0 for loss in packed[0]) >= 8
 
 
