@@ -1,14 +1,15 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 A recording ``Tape`` (the default) keeps one backward closure per op in a
-flat list; ``Tape.backward`` replays the list in reverse, dropping each
-closure once it has run, and leaves the tape released.  A watched
+flat list, with the op's output Vars.  ``Tape.backward`` replays the list in
+reverse, runs a closure only when a gradient reached one of its op's
+outputs (so a constant loss, such as a zero margin loss, runs none), drops
+each closure once passed, and leaves the tape released.  A watched
 ``Parameter``'s leaf shares the parameter's ``grad`` array, so gradients
 accumulate straight into it.  The closures hold their ``Var`` operands and
-every ``Var`` holds its tape, so until it is released a tape is a reference
-cycle that keeps every array of its forward pass until the cyclic garbage
-collector runs.  A tape whose loss needs no backward (a zero loss) is
-released with ``Tape.release``.  A non-recording tape (``record=False``, for
+every ``Var`` holds its tape, so until ``backward`` runs a tape is a
+reference cycle that keeps every array of its forward pass until the
+cyclic garbage collector runs.  A non-recording tape (``record=False``, for
 inference) keeps no closures, so its arrays are freed as soon as nothing
 references them; ``backward`` on it raises.
 
@@ -99,7 +100,8 @@ class Tape:
         self.train = train
         self.dtype = np.dtype(dtype)
         self.record = record
-        self._ops = []
+        self._ops = []  # backward closures, in recording order
+        self._outs = []  # each closure's op outputs
 
     def constant(self, value):
         return Var(np.asarray(value, dtype=self.dtype), self)
@@ -112,16 +114,18 @@ class Tape:
             leaf.grad = param.grad
         return leaf
 
-    def _record(self, fn):
+    def _record(self, bwd, *outs):
         if self.record:
-            self._ops.append(fn)
+            self._ops.append(bwd)
+            self._outs.append(outs)
 
     def backward(self, loss, seed=1.0):
         """Backpropagate d(seed * loss) into every watched Parameter's grad,
         then release the tape.
 
-        Each backward closure is dropped once it has run, so an op's output
-        and its gradient are freed once the ops that read them are done.
+        A closure runs only when one of its op's outputs holds a gradient,
+        and is dropped once passed, so an op's output and its gradient are
+        freed once the ops that read them are done.
         """
         if not self.record:
             raise NumericError("backward() on a tape that does not record")
@@ -130,18 +134,12 @@ class Tape:
         if loss.value.shape != ():
             raise ShapeError("backward", loss.value.shape)
         loss.grad = np.asarray(seed, dtype=self.dtype)
-        ops = self._ops
-        self.release()
+        ops, outs = self._ops, self._outs
+        self._ops, self._outs = [], []
         while ops:
-            ops.pop()()
-
-    def release(self):
-        """Drop the backward closures.
-
-        This breaks the tape -> closure -> Var -> tape cycle, so the forward
-        pass's arrays are freed as soon as the caller drops its Vars.
-        """
-        self._ops = []
+            bwd = ops.pop()
+            if any(out.grad is not None for out in outs.pop()):
+                bwd()
 
 
 def _accum(var, g):
@@ -166,12 +164,10 @@ def add(a, b):
     out = Var(a.value + b.value, tape)
 
     def bwd():
-        if out.grad is None:
-            return
         _accum(a, out.grad)
         _accum(b, out.grad)
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -187,14 +183,12 @@ def matmul(a, w, bias=None):
         out.value += bias.value
 
     def bwd():
-        if out.grad is None:
-            return
         if bias is not None:
             _accum(bias, out.grad.sum(axis=0))
         _accum(a, out.grad @ w.value.T)
         _accum(w, a.value.T @ out.grad)
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -203,11 +197,9 @@ def relu(x):
     out = Var(np.maximum(x.value, 0), tape)
 
     def bwd():
-        if out.grad is None:
-            return
         _accum(x, out.grad * (x.value > 0))
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -297,8 +289,6 @@ def attention(qs, ks, vs, heads, lengths=None):
 
     def bwd():
         live = [s for s in reversed(range(n)) if outs[s].grad is not None]
-        if not live:
-            return
         dv = {s: np.empty_like(vs[s].value) for s in live}
         dk = [np.empty_like(k.value) for k in ks]
         dq = [np.empty_like(q.value) for q in qs]
@@ -322,7 +312,7 @@ def attention(qs, ks, vs, heads, lengths=None):
             _accum(ks[s], dk[s])
             _accum(qs[s], dq[s])
 
-    tape._record(bwd)
+    tape._record(bwd, *outs)
     return outs
 
 
@@ -370,15 +360,13 @@ def layer_norm(x, gain, bias):
     out.value += bias.value
 
     def bwd():
-        if out.grad is None:
-            return
         y64 = _centered(x.value)
         y64 /= std
         _accum(bias, out.grad.sum(axis=0))
         _accum(gain, (out.grad * y64.astype(x.value.dtype)).sum(axis=0))
         _accum(x, _layer_norm_backward(out.grad * gain.value, y64, std))
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -514,15 +502,13 @@ def span_scores(proj, b1, gain, beta, w2, b2, lengths=None):
             lo += n - 1 - a
 
     def bwd():
-        if out.grad is None:
-            return
         _accum(b2, out.grad.sum(axis=0))
         dproj = np.zeros_like(proj.value)
         for segment in segments:
             segment_bwd(*segment, dproj)
         _accum(proj, dproj)
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -549,11 +535,9 @@ def dropout(x, rate, lengths=None):
     out = Var(x.value * (kept.astype(dt) / keep), tape)
 
     def bwd():
-        if out.grad is None:
-            return
         _accum(x, out.grad * (kept.astype(dt) / keep))
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -597,13 +581,11 @@ def conv1d(x, w, b):
     out = Var((product[:rows] + b.value[None, :]).reshape(n, t, cout), tape)
 
     def bwd():
-        if out.grad is None:
-            return
         g = out.grad.reshape(rows, cout)
         _accum(b, g.sum(axis=0))
         _accum(w, (_conv_windows(x, width)[:rows].T @ g).reshape(width, cin, cout))
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -629,42 +611,36 @@ def max_pool_time(x, lengths):
     idx = masked.argmax(axis=1)
 
     def bwd():
-        if out.grad is None:
-            return
         g = np.zeros_like(x.value)
         g[np.arange(n)[:, None], idx, np.arange(c)[None, :]] = out.grad
         _accum(x, g)
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
 def take_rows(x, ids):
-    """Row gather: x[ids]; the gradient scatter-adds back into x."""
+    """Row gather: x[ids] for [n] ids.  For [rows, cols] ids, entry [r, c]
+    is x[ids[r, c], c], each column gathering its own rows.  The gradient
+    scatter-adds back into x."""
     tape = x.tape
     ids = np.asarray(ids, dtype=np.int64)
-    if x.value.ndim != 2 or ids.ndim != 1:
+    if x.value.ndim != 2 or ids.ndim not in (1, 2) or ids.shape[1:] not in ((), x.value.shape[1:]):
         raise ShapeError("take_rows", x.value.shape, ids.shape)
     if ids.size and (ids.min() < 0 or ids.max() >= x.value.shape[0]):
         raise NumericError(
             f"take_rows: index out of range for {x.value.shape[0]} rows"
         )
-    out = Var(x.value[ids], tape)
+    index = ids if ids.ndim == 1 else (ids, np.arange(x.value.shape[1]))
+    out = Var(x.value[index], tape)
 
     def bwd():
-        if out.grad is None:
-            return
         g = np.zeros_like(x.value)
-        np.add.at(g, ids, out.grad)
+        np.add.at(g, index, out.grad)
         _accum(x, g)
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
-
-
-def embedding_lookup(tape, table, ids):
-    """Rows of a Parameter table; gradients flow into the table."""
-    return take_rows(tape.watch(table), ids)
 
 
 def concat(vars_, axis):
@@ -684,15 +660,13 @@ def concat(vars_, axis):
     offsets = np.cumsum([0] + sizes)
 
     def bwd():
-        if out.grad is None:
-            return
         for v, lo, hi in zip(vars_, offsets[:-1], offsets[1:]):
             if axis == 0:
                 _accum(v, out.grad[lo:hi])
             else:
                 _accum(v, out.grad[:, lo:hi])
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -703,13 +677,11 @@ def slice_cols(x, lo, hi):
     out = Var(np.ascontiguousarray(x.value[:, lo:hi]), tape)
 
     def bwd():
-        if out.grad is None:
-            return
         g = np.zeros_like(x.value)
         g[:, lo:hi] = out.grad
         _accum(x, g)
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -730,13 +702,11 @@ def gather_sum(x, rows, cols, signs):
     )
 
     def bwd():
-        if out.grad is None:
-            return
         if x.grad is None:
             x.grad = np.zeros_like(x.value)
         np.add.at(x.grad, (rows, cols), signs * out.grad)
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 

@@ -57,10 +57,12 @@ class ExperimentConfig:
         return self.model.encoder.use_prosody
 
 
-# the keys of the top level and of the model section; every other section
-# is checked by its dataclass
+# the keys of the top level, of the model section and of model.embedding
+# (whose files are data.vector_store and data.word_vectors); every other
+# section is checked by its dataclass
 TOP_LEVEL_KEYS = ("data", "model", "train", "eval", "output_dir")
 MODEL_KEYS = ("encoder", "cnn", "span_hidden", "embedding")
+EMBEDDING_KEYS = ("mode", "dim", "min_count")
 
 
 def _check_keys(raw, known, where):
@@ -118,10 +120,12 @@ def load_config(path):
         )
     except ConfigError as exc:
         raise ConfigError(f"model: {exc}") from None
-    emb_raw = dict(_section(model_raw, "embedding"))
-    emb_raw.setdefault("store_path", data.vector_store)
-    emb_raw.setdefault("vectors_path", data.word_vectors)
-    embedding = _build(EmbeddingSpec, emb_raw, "model.embedding")
+    emb_raw = _section(model_raw, "embedding")
+    _check_keys(emb_raw, EMBEDDING_KEYS, "config section 'model.embedding'")
+    embedding = _build(
+        EmbeddingSpec, emb_raw, "model.embedding",
+        store_path=data.vector_store, vectors_path=data.word_vectors,
+    )
 
     train = _build(TrainConfig, _section(raw, "train"), "train")
     eval_cfg = _build(EvalConfig, _section(raw, "eval"), "eval")
@@ -176,11 +180,6 @@ def validate_paths(cfg, need=(), flags=()):
         checks += [(f"data.{k}", getattr(cfg.data, k)) for k in ("alignments", "frame_tracks")]
     if "embedding" in need:
         checks += [(f"data.{k}", getattr(cfg.data, k)) for k in ("vector_store", "word_vectors")]
-        # what the embedding mode opens; model.embedding can set it apart from data
-        if cfg.embedding.mode == "frozen":
-            checks.append(("model.embedding.store_path", cfg.embedding.store_path))
-        if cfg.embedding.mode == "finetuned":
-            checks.append(("model.embedding.vectors_path", cfg.embedding.vectors_path))
     for name, path in checks:
         if path and not os.path.exists(path):
             raise ConfigError(f"{name}: path does not exist: {path}")

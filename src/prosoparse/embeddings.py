@@ -226,4 +226,4 @@ class EmbeddingProvider:
         if self.mode == "learned" and tape.train and tape.rngs is not None:
             for rng, sent_ids in zip(tape.rngs, ids, strict=True):
                 sent_ids[rng.random(len(sent_ids)) < UNK_DROPOUT_P] = 0
-        return ag.embedding_lookup(tape, self.table, np.concatenate(ids))
+        return ag.take_rows(tape.watch(self.table), np.concatenate(ids))

@@ -333,8 +333,8 @@ class Encoder:
     def prosody_stream(self, tape, prosody):
         """Projected pause embeddings, duration scalars and CNN summaries."""
         joint = ag.concat([
-            ag.embedding_lookup(tape, self.pause_before_table, prosody.pause_before),
-            ag.embedding_lookup(tape, self.pause_after_table, prosody.pause_after),
+            ag.take_rows(tape.watch(self.pause_before_table), prosody.pause_before),
+            ag.take_rows(tape.watch(self.pause_after_table), prosody.pause_after),
             tape.constant(prosody.duration_scalars),
             self.prosody_cnn(tape, prosody),
         ], axis=1)
@@ -397,8 +397,8 @@ class Encoder:
             raise DataError(f"{N} embedding rows for sentences of {sum(lengths)} words")
 
         content = ag.matmul(e_var, tape.watch(self.w_content), tape.watch(self.b_content))
-        positions = ag.embedding_lookup(
-            tape, self.pos_table, [j for T in lengths for j in range(T)]
+        positions = ag.take_rows(
+            tape.watch(self.pos_table), [j for T in lengths for j in range(T)]
         )
         streams = [content, positions]
         if cfg.use_prosody:
@@ -415,20 +415,16 @@ class Encoder:
         # Fencepost j of a sentence of T words starting at word w joins the
         # forward halves of word w+j-1 and the backward halves of word w+j.
         # Row N holds each stream's start sentinel in its forward half and its
-        # stop sentinel in its backward half, for j = 0 and j = T.
+        # stop sentinel in its backward half, for j = 0 and j = T.  One gather
+        # reads each column's row: fwd_rows in a forward half, else bwd_rows.
         fwd_rows, bwd_rows, w = [], [], 0
         for T in lengths:
             words = list(range(w, w + T))
             fwd_rows += [N, *words]
             bwd_rows += [*words, N]
             w += T
+        fwd_cols = np.concatenate([np.arange(dim) < dim // 2 for dim in cfg.stream_dims])
+        ids = np.where(fwd_cols, np.array(fwd_rows)[:, None], np.array(bwd_rows)[:, None])
         sentinels = ag.concat([tape.watch(p) for pair in self.sentinels for p in pair], axis=1)
         rows = ag.concat([ag.concat(streams, axis=1), sentinels], axis=0)
-        fwd = ag.take_rows(rows, fwd_rows)
-        bwd = ag.take_rows(rows, bwd_rows)
-        pieces, lo = [], 0
-        for dim in cfg.stream_dims:
-            half = lo + dim // 2
-            pieces += [ag.slice_cols(fwd, lo, half), ag.slice_cols(bwd, half, lo + dim)]
-            lo += dim
-        return ag.concat(pieces, axis=1)
+        return ag.take_rows(rows, ids)

@@ -96,7 +96,8 @@ def _check_index(path, header):
 
 
 def read_tensors(path):
-    """Returns (meta, {name: array}); any malformed file raises FormatError."""
+    """Returns (meta, {name: array}); any malformed file, or a float tensor
+    holding NaN or inf, raises FormatError."""
     with open(path, "rb") as fh:
         magic = fh.readline().decode("ascii", errors="replace").strip()
         parts = magic.split()
@@ -119,7 +120,10 @@ def read_tensors(path):
                 raise FormatError(f"{path}: truncated data for {entry['name']!r}")
             left -= nbytes
             raw = fh.read(nbytes)
-            tensors[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            arr = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            if dtype.kind == "f" and not np.isfinite(arr).all():
+                raise FormatError(f"{path}: non-finite value in tensor {entry['name']!r}")
+            tensors[entry["name"]] = arr
         if left:
             raise FormatError(f"{path}: {left} bytes after the last tensor")
         return meta, tensors

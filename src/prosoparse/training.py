@@ -209,10 +209,7 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
                     if not np.isfinite(info.loss):
                         raise TrainingDivergedError(seed, opt.t)
                     epoch_loss += info.loss
-                if any(info.loss > 0.0 for info in infos):
-                    tape.backward(loss, seed=1.0 / len(batch))
-                else:
-                    tape.release()
+                tape.backward(loss, seed=1.0 / len(batch))
                 n_sentences += len(batch)
                 opt.step()
             train_loss = epoch_loss / max(n_sentences, 1)

@@ -77,12 +77,11 @@ def mul(a, b):
     out = ag.Var(a.value * b_rows, tape)
 
     def bwd():
-        if out.grad is not None:
-            ag._accum(a, out.grad * b_rows)
-            gb = out.grad * a.value
-            ag._accum(b, gb if b.value.shape == a.value.shape else gb.sum(axis=0))
+        ag._accum(a, out.grad * b_rows)
+        gb = out.grad * a.value
+        ag._accum(b, gb if b.value.shape == a.value.shape else gb.sum(axis=0))
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -94,11 +93,10 @@ def add_bias(x, b):
     out = ag.Var(x.value + b.value[None, :], tape)
 
     def bwd():
-        if out.grad is not None:
-            ag._accum(x, out.grad)
-            ag._accum(b, out.grad.sum(axis=0))
+        ag._accum(x, out.grad)
+        ag._accum(b, out.grad.sum(axis=0))
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -110,11 +108,10 @@ def sub(a, b):
     out = ag.Var(a.value - b.value, tape)
 
     def bwd():
-        if out.grad is not None:
-            ag._accum(a, out.grad)
-            ag._accum(b, -out.grad)
+        ag._accum(a, out.grad)
+        ag._accum(b, -out.grad)
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -122,10 +119,9 @@ def sum_all(x):
     out = ag.Var(np.asarray(x.value.sum(dtype=np.float64), dtype=x.value.dtype), x.tape)
 
     def bwd():
-        if out.grad is not None:
-            ag._accum(x, np.full_like(x.value, out.grad))
+        ag._accum(x, np.full_like(x.value, out.grad))
 
-    x.tape._record(bwd)
+    x.tape._record(bwd, out)
     return out
 
 
@@ -186,16 +182,15 @@ def _plain_layer_norm(x):
     out = ag.Var(y64.astype(x.value.dtype), x.tape)
 
     def bwd():
-        if out.grad is not None:
-            g = out.grad.astype(np.float64)
-            gm = g.mean(axis=-1, keepdims=True)
-            gym = (g * y64).mean(axis=-1, keepdims=True)
-            g -= gm
-            g -= y64 * gym
-            g /= std
-            ag._accum(x, g.astype(x.value.dtype, copy=False))
+        g = out.grad.astype(np.float64)
+        gm = g.mean(axis=-1, keepdims=True)
+        gym = (g * y64).mean(axis=-1, keepdims=True)
+        g -= gm
+        g -= y64 * gym
+        g /= std
+        ag._accum(x, g.astype(x.value.dtype, copy=False))
 
-    x.tape._record(bwd)
+    x.tape._record(bwd, out)
     return out
 
 
@@ -213,10 +208,9 @@ def _transpose(x):
     out = ag.Var(np.ascontiguousarray(x.value.T), x.tape)
 
     def bwd():
-        if out.grad is not None:
-            ag._accum(x, out.grad.T)
+        ag._accum(x, out.grad.T)
 
-    x.tape._record(bwd)
+    x.tape._record(bwd, out)
     return out
 
 
@@ -225,10 +219,9 @@ def _smul(x, c):
     out = ag.Var(x.value * np.asarray(c, dtype=x.value.dtype), x.tape)
 
     def bwd():
-        if out.grad is not None:
-            ag._accum(x, out.grad * c)
+        ag._accum(x, out.grad * c)
 
-    x.tape._record(bwd)
+    x.tape._record(bwd, out)
     return out
 
 
@@ -241,12 +234,11 @@ def _softmax(x):
     out = ag.Var(y64.astype(x.value.dtype), x.tape)
 
     def bwd():
-        if out.grad is not None:
-            g = out.grad.astype(np.float64)
-            dot = (g * y64).sum(axis=-1, keepdims=True)
-            ag._accum(x, ((g - dot) * y64).astype(x.value.dtype))
+        g = out.grad.astype(np.float64)
+        dot = (g * y64).sum(axis=-1, keepdims=True)
+        ag._accum(x, ((g - dot) * y64).astype(x.value.dtype))
 
-    x.tape._record(bwd)
+    x.tape._record(bwd, out)
     return out
 
 
@@ -311,8 +303,6 @@ def span_hidden(proj, b1, gain, beta):
     np.maximum(out.value, 0, out=out.value)
 
     def bwd():
-        if out.grad is None:
-            return
         g = out.grad * (out.value > 0)
         ag._accum(beta, g.sum(axis=0))
         ag._accum(gain, (g * y).sum(axis=0))
@@ -334,7 +324,7 @@ def span_hidden(proj, b1, gain, beta):
             lo += n - 1 - a
         ag._accum(proj, dproj)
 
-    tape._record(bwd)
+    tape._record(bwd, out)
     return out
 
 
@@ -358,12 +348,11 @@ def _argmax_pool_time(x, lengths):
     out = ag.Var(x.value[items, idx, chans], x.tape)
 
     def bwd():
-        if out.grad is not None:
-            g = np.zeros_like(x.value)
-            g[items, idx, chans] = out.grad
-            ag._accum(x, g)
+        g = np.zeros_like(x.value)
+        g[items, idx, chans] = out.grad
+        ag._accum(x, g)
 
-    x.tape._record(bwd)
+    x.tape._record(bwd, out)
     return out
 
 

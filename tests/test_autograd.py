@@ -113,12 +113,20 @@ class TestOpGradients:
             assert (grad[i, :n] != 0).any()
 
     def test_take_rows_concat_slice(self):
+        # [rows, cols] ids: entry [r, c] reads row ids[r, c] of column c
+        per_col = np.array([[3, 0, 1, 1, 2, 0, 3], [1, 0, 0, 3, 3, 2, 3], [1, 1, 2, 0, 2, 2, 0]])
+
         def build(tape, ps):
             picked = ag.take_rows(ps[0], np.array([0, 2, 2, 1]))
             joined = ag.concat([picked, ps[1]], axis=1)
-            return sum_all(ag.slice_cols(joined, 1, 5))
+            mixed = ag.slice_cols(ag.take_rows(joined, per_col), 1, 5)
+            return sum_all(mul(mixed, mixed))
 
         check_op(build, [((3, 4), 0.0), ((4, 3), 0.0)])
+        x = tape64().constant(np.arange(12.0).reshape(4, 3))
+        assert ag.take_rows(x, [[3, 0, 1], [0, 2, 2]]).value.tolist() == [[9, 1, 5], [0, 7, 8]]
+        with pytest.raises(ShapeError, match="take_rows"):
+            ag.take_rows(x, [[3, 0], [0, 2]])
 
     def test_gather_sum(self):
         check_op(
@@ -690,9 +698,11 @@ class TestOpSemantics:
         t.backward(sum_all(mul(a, b)))  # one contribution per leaf
         np.testing.assert_allclose(p.grad, 1.0 + 1.0 + 1.0)
 
-        unrun = ag.Tape()
-        sum_all(mul(unrun.watch(p), unrun.watch(p)))
-        unrun.release()
+        # a loss no op produced reaches no closure, and still frees the tape
+        unreached = ag.Tape()
+        sum_all(mul(unreached.watch(p), unreached.watch(p)))
+        unreached.backward(unreached.constant(0.0))
+        assert unreached._ops == []
         np.testing.assert_allclose(p.grad, 3.0)
 
     def test_backward_scaled_seed(self):

@@ -9,6 +9,7 @@ from prosoparse import cli
 from prosoparse import corpus as corpus_mod
 from prosoparse.corpus import content_hash, load_feature_cache, save_feature_cache
 from prosoparse.errors import FormatError
+from prosoparse.model import ParserModel
 from prosoparse.prosody import (
     extract_frame_patch,
     normalize_speaker,
@@ -466,6 +467,25 @@ class TestCliWorkflow:
         ])
         assert rc == cli.EXIT_DATA
 
+    def test_non_finite_checkpoint_is_data_error(self, cli_workspace, trained_run1, tmp_path,
+                                                 capsys):
+        ws = cli_workspace
+        meta, tensors = read_tensors(trained_run1 / "seed1" / "best.ckpt")
+        name = sorted(k for k, v in tensors.items() if v.dtype.kind == "f")[0]
+        tensors[name].flat[0] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        write_tensors(ckpt, tensors, meta)
+        with pytest.raises(FormatError, match=f"non-finite value in tensor '{name}'"):
+            ParserModel.load(ckpt)
+        capsys.readouterr()
+        rc = cli.main([
+            "parse", "--config", str(ws["config"]),
+            "--checkpoint", str(ckpt), "--input", str(ws["corpus"] / "test.trees"),
+        ])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and name in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "text,message",
         [(b"(S (NN caf\xe9))\n", "not UTF-8"), (b"(S (NN a)) (S (NN b))\n", "holds 2 trees")],
@@ -507,6 +527,21 @@ class TestCliWorkflow:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and expected in err
 
+    def test_non_finite_feature_cache_is_data_error(self, cli_workspace, capsys):
+        ws = cli_workspace
+        out_dir = ws["root"] / "run_infcache"
+        cfg = write_cfg(ws, {"output_dir": str(out_dir)}, "exp_infcache.yaml")
+        assert cli.main(["features", "--config", str(cfg)]) == 0
+        cache = out_dir / "features.bin"
+        meta, tensors = read_tensors(cache)
+        name = f"{meta['sentence_ids'][0]}.frames"
+        tensors[name][0, 0] = np.inf
+        write_tensors(cache, tensors, meta)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"non-finite value in tensor {name!r}" in err
+
     def test_cache_of_another_features_version_is_recomputed(
         self, cli_workspace, monkeypatch
     ):
@@ -540,8 +575,8 @@ class TestCliWorkflow:
     @pytest.mark.parametrize(
         "name,argv,mode",
         [
-            ("model.embedding.store_path", ["train"], "frozen"),
-            ("model.embedding.vectors_path", ["train"], "finetuned"),
+            ("data.vector_store", ["train"], "frozen"),
+            ("data.word_vectors", ["train"], "finetuned"),
             ("--fine-tune-from", ["train", "--fine-tune-from", "{missing}"], None),
             ("--checkpoint", ["parse", "--checkpoint", "{missing}", "--input", "{file}"], None),
             ("--input", ["parse", "--checkpoint", "{file}", "--input", "{missing}"], None),
@@ -565,9 +600,9 @@ class TestCliWorkflow:
         missing = str(tmp_path / "missing")
         fill = {"{missing}": missing, "{file}": str(ws["corpus"] / "all.trees")}
         updates = {"output_dir": str(tmp_path / "run")}
-        if mode:  # the mode's vector file, set under model.embedding only
-            key = name.rsplit(".", 1)[1]
-            updates["model"] = {"embedding": {"mode": mode, key: missing}}
+        if mode:  # the mode's vector file
+            updates["data"] = {name.split(".", 1)[1]: missing}
+            updates["model"] = {"embedding": {"mode": mode}}
         cfg = write_cfg(ws, updates, f"exp_missing_{tmp_path.name}.yaml")
         argv = [argv[0], "--config", str(cfg)] + [fill.get(a, a) for a in argv[1:]]
         capsys.readouterr()

@@ -205,8 +205,9 @@ def test_bad_config_value_is_config_error(tmp_path, edit):
         ((b"train: {", b"trian: {"), "trian"),
         ((b"span_hidden: 64", b"span_hiden: 64"), "span_hiden"),
         ((b"eval:", b"features: {context_s: 0.2}\neval:"), "features"),
+        ((b"min_count: 1}", b"min_count: 1, store_path: x.vec}"), "store_path"),
     ],
-    ids=["section", "model-key", "retired-features-section"],
+    ids=["section", "model-key", "retired-features-section", "embedding-path"],
 )
 def test_unknown_config_key_exits_2_and_is_named(tmp_path, capsys, edit, key):
     path = tmp_path / "config.yaml"

@@ -182,12 +182,16 @@ class TestTrainLoop:
             tiny_model_config(), training.build_provider(SPEC, c[:8]),
             LabelVocab.from_trees([s.tree for s in c]),
         )
+        before = {p.name: p.value.tobytes() for p in model.parameters()}
         training._optimize(
             model, [c[:8]], tiny_train_config(max_epochs=1), c[:2], 1,
             str(tmp_path / "seed1"), 4e-3,
         )
         assert len(tape_refs) == 1 + 1  # one per training batch and per dev bucket
         assert all(ref() is None for ref in tape_refs)
+        # backward on the constant loss runs no closure, and Adam moves
+        # nothing on all-zero gradients
+        assert {p.name: p.value.tobytes() for p in model.parameters()} == before
 
     def test_batch_tapes_free_after_backward(self, featurized_corpus, tmp_path, tape_refs):
         c = featurized_corpus.sentences
