@@ -10,19 +10,22 @@ those rows instead of one over all the spans.  One op,
 mean and variance from statistics of its sentence's fenceposts, and forms,
 normalizes and rectifies the span rows and multiplies them by the second
 layer a block of rows at a time, giving one [spans, labels] score matrix
-holding each sentence's spans in turn.  Decoding reads one sentence's rows
-of that matrix through its row offset; the margin loss decodes each
-sentence that way and sums the bucket's losses in one signed gather over
-the matrix.  The empty label
-(index 0) scores 0 whatever its matrix column holds; it marks chart cells
-that vanish when the binarized tree is reassembled into an n-ary one.
-Decoding maximizes the additive span score exactly; training minimizes a
-hinge against the cost-augmented argmax.
+holding each sentence's spans in turn.  One decoder serves parsing and
+the margin loss: it takes the label max over all of a bucket's rows at
+once, then fills, backtracks and labels each sentence's chart.  The margin
+loss decodes the bucket with its Hamming costs added, from one gold-label
+vector and one cost matrix, and sums the bucket's losses in one signed
+gather over the matrix.  The empty label (index 0) scores 0 whatever its
+matrix column holds; it marks chart cells that vanish when the binarized
+tree is reassembled into an n-ary one.  Decoding maximizes the additive
+span score exactly; training minimizes a hinge against the cost-augmented
+argmax.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,18 +43,15 @@ class SpanScores:
     Var.
 
     The sentences have ``lengths`` words.  Their spans are the rows of
-    ``matrix`` ([rows, n_labels]) from row ``offset`` on, one sentence after
-    another, each sentence's T(T+1)/2 spans in span order (by start, then end;
-    see ``span_rows``).  ``sentences()`` gives each sentence's SpanScores, a
-    view of the same matrix at that sentence's offset.  Column 0, the empty
-    label's, is never read: the empty label scores 0, plus its Hamming cost
-    in the margin loss.
+    ``matrix`` ([rows, n_labels]), one sentence after another, each
+    sentence's T(T+1)/2 spans in span order (by start, then end; see
+    ``span_row``).  Column 0, the empty label's, is never read: the empty
+    label scores 0, plus its Hamming cost in the margin loss.
     """
 
     vocab: object
     matrix: ag.Var
     lengths: list
-    offset: int = 0
 
     @property
     def n_words(self):
@@ -64,19 +64,6 @@ class SpanScores:
         return self.matrix.value.shape[1]
 
     @property
-    def rows(self):
-        """The sentences' score rows, a view of the matrix."""
-        n = sum(T * (T + 1) // 2 for T in self.lengths)
-        return self.matrix.value[self.offset : self.offset + n]
-
-    def sentences(self):
-        """Each sentence's SpanScores, in order."""
-        offset = self.offset
-        for T in self.lengths:
-            yield SpanScores(self.vocab, self.matrix, [T], offset)
-            offset += T * (T + 1) // 2
-
-    @property
     def dense(self):
         """The scores as a read-only float64 [n_words+1, n_words+1, n_labels]
         tensor over the packed fencepost rows, built on each read: block
@@ -85,20 +72,17 @@ class SpanScores:
         ``perfbench/run.py`` reads it; nothing in the package does."""
         R = self.n_words + 1
         dense = np.zeros((R, R, self.n_labels), dtype=np.float64)
-        dense[ag.span_pairs([T + 1 for T in self.lengths])] = self.rows
+        dense[ag.span_pairs([T + 1 for T in self.lengths])] = self.matrix.value
         dense[:, :, 0] = 0.0
         dense.flags.writeable = False
         return dense
 
 
-def span_rows(n_words):
-    """``row_of`` of a sentence of T = n_words words: the [T+1, T+1] int array
-    whose cell [a, b] is the row of span a < b in span order (by start, then
-    end) and -1 where a >= b."""
-    row_of = np.full((n_words + 1, n_words + 1), -1)
-    starts, ends = ag.span_pairs([n_words + 1])
-    row_of[starts, ends] = np.arange(len(starts))
-    return row_of
+def span_row(T, a, b):
+    """The row of span a < b among the spans of a T-word sentence in span
+    order: a*T - a*(a-1)/2 + b - a - 1, since the T - a' spans of each start
+    a' < a come first."""
+    return a * (2 * T - 1 - a) // 2 + b - 1
 
 
 class SpanScorer:
@@ -146,61 +130,73 @@ class DecodedTree:
     total_score: float
 
 
-def _decode_cells(rows, empty, row_of):
-    """Argmax tree cells for per-span label scores; root label forced non-empty.
+def _bounds(lengths):
+    """(T, first row, end row) of each sentence's score rows."""
+    ends = list(accumulate(T * (T + 1) // 2 for T in lengths))
+    return zip(lengths, [0] + ends, ends)
 
-    rows: [n_spans, n_labels] in ``row_of`` order, column 0 unread; empty:
-    the empty label's score, one per span or one for all.  The empty label
-    wins a tie with the best other label.  Only the tree's cells look for
+
+def _decode(rows, empty, lengths):
+    """Argmax tree of each sentence of a bucket; root label forced non-empty.
+
+    rows: [spans, n_labels] score rows of sentences of ``lengths`` words,
+    column 0 unread; empty: the empty label's score, one per row or one for
+    all.  The empty label wins a tie with the best other label.  Yields, per
+    sentence, its tree's spans [(a, b)] in span order, their bucket rows,
+    their labels and the tree's total score.  Only the tree's cells look for
     their best label.
     """
-    T = row_of.shape[0] - 1
     best = rows[:, 1:].max(axis=1)
     empty_wins = empty >= best
-    label_best = np.zeros((T + 1, T + 1), dtype=np.float64)
-    # row_of marks the cells a < b, and row-major order is row order
-    label_best[row_of >= 0] = np.where(empty_wins, empty, best)
-    chart_best, split = cky_fill(label_best)
+    cell_best = np.where(empty_wins, empty, best)
+    for T, lo, hi in _bounds(lengths):
+        fence = np.arange(T + 1)
+        label_best = np.zeros((T + 1, T + 1), dtype=np.float64)
+        # the cells a < b in row-major order are the spans in row order
+        label_best[fence[:, None] < fence] = cell_best[lo:hi]
+        chart_best, split = cky_fill(label_best)
 
-    spans = []
-    stack = [(0, T)]
-    while stack:
-        a, b = stack.pop()
-        spans.append((a, b))
-        if b - a > 1:
-            k = int(split[a, b])
-            stack.append((k, b))
-            stack.append((a, k))
-    spans.sort()
-    root = row_of[0, T]
-    at = row_of[tuple(zip(*spans))]
-    labels = rows[at, 1:].argmax(axis=1) + 1
-    labels[empty_wins[at] & (at != root)] = 0
-    cells = [(a, b, li) for (a, b), li in zip(spans, labels.tolist())]
-    total = float(best[root]) + (chart_best[0, T] - label_best[0, T])
-    return cells, float(total)
+        spans = []
+        stack = [(0, T)]
+        while stack:
+            a, b = stack.pop()
+            spans.append((a, b))
+            if b - a > 1:
+                k = int(split[a, b])
+                stack += [(k, b), (a, k)]
+        spans.sort()
+        at = lo + span_row(T, *np.array(spans).T)
+        root = lo + T - 1
+        labels = rows[at, 1:].argmax(axis=1) + 1
+        labels[empty_wins[at] & (at != root)] = 0
+        total = float(best[root]) + (chart_best[0, T] - label_best[0, T])
+        yield spans, at, labels, float(total)
 
 
 def cky_decode(scores, leaves):
-    """Exact best tree under additive span scores.
+    """Exact best tree of each sentence of a bucket: [DecodedTree].
 
-    Ties break toward the empty label, then the lowest label index, then the
-    smallest split point.  Cells assigned the empty label vanish on
-    reconstruction; unary chains collapsed in composite labels are expanded
-    back.
+    leaves: each sentence's (word, tag) leaves.  Ties break toward the empty
+    label, then the lowest label index, then the smallest split point.  Cells
+    assigned the empty label vanish on reconstruction; unary chains collapsed
+    in composite labels are expanded back.
     """
-    if len(scores.lengths) != 1:
-        raise DataError(f"decoding takes one sentence's scores, got {len(scores.lengths)}")
-    T = scores.lengths[0]
-    if T < 1 or len(leaves) != T:
-        raise DataError(f"scores cover {T} words but {len(leaves)} leaves given")
-    cells, total = _decode_cells(scores.rows, 0.0, span_rows(T))
-    spans = []
-    for a, b, li in cells:
-        label = scores.vocab.value(li)
-        if li != 0 and label != EMPTY_LABEL:
-            spans.append(LabeledSpan(a, b, label))
-    return DecodedTree(tree=spans_to_tree(spans, leaves), total_score=total)
+    if [len(x) for x in leaves] != list(scores.lengths) or 0 in scores.lengths:
+        raise DataError(
+            f"scores cover sentences of {scores.lengths} words but "
+            f"{[len(x) for x in leaves]} leaves given"
+        )
+    vocab = scores.vocab
+    decoded = []
+    for (spans, _, labels, total), sent_leaves in zip(
+        _decode(scores.matrix.value, 0.0, scores.lengths), leaves
+    ):
+        cells = [
+            LabeledSpan(a, b, vocab.value(li))
+            for (a, b), li in zip(spans, labels.tolist()) if li != 0
+        ]
+        decoded.append(DecodedTree(tree=spans_to_tree(cells, sent_leaves), total_score=total))
+    return decoded
 
 
 def _check_gold_spans(gold_spans, T):
@@ -239,52 +235,49 @@ def margin_loss(scores, golds):
     gold-only (-1) cells of each sentence with a positive loss, plus their
     Hamming costs; a constant 0 when there is none.
     """
-    if len(golds) != len(scores.lengths):
-        raise DataError(f"{len(golds)} gold trees for {len(scores.lengths)} sentences")
-    vocab = scores.vocab
-    infos, signed, deltas = [], [], 0.0
-    for view, gold_spans in zip(scores.sentences(), golds):
-        T = view.lengths[0]
+    lengths = scores.lengths
+    if len(golds) != len(lengths):
+        raise DataError(f"{len(golds)} gold trees for {len(lengths)} sentences")
+    rows = scores.matrix.value.astype(np.float64)
+    bounds = list(_bounds(lengths))
+    gold_label = np.zeros(len(rows), dtype=np.int64)
+    gold_rows = []
+    for (T, lo, _), gold_spans in zip(bounds, golds):
         gold = _check_gold_spans(gold_spans, T)
-        gold_idx = {(s.a, s.b): vocab.index(s.label) for s in gold}
+        a, b = np.array([(s.a, s.b) for s in gold], dtype=np.int64).reshape(-1, 2).T
+        at = lo + span_row(T, a, b)
+        gold_label[at] = [scores.vocab.index(s.label) for s in gold]
+        gold_rows.append(at)
+    cost = np.full(rows.shape, HAMMING_COST)
+    cost[np.arange(len(rows)), gold_label] = 0.0
 
-        row_of = span_rows(T)
-        rows = view.rows.astype(np.float64)
-        augmented = rows + HAMMING_COST
-        empty = np.zeros(len(rows))
-        for (a, b), li in gold_idx.items():
-            r = row_of[a, b]
-            augmented[r, li] = rows[r, li]
-            empty[r] = HAMMING_COST
-
-        cells, _ = _decode_cells(augmented, empty, row_of)
-        pred_raw = sum(rows[row_of[a, b], li] for a, b, li in cells if li != 0)
-        delta = sum(
-            0.0 if li == gold_idx.get((a, b), 0) else HAMMING_COST for a, b, li in cells
-        )
-        gold_raw = sum(rows[row_of[a, b], li] for (a, b), li in gold_idx.items())
-        loss_value = pred_raw + delta - gold_raw
-
-        gold_cells = {(a, b, li) for (a, b), li in gold_idx.items()}
-        pred_nonempty = {(a, b, li) for a, b, li in cells if li != 0}
-        correct = pred_nonempty == gold_cells
-        info = MarginInfo(
-            loss=max(0.0, float(loss_value)),
-            delta=float(delta),
-            correct=correct,
-        )
-        infos.append(info)
+    pred_label = np.zeros_like(gold_label)
+    infos, live, deltas = [], np.zeros(len(rows), dtype=bool), 0.0
+    for (T, lo, hi), gold_at, (_, at, labels, _) in zip(
+        bounds, gold_rows, _decode(rows + cost, cost[:, 0], lengths)
+    ):
+        pred_label[at] = labels
+        pred_raw = sum(rows[at[labels != 0], labels[labels != 0]])
+        delta = float(cost[at, labels].sum())
+        loss_value = pred_raw + delta - sum(rows[gold_at, gold_label[gold_at]])
+        correct = np.array_equal(pred_label[lo:hi], gold_label[lo:hi])
+        infos.append(MarginInfo(loss=max(0.0, float(loss_value)), delta=delta, correct=correct))
         if correct or loss_value <= 0.0:
             continue
-        # sentences' cells are disjoint, and so are each one's two trees',
-        # so each cell's gradient is +-seed
-        signed += [(view.offset + row_of[a, b], li, 1.0)
-                   for a, b, li in sorted(pred_nonempty - gold_cells)]
-        signed += [(view.offset + row_of[a, b], li, -1.0)
-                   for a, b, li in sorted(gold_cells - pred_nonempty)]
+        live[lo:hi] = True
         deltas += delta
+    # sentences' cells are disjoint, and so are each one's two trees', so
+    # each cell's gradient is +-seed
     tape = scores.matrix.tape
-    if not signed:
+    if not live.any():
         return tape.constant(0.0), infos
-    scored = ag.gather_sum(scores.matrix, *zip(*signed))
+    wrong = live & (pred_label != gold_label)
+    pred_only = np.flatnonzero(wrong & (pred_label != 0))
+    gold_only = np.flatnonzero(wrong & (gold_label != 0))
+    scored = ag.gather_sum(
+        scores.matrix,
+        np.concatenate([pred_only, gold_only]),
+        np.concatenate([pred_label[pred_only], gold_label[gold_only]]),
+        np.repeat([1.0, -1.0], [len(pred_only), len(gold_only)]),
+    )
     return ag.add(scored, tape.constant(deltas)), infos

@@ -18,7 +18,7 @@ from . import evaluation as ev
 from .config import load_config, validate_paths, write_snapshot
 from .errors import ConfigError, DataError, NumericError, ProsoparseError, utf8_text
 from .model import ParserModel
-from .prosody import DEFAULT_CONTEXT_S, DEFAULT_MAX_FRAMES, read_alignment_file, read_frame_track_file
+from .prosody import CONTEXT_S, MAX_FRAMES, read_alignment_file, read_frame_track_file
 from .training import fine_tune, median_report, train
 from .treebank import parse_ptb, read_tree_file, speechify, write_tree_file
 
@@ -55,7 +55,7 @@ def _attach_features(cfg, sentences, save=True, force=False):
         )
         want_hash = corpus_mod.content_hash(
             paths,
-            extra=f"{corpus_mod.FEATURES_VERSION}:{DEFAULT_CONTEXT_S}:{DEFAULT_MAX_FRAMES}",
+            extra=f"{corpus_mod.FEATURES_VERSION}:{CONTEXT_S}:{MAX_FRAMES}",
         )
         if not force and os.path.exists(cache):
             meta = corpus_mod.load_feature_cache(cache, sentences)
@@ -262,20 +262,26 @@ def _read_parse_input(path):
 
 
 def _match_alignment_ids(sentences, alignments):
-    """Assign each sentence the first unused alignment block with its words."""
+    """Assign each sentence the first unused alignment block with its words.
+
+    Returns (the sentences that got a block, a fault line for each other one).
+    """
     available = {}
     for sid, alis in alignments.items():
         key = tuple(a.word.lower() for a in alis)
         available.setdefault(key, []).append(sid)
+    matched, faults = [], []
     for sent in sentences:
-        key = tuple(w.lower() for w in sent.words)
-        pool = available.get(key)
-        if not pool:
-            raise DataError(
-                f"no (unused) alignment block matches the words of sentence "
-                f"{sent.sentence_id!r}: {' '.join(sent.words[:6])}..."
+        pool = available.get(tuple(w.lower() for w in sent.words))
+        if pool:
+            sent.sentence_id = pool.pop(0)
+            matched.append(sent)
+        else:
+            faults.append(
+                f"no unused alignment block matches the words of sentence "
+                f"{sent.sentence_id}: {' '.join(sent.words[:6])}..."
             )
-        sent.sentence_id = pool.pop(0)
+    return matched, faults
 
 
 def cmd_parse(cfg, args):
@@ -286,19 +292,22 @@ def cmd_parse(cfg, args):
     )
     model, _ = ParserModel.load(args.checkpoint, store=_store_for(cfg))
     sentences = _read_parse_input(args.input)
-    # a sentence too long for the position table fails alone: the others are
-    # still parsed and written, and the command exits with the data-error code
+    # a sentence too long for the position table or matching no alignment block
+    # fails alone: the others are still parsed, and the command exits 3
     max_len = model.config.encoder.max_len
-    too_long = [s for s in sentences if len(s) > max_len]
-    for s in too_long:
-        print(
-            f"data error: sentence {s.sentence_id} has {len(s)} words, over max_len {max_len}",
-            file=sys.stderr,
-        )
+    faults = [
+        f"sentence {s.sentence_id} has {len(s)} words, over max_len {max_len}"
+        for s in sentences if len(s) > max_len
+    ]
     sentences = [s for s in sentences if len(s) <= max_len]
+    if model.uses_prosody and cfg.data.alignments:
+        sentences, unmatched = _match_alignment_ids(
+            sentences, read_alignment_file(cfg.data.alignments)
+        )
+        faults += unmatched
+    for fault in faults:
+        print(f"data error: {fault}", file=sys.stderr)
     if model.uses_prosody:
-        if cfg.data.alignments:
-            _match_alignment_ids(sentences, read_alignment_file(cfg.data.alignments))
         _attach_features(cfg, sentences, save=False)
     trees = [d.tree for d in model.parse_sentences(sentences)]
     out = args.output or "-"
@@ -308,7 +317,7 @@ def cmd_parse(cfg, args):
     else:
         write_tree_file(out, trees)
         print(f"wrote {len(trees)} parses to {out}")
-    return EXIT_DATA if too_long else 0
+    return EXIT_DATA if faults else 0
 
 
 def cmd_evaluate(cfg, args):

@@ -73,7 +73,8 @@ def featurize(sentences, alignments, tracks):
     ``alignments`` maps sentence_id -> [WordAlignment]; ``tracks`` maps
     speaker_id -> FrameTrack.  Tracks are z-scored per speaker first;
     duration statistics are word-type means over all alignments.  Frame
-    patches take ``extract_frame_patch``'s default context and length cap.
+    patches take ``prosody.CONTEXT_S`` of context and at most
+    ``prosody.MAX_FRAMES`` frames.
     Returns the list of warnings from speaker normalization.
     """
     norm_tracks, warnings = pros.normalize_speaker(tracks)

@@ -94,7 +94,7 @@ class ParserModel:
 
     def score_sentences(self, tape, sents):
         """SpanScores of a bucket of sentences, encoded and scored together
-        in the given order; ``.sentences()`` gives each sentence's."""
+        in the given order."""
         prosodies = None
         if self.uses_prosody:
             prosodies = [s.prosody for s in sents]
@@ -128,8 +128,8 @@ class ParserModel:
         for bucket in length_buckets([len(s.tokens) for s in sents], PARSE_BUCKET_WORDS):
             tape = ag.Tape(train=False, record=False, dtype=self.dtype)
             scores = self.score_sentences(tape, [sents[i] for i in bucket])
-            for i, sent_scores in zip(bucket, scores.sentences()):
-                decoded[i] = cky_decode(sent_scores, sents[i].tokens)
+            for i, tree in zip(bucket, cky_decode(scores, [sents[i].tokens for i in bucket])):
+                decoded[i] = tree
         return decoded
 
     def parse_sentence(self, sent):
@@ -219,7 +219,7 @@ def load_parameters(model, tensors, source="checkpoint"):
         param.value[...] = tensors[name].astype(param.value.dtype)
 
 
-def clone_model(model, dtype=None, seed=0):
+def clone_model(model, dtype=None):
     """Structural copy of a model, optionally at a different precision."""
     dtype = np.dtype(dtype or model.dtype)
     provider = model.provider
@@ -232,7 +232,7 @@ def clone_model(model, dtype=None, seed=0):
         )
     else:
         new_provider = provider
-    twin = ParserModel(model.config, new_provider, model.label_vocab, seed=seed, dtype=dtype)
+    twin = ParserModel(model.config, new_provider, model.label_vocab, dtype=dtype)
     src = {p.name: p for p in model.parameters()}
     for p in twin.parameters():
         p.value[...] = src[p.name].value.astype(dtype)

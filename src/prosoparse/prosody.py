@@ -19,8 +19,8 @@ import numpy as np
 from .errors import AlignmentError, DataError, FormatError, utf8_text
 
 DEFAULT_FRAME_PERIOD = 0.010
-DEFAULT_CONTEXT_S = 0.12
-DEFAULT_MAX_FRAMES = 100
+CONTEXT_S = 0.12
+MAX_FRAMES = 100
 # Upper edges of the pause buckets in seconds; gaps beyond the last edge
 # fall into bucket 5.
 PAUSE_BUCKET_EDGES = (0.0, 0.05, 0.2, 1.0, 2.0)
@@ -154,16 +154,11 @@ def compute_pause_duration(alignments, stats):
     return out
 
 
-def extract_frame_patch(
-    track,
-    alignment,
-    context_s=DEFAULT_CONTEXT_S,
-    max_frames=DEFAULT_MAX_FRAMES,
-):
-    """(frames [n, 2], mask [n]) for a word plus symmetric context.
+def extract_frame_patch(track, alignment):
+    """(frames [n, 2], mask [n]) for a word plus CONTEXT_S seconds each side.
 
     The energy/f0 frames are zero-padded at track edges and center-cropped
-    around the word midpoint when longer than ``max_frames``; the mask marks
+    around the word midpoint when longer than MAX_FRAMES; the mask marks
     the frames inside the word.
     """
     if alignment.end <= track.start_time or alignment.start >= track.end_time:
@@ -172,15 +167,15 @@ def extract_frame_patch(
             f"lies outside track [{track.start_time}, {track.end_time}]"
         )
     fp = track.frame_period
-    lo = alignment.start - context_s
-    n = int(round((alignment.duration + 2.0 * context_s) / fp))
+    lo = alignment.start - CONTEXT_S
+    n = int(round((alignment.duration + 2.0 * CONTEXT_S) / fp))
     n = max(1, n)
     first = int(round((lo - track.start_time) / fp))
-    if n > max_frames:
+    if n > MAX_FRAMES:
         # crop symmetrically: patch midpoint == word midpoint by construction
-        drop = n - max_frames
+        drop = n - MAX_FRAMES
         first += drop // 2
-        n = max_frames
+        n = MAX_FRAMES
 
     frames = np.zeros((n, 2), dtype=np.float32)
     src_lo = max(first, 0)

@@ -9,7 +9,7 @@ import pytest
 
 import prosoparse
 from prosoparse import autograd as ag
-from prosoparse.chart import SpanScores, span_rows
+from prosoparse.chart import SpanScores, span_row
 from prosoparse.corpus import featurize
 from prosoparse.embeddings import EmbeddingProvider, VectorStore
 from prosoparse.encoder import CnnConfig, EncoderConfig
@@ -379,9 +379,8 @@ def attached_scores(dense, vocab):
 def tree_score(scores, spans):
     """Sum of the scores of the given non-empty labeled spans."""
     total = 0.0
-    row_of = span_rows(scores.n_words)
     for s in spans:
-        row = row_of[s.a, s.b]
+        row = span_row(scores.n_words, s.a, s.b)
         total += float(scores.matrix.value[row, scores.vocab.index(s.label)])
     return float(total)
 

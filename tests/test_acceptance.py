@@ -86,7 +86,7 @@ def test_criterion_1_decoder_oracle():
             dense[:, :, 0] = 0.0
             vocab = LabelVocab([f"L{i}" for i in range(1, n_labels)])
             leaves = [(f"w{i}", "NN") for i in range(T)]
-            decoded = cky_decode(attached_scores(dense, vocab), leaves)
+            [decoded] = cky_decode(attached_scores(dense, vocab), [leaves])
             expected = exhaustive_best(dense)
             assert decoded.total_score == expected, (
                 f"trial {trial}: CKY {decoded.total_score} != oracle {expected}"

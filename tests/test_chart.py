@@ -20,11 +20,11 @@ from prosoparse.chart import (
     HAMMING_COST,
     SpanScorer,
     SpanScores,
-    _decode_cells,
+    _decode,
     cky_decode,
     margin_loss,
     score_spans,
-    span_rows,
+    span_row,
 )
 from prosoparse.errors import CrossingSpanError, DataError, ShapeError
 from prosoparse.treebank import LabelVocab, LabeledSpan, tree_to_spans
@@ -164,7 +164,7 @@ def chain_margin_loss(dense, gold_idx, seed):
         if not picked:
             return tape.constant(0.0)
         a, b, cols = zip(*sorted(picked))
-        rows = span_rows(len(dense) - 1)[a, b]
+        rows = span_row(len(dense) - 1, np.array(a), np.array(b))
         return ag.gather_sum(scores.matrix, rows, cols, np.ones(len(cols)))
 
     loss = ag.add(sub(gathered(pred - gold), gathered(gold - pred)), tape.constant(delta))
@@ -253,7 +253,7 @@ class TestCkyDecode:
             n_labels = int(rng.integers(2, 4))
             dense = random_dense(rng, T, n_labels)
             vocab = LabelVocab([f"L{i}" for i in range(1, n_labels)])
-            decoded = cky_decode(attached_scores(dense, vocab), leaves(T))
+            [decoded] = cky_decode(attached_scores(dense, vocab), [leaves(T)])
             assert decoded.total_score == literal_best_score(dense)
 
     def test_oracle_exhaustive_shapes(self):
@@ -263,14 +263,14 @@ class TestCkyDecode:
             n_labels = int(rng.integers(2, 6))
             dense = random_dense(rng, T, n_labels)
             vocab = LabelVocab([f"L{i}" for i in range(1, n_labels)])
-            decoded = cky_decode(attached_scores(dense, vocab), leaves(T))
+            [decoded] = cky_decode(attached_scores(dense, vocab), [leaves(T)])
             assert decoded.total_score == enumerate_best_score(dense)
 
     def test_single_word_unary_chain(self):
         vocab = LabelVocab(["S+VP", "NP"])
         dense = np.zeros((2, 2, 3))
         dense[0, 1, 1] = 2.0  # S+VP
-        decoded = cky_decode(attached_scores(dense, vocab), [("go", "VB")])
+        [decoded] = cky_decode(attached_scores(dense, vocab), [[("go", "VB")]])
         assert decoded.tree.linearize() == "(S (VP (VB go)))"
         assert decoded.total_score == 2.0
 
@@ -278,7 +278,7 @@ class TestCkyDecode:
         vocab = VOCAB5
         T = 4
         dense = np.zeros((T + 1, T + 1, len(vocab)))
-        decoded = cky_decode(attached_scores(dense, vocab), leaves(T))
+        [decoded] = cky_decode(attached_scores(dense, vocab), [leaves(T)])
         assert decoded.total_score == 0.0
         # root takes label index 1; all other cells fall to the empty label,
         # leaving a flat tree
@@ -290,7 +290,7 @@ class TestCkyDecode:
         for _ in range(50):
             T = int(rng.integers(1, 8))
             dense = random_dense(rng, T, len(VOCAB5))
-            decoded = cky_decode(attached_scores(dense, VOCAB5), leaves(T))
+            [decoded] = cky_decode(attached_scores(dense, VOCAB5), [leaves(T)])
             spans = tree_to_spans(decoded.tree)
             scores = attached_scores(dense, VOCAB5)
             assert abs(tree_score(scores, spans) - decoded.total_score) < 1e-4
@@ -398,7 +398,7 @@ class TestMarginLoss:
         assert info.loss > 0
         scores.matrix.tape.backward(loss)
         g = scores.matrix.grad
-        row = span_rows(T)[0, 2]
+        row = span_row(T, 0, 2)
         assert g[row, VOCAB5.index("VP")] > 0  # violator pushed down
         assert g[row, VOCAB5.index("NP")] < 0  # gold pushed up
 
@@ -427,11 +427,13 @@ class TestScoreSpans:
         pairs = [(a, b) for a in range(4) for b in range(a + 1, 5)]
         starts, ends = ag.span_pairs([5])
         assert list(zip(starts.tolist(), ends.tolist())) == pairs
-        for T in (1, 2, 4, 13):
-            starts, ends = np.triu_indices(T + 1, 1)
-            want = np.full((T + 1, T + 1), -1)
-            want[starts, ends] = np.arange(len(starts))
-            assert span_rows(T).tolist() == want.tolist()
+        for T in range(1, 41):
+            starts, ends = ag.span_pairs([T + 1])
+            assert span_row(T, starts, ends).tolist() == list(range(len(starts)))
+            assert [span_row(T, a, b) for a, b in zip(starts.tolist(), ends.tolist())] == [
+                a * T - a * (a - 1) // 2 + b - a - 1
+                for a, b in zip(starts.tolist(), ends.tolist())
+            ]
 
     def test_span_pairs_of_a_bucket(self):
         # each segment's pairs, shifted to its rows, one segment after another
@@ -472,6 +474,7 @@ class TestScoreSpans:
     def test_bucket_is_block_diagonal_and_views_score_each_sentence(self):
         lengths = [3, 1, 5, 3]
         rows = np.cumsum([0] + [T + 1 for T in lengths])
+        spans = np.cumsum([0] + [T * (T + 1) // 2 for T in lengths])
         fenceposts, scorer = encoded_and_scorer(rows[-1] - 1)
         vocab = LabelVocab(["S", "NP", "VP"])
         tape = ag.Tape(dtype=np.float64)
@@ -479,38 +482,50 @@ class TestScoreSpans:
         assert scores.n_words == rows[-1] - 1
         dense = scores.dense
         on_blocks = np.zeros(dense.shape[:2], dtype=bool)
-        for T, view, lo in zip(lengths, scores.sentences(), rows):
+        decoded = cky_decode(scores, [leaves(T) for T in lengths])
+        for i, (T, lo) in enumerate(zip(lengths, rows)):
             alone_tape = ag.Tape(dtype=np.float64)
             alone = score_spans(
                 alone_tape, alone_tape.constant(fenceposts.value[lo : lo + T + 1]), scorer,
                 vocab, [T],
             )
-            assert view.matrix is scores.matrix and view.n_words == T
-            np.testing.assert_allclose(view.rows, alone.rows, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                scores.matrix.value[spans[i] : spans[i + 1]], alone.matrix.value,
+                rtol=1e-12, atol=0,
+            )
             block = dense[lo : lo + T + 1, lo : lo + T + 1]
             np.testing.assert_allclose(block, alone.dense, rtol=1e-12, atol=0)
             on_blocks[lo : lo + T + 1, lo : lo + T + 1] = True
-            decoded, want = cky_decode(view, leaves(T)), cky_decode(alone, leaves(T))
-            assert decoded.tree == want.tree
+            [want] = cky_decode(alone, [leaves(T)])
+            assert decoded[i].tree == want.tree
         assert not dense[~on_blocks].any()
-        with pytest.raises(DataError, match="one sentence"):
-            cky_decode(scores, leaves(scores.n_words))
+        with pytest.raises(DataError, match="leaves given"):
+            cky_decode(scores, [leaves(scores.n_words)])
+        with pytest.raises(DataError, match="leaves given"):
+            cky_decode(scores, [leaves(T) for T in [3, 1, 5, 2]])
 
     def test_margin_of_a_view_reads_and_writes_its_rows(self):
-        # one margin over a bucket: each sentence's info and gradient block
-        # are those of its margin alone
+        # one decode and one margin over a mixed-length bucket: each
+        # sentence's tree, total, info and gradient block are those of the
+        # sentence decoded alone
         rng = np.random.default_rng(8)
-        denses = [random_dense(rng, T, len(VOCAB5)) for T in (3, 4, 3)]
+        denses = [random_dense(rng, T, len(VOCAB5)) for T in (3, 1, 4, 1, 6, 3)]
         golds = [random_gold(rng, len(d) - 1) for d in denses]
         golds = [{LabeledSpan(a, b, VOCAB5.value(li)) for (a, b), li in g.items()} for g in golds]
         bucket = np.concatenate([d[np.triu_indices(len(d), 1)] for d in denses])
         spans = np.cumsum([0] + [len(d) * (len(d) - 1) // 2 for d in denses])
+        lengths = [len(d) - 1 for d in denses]
         tape = ag.Tape(dtype=np.float64)
         matrix = tape.constant(bucket)
-        loss, infos = margin_loss(SpanScores(VOCAB5, matrix, [len(d) - 1 for d in denses]), golds)
+        decoded = cky_decode(SpanScores(VOCAB5, matrix, lengths), [leaves(T) for T in lengths])
+        loss, infos = margin_loss(SpanScores(VOCAB5, matrix, lengths), golds)
         assert sum(info.loss > 0.0 for info in infos) >= 2
+        assert sum(info.loss > 0.0 for T, info in zip(lengths, infos) if T == 1) >= 1
         tape.backward(loss)
         for i, (dense, gold) in enumerate(zip(denses, golds)):
+            [want_tree] = cky_decode(attached_scores(dense, VOCAB5), [leaves(lengths[i])])
+            assert decoded[i].tree == want_tree.tree
+            assert decoded[i].total_score == want_tree.total_score
             alone = attached_scores(dense, VOCAB5)
             want_loss, [want_info] = margin_loss(alone, [gold])
             assert infos[i] == want_info
@@ -608,45 +623,59 @@ class TestScoreSpans:
         tracemalloc.start()
         try:
             scores = score_spans(tape, tape.constant(fenceposts), scorer, vocab, [T])
-            cky_decode(scores, leaves(T))
+            cky_decode(scores, [leaves(T)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < T * (T + 1) // 2 * hidden * 4
 
 
+def decoded_cells(rows, empty, lengths):
+    """Each sentence's (cells [(a, b, label)], total) from the bucket decoder."""
+    return [
+        ([(a, b, li) for (a, b), li in zip(spans, labels.tolist())], total)
+        for spans, _, labels, total in _decode(rows, empty, lengths)
+    ]
+
+
 class TestDecodeFromRows:
-    """Decoding from score rows against the dense-tensor decoder."""
+    """Decoding a bucket of charts from score rows against the dense-tensor
+    decoder, chart by chart."""
 
     @staticmethod
-    def rows_of(dense, rng):
-        row_of = span_rows(dense.shape[0] - 1)
-        rows = dense[np.triu_indices(dense.shape[0], 1)]
+    def bucket_rows(denses, rng):
+        rows = np.concatenate([d[np.triu_indices(d.shape[0], 1)] for d in denses])
         rows[:, 0] = rng.standard_normal(len(rows))  # never read
-        return rows, row_of
+        return rows
 
     @pytest.mark.parametrize("T", [1, 2, 3, 6, 12])
     def test_parse_equals_dense_decoder(self, T):
         rng = np.random.default_rng(T)
-        for _ in range(20):
-            # few distinct values: the empty label ties the best label often
-            dense = rng.integers(-2, 3, size=(T + 1, T + 1, 4)).astype(np.float64)
+        # few distinct values: the empty label ties the best label often
+        denses = [
+            rng.integers(-2, 3, size=(T + 1, T + 1, 4)).astype(np.float64) for _ in range(20)
+        ]
+        for dense in denses:
             dense[:, :, 0] = 0.0
-            rows, row_of = self.rows_of(dense, rng)
-            assert _decode_cells(rows, 0.0, row_of) == dense_decode_cells(dense)
+        got = decoded_cells(self.bucket_rows(denses, rng), 0.0, [T] * len(denses))
+        assert got == [dense_decode_cells(dense) for dense in denses]
 
     @pytest.mark.parametrize("T", [1, 2, 3, 6, 12])
     def test_augmented_equals_dense_decoder(self, T):
         rng = np.random.default_rng(100 + T)
+        denses, augmented, empty, want = [], [], [], []
         for _ in range(20):
             dense = rng.integers(-2, 3, size=(T + 1, T + 1, 4)).astype(np.float64)
             dense[:, :, 0] = 0.0
             gold_idx = random_gold(rng, T)
-            rows, row_of = self.rows_of(dense, rng)
-            augmented = rows + HAMMING_COST
-            empty = np.zeros(len(rows))
+            rows = self.bucket_rows([dense], rng)
+            aug = rows + HAMMING_COST
+            gap = np.zeros(len(rows))
             for (a, b), li in gold_idx.items():
-                augmented[row_of[a, b], li] = rows[row_of[a, b], li]
-                empty[row_of[a, b]] = HAMMING_COST
-            want = dense_decode_cells(dense + hamming_augment(dense, gold_idx))
-            assert _decode_cells(augmented, empty, row_of) == want
+                aug[span_row(T, a, b), li] = rows[span_row(T, a, b), li]
+                gap[span_row(T, a, b)] = HAMMING_COST
+            augmented.append(aug)
+            empty.append(gap)
+            want.append(dense_decode_cells(dense + hamming_augment(dense, gold_idx)))
+        got = decoded_cells(np.concatenate(augmented), np.concatenate(empty), [T] * 20)
+        assert got == want

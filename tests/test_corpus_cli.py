@@ -318,6 +318,34 @@ class TestCliWorkflow:
             [leaf.word for leaf in t.leaves()] for t in golds
         ]
 
+    def test_parse_writes_what_matches_and_reports_unaligned_sentences(
+        self, cli_workspace, trained_run1, tmp_path, capsys
+    ):
+        ws = cli_workspace
+        lines = (ws["corpus"] / "test.trees").read_text().splitlines()
+        unaligned = "zzyzx/NN quux/VBZ"  # words of no alignment block
+        src = tmp_path / "unaligned.txt"
+        src.write_text("\n".join([unaligned] + lines[:3] + [unaligned] + lines[3:]) + "\n")
+        out = tmp_path / "unaligned.trees"
+        capsys.readouterr()
+        rc = cli.main([
+            "parse", "--config", str(ws["config"]),
+            "--checkpoint", str(trained_run1 / "seed1" / "best.ckpt"),
+            "--input", str(src), "--output", str(out),
+        ])
+        assert rc == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"data error: no unused alignment block matches the words of sentence {sid}: "
+            "zzyzx quux..."
+            for sid in ("s00000", "s00004")
+        ]
+        preds = read_tree_file(out)
+        golds = read_tree_file(ws["corpus"] / "test.trees")
+        assert [[leaf.word for leaf in t.leaves()] for t in preds] == [
+            [leaf.word for leaf in t.leaves()] for t in golds
+        ]
+
     def test_parse_prosody_checkpoint_without_tracks_is_data_error(self, cli_workspace,
                                                                    trained_run1):
         ws = cli_workspace

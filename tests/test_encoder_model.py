@@ -313,7 +313,7 @@ class TestInference:
         model = build_tiny_model(sents)
         for sent in sents[:8]:
             got = model.parse_sentence(sent)
-            want = cky_decode(sent_scores(model, sent), sent.tokens)
+            [want] = cky_decode(sent_scores(model, sent), [sent.tokens])
             assert got.tree.linearize() == want.tree.linearize()
             assert got.total_score == want.total_score
 

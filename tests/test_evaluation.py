@@ -101,7 +101,7 @@ class TestParseval:
             T = len(leaves)
             dense = rng.standard_normal((T + 1, T + 1, len(vocab)))
             dense[:, :, 0] = 0
-            preds.append(cky_decode(attached_scores(dense, vocab), leaves).tree)
+            preds.append(cky_decode(attached_scores(dense, vocab), [leaves])[0].tree)
             golds.append(g)
         fwd = parseval(golds, preds)
         rev = parseval(preds, golds)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prosoparse import prosody
 from prosoparse.encoder import ProsodyInputs
 from prosoparse.errors import AlignmentError, DataError, FormatError
 from prosoparse.prosody import (
@@ -96,26 +97,29 @@ class TestFramePatch:
                 patch_lens=np.array([3, 0]),
             )
 
-    def test_exact_frame_count_no_context(self):
+    def test_exact_frame_count_no_context(self, monkeypatch):
+        monkeypatch.setattr(prosody, "CONTEXT_S", 0.0)
         t = track()
-        frames, mask = extract_frame_patch(t, WordAlignment("w", 0.50, 0.60), 0.0, 100)
+        frames, mask = extract_frame_patch(t, WordAlignment("w", 0.50, 0.60))
         assert frames.shape == (10, 2)
         assert mask.all()
 
-    def test_zero_padding_at_track_start(self):
+    def test_zero_padding_at_track_start(self, monkeypatch):
+        monkeypatch.setattr(prosody, "CONTEXT_S", 0.05)
         t = track()
-        frames, mask = extract_frame_patch(t, WordAlignment("w", 0.0, 0.10), 0.05, 100)
+        frames, mask = extract_frame_patch(t, WordAlignment("w", 0.0, 0.10))
         assert len(frames) == len(mask) == 20  # 5 context + 10 word + 5 context
         np.testing.assert_array_equal(frames[:5], 0.0)
         assert not mask[:5].any()
         assert mask[5:15].all()
         assert not mask[15:].any()
 
-    def test_center_crop_long_word(self):
+    def test_center_crop_long_word(self, monkeypatch):
+        monkeypatch.setattr(prosody, "CONTEXT_S", 0.0)
         t = track(n=500)
         ali = WordAlignment("w", 0.5, 3.5)
-        frames, _ = extract_frame_patch(t, ali, 0.0, 100)
-        assert len(frames) == 100
+        frames, _ = extract_frame_patch(t, ali)
+        assert len(frames) == prosody.MAX_FRAMES == 100
         # crop midpoint within half a frame of the word midpoint
         first = int(round((0.5 - t.start_time) / t.frame_period)) + (300 - 100) // 2
         mid_time = t.start_time + (first + 50) * t.frame_period
@@ -128,18 +132,20 @@ class TestFramePatch:
             WordAlignment("b", 0.40, 0.90),
             WordAlignment("c", 1.00, 1.50),
         ]
-        total = sum(extract_frame_patch(t, a, 0.12, 100)[1].sum() for a in alis)
+        assert prosody.CONTEXT_S == 0.12
+        total = sum(extract_frame_patch(t, a)[1].sum() for a in alis)
         assert total <= t.n_frames
 
     def test_word_outside_track_rejected(self):
         t = track(n=50)  # covers 0.5 s
         with pytest.raises(AlignmentError):
-            extract_frame_patch(t, WordAlignment("w", 2.0, 2.5), 0.0, 100)
+            extract_frame_patch(t, WordAlignment("w", 2.0, 2.5))
 
-    def test_patch_values_match_track(self):
+    def test_patch_values_match_track(self, monkeypatch):
+        monkeypatch.setattr(prosody, "CONTEXT_S", 0.0)
         t = track()
         ali = WordAlignment("w", 0.20, 0.30)
-        frames, _ = extract_frame_patch(t, ali, 0.0, 100)
+        frames, _ = extract_frame_patch(t, ali)
         np.testing.assert_array_equal(frames[:, 0], t.energy[20:30])
         np.testing.assert_array_equal(frames[:, 1], t.f0[20:30])
 
