@@ -417,6 +417,17 @@ def span_scores(proj, b1, gain, beta, w2, b2, lengths=None):
     with the same arithmetic, takes the backward steps of the product and the
     hidden layer in turn, and sums each start's block of span gradients back
     onto its fenceposts.
+
+    A margin loss gives few score rows a gradient.  When fewer than half of a
+    segment's rows are live (carry a gradient), the steps after the two
+    ``w2`` products take the live rows alone: the relu mask, the ``beta``,
+    ``gain`` and ``b1`` sums, the float64 layer-norm step and the scatter
+    onto the fenceposts.  Each is row-wise or a sequential axis-0 sum, to
+    which a dead row adds exact zeros, so the bits do not change.  The two
+    products still take every row: BLAS may round a product over fewer rows
+    differently (one row is a gemv; OpenBLAS gives a few rows a small-matrix
+    kernel).  The scatter adds each live row at its end in row order, then
+    subtracts each start's rows summed from zero, as the dense loop does.
     """
     tape = _same_tape("span_scores", proj, b1, gain, beta, w2, b2)
     if (
@@ -483,17 +494,33 @@ def span_scores(proj, b1, gain, beta, w2, b2, lengths=None):
         buffers are freed on return."""
         grad = out.grad[span : span + S]
         y = normalized(span, span + S)
-        hid = hidden(y, np.empty_like(y))
-        g = grad @ w2.value.T
+        live = np.flatnonzero(grad.any(axis=1))
+        # both paths give the same bits; gathering the live rows pays while
+        # fewer than half of them are live
+        sparse = 2 * len(live) < S
+        if not sparse:
+            live = slice(None)  # every row, as views: nothing is copied
+        y_live = y[live]
+        # a sparse y_live is a copy, so the hidden rows may overwrite y
+        hid = hidden(y, y if sparse else np.empty_like(y))
         _accum(w2, hid.T @ grad)
-        g *= hid > 0
+        g = (grad @ w2.value.T)[live]
+        g *= hid[live] > 0
         _accum(beta, g.sum(axis=0))
-        _accum(gain, (g * y).sum(axis=0))
+        _accum(gain, (g * y_live).sum(axis=0))
         g *= gain.value
-        dx = _layer_norm_backward(g, y, std[span : span + S, None])
+        dx = _layer_norm_backward(g, y_live, std[span : span + S, None][live])
         _accum(b1, dx.sum(axis=0))
-        # rows of start a are contiguous and end at a+1..n-1
         seg = dproj[row : row + n]
+        if sparse:
+            # as the loop below: ends first, in row order, then each start's
+            # rows summed from zero (np.add.reduceat rounds differently)
+            np.add.at(seg, ends[span : span + S][live] - row, dx)
+            start_sums = np.zeros_like(seg)
+            np.add.at(start_sums, starts[span : span + S][live] - row, dx)
+            seg -= start_sums
+            return
+        # rows of start a are contiguous and end at a+1..n-1
         lo = 0
         for a in range(n - 1):
             block = dx[lo : lo + n - 1 - a]

@@ -261,7 +261,9 @@ def margin_loss(scores, golds):
         delta = float(cost[at, labels].sum())
         loss_value = pred_raw + delta - sum(rows[gold_at, gold_label[gold_at]])
         correct = np.array_equal(pred_label[lo:hi], gold_label[lo:hi])
-        infos.append(MarginInfo(loss=max(0.0, float(loss_value)), delta=delta, correct=correct))
+        # a NaN loss stays NaN, so that training sees it diverge
+        hinge = 0.0 if loss_value <= 0.0 else float(loss_value)
+        infos.append(MarginInfo(loss=hinge, delta=delta, correct=correct))
         if correct or loss_value <= 0.0:
             continue
         live[lo:hi] = True

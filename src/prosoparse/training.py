@@ -205,9 +205,9 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
                     dtype=model.dtype,
                 )
                 loss, infos = model.batch_loss(tape, batch)
+                if not np.isfinite([loss.value] + [info.loss for info in infos]).all():
+                    raise TrainingDivergedError(seed, opt.t)
                 for info in infos:
-                    if not np.isfinite(info.loss):
-                        raise TrainingDivergedError(seed, opt.t)
                     epoch_loss += info.loss
                 tape.backward(loss, seed=1.0 / len(batch))
                 n_sentences += len(batch)

@@ -304,25 +304,35 @@ class TestSpanScores:
     replaced."""
 
     @staticmethod
-    def run(op, T, dtype, hidden=64, n_labels=16):
+    def run(op, T, dtype, hidden=64, n_labels=16, live=None):
+        """Score rows and every input gradient; ``live`` (default: every row)
+        lists the score rows that get an upstream gradient."""
         rng = np.random.default_rng(T)
         shapes = [(T + 1, hidden), (hidden,), (hidden,), (hidden,), (hidden, n_labels),
                   (n_labels,)]
         inputs = [rng.standard_normal(shape).astype(dtype) for shape in shapes]
         inputs[2] += 1.0  # gains near 1
         weights = rng.standard_normal((T * (T + 1) // 2, n_labels)).astype(dtype)
+        if live is not None:
+            dead = np.ones(len(weights), dtype=bool)
+            dead[live] = False
+            weights[dead] = 0.0
         tape = ag.Tape(dtype=dtype)
         xs = [tape.constant(x) for x in inputs]
         out = op(*xs)
         tape.backward(sum_all(mul(out, tape.constant(weights))))
         return [out.value] + [x.grad for x in xs]
 
-    def assert_bit_identical(self, T, dtype, **sizes):
-        got = self.run(ag.span_scores, T, dtype, **sizes)
-        want = self.run(chain_span_scores, T, dtype, **sizes)
+    @staticmethod
+    def assert_same_bytes(got, want, dtype):
         for i, (g, w) in enumerate(zip(got, want)):
             assert g.dtype == w.dtype == dtype and g.shape == w.shape, i
             assert g.tobytes() == w.tobytes(), i
+
+    def assert_bit_identical(self, T, dtype, **sizes):
+        got = self.run(ag.span_scores, T, dtype, **sizes)
+        want = self.run(chain_span_scores, T, dtype, **sizes)
+        self.assert_same_bytes(got, want, dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("T", [1, 2, 5, 31, 32, 40, 160])
@@ -347,6 +357,90 @@ class TestSpanScores:
 
     def test_single_span_is_one_row(self):
         assert list(ag._row_blocks(1)) == [(0, 1)]
+
+    # Sparse upstream gradients: backward takes only the live rows past the
+    # w2 products, and must give the chain's bits
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "T,live",
+        [
+            (5, [7]),  # one live row of 15: a product of it alone would be a gemv
+            (5, [0]),
+            (5, [14]),
+            (2, [1]),
+            (40, [3, 41, 42, 300, 301, 555, 819]),  # a few rows over several starts
+            (40, range(0, 820, 3)),
+            (60, range(5, 1830, 31)),  # 1830 spans, ~3% live
+            (31, []),
+        ],
+    )
+    def test_sparse_gradient_bit_identical(self, dtype, T, live):
+        self.assert_bit_identical(T, dtype, live=np.array(live, dtype=np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("live", [[40], [40, 41], [0, 9, 700], range(0, 12880, 33)])
+    def test_sparse_gradient_bit_identical_at_default_sizes(self, dtype, live):
+        # with 64 labels, OpenBLAS on AVX-512 gives a product of at most four
+        # 256-wide rows a small-matrix kernel that rounds differently, so
+        # the w2 products must not be taken over the live rows alone
+        self.assert_bit_identical(
+            160, dtype, hidden=256, n_labels=64, live=np.array(live, dtype=np.int64)
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dead_first", [True, False])
+    def test_sparse_bucket_with_a_dead_segment(self, dtype, dead_first):
+        # a bucket of two sentences, one with no live row: every gradient is
+        # the other sentence's own, bit for bit
+        hidden, n_labels = 32, 8
+        rng = np.random.default_rng(3)
+        lengths = (8, 12) if dead_first else (12, 8)
+        projs = [rng.standard_normal((T + 1, hidden)).astype(dtype) for T in lengths]
+        vecs = [rng.standard_normal(hidden).astype(dtype) for _ in range(3)]
+        vecs[1] += 1.0  # gains near 1
+        w2 = rng.standard_normal((hidden, n_labels)).astype(dtype)
+        b2 = rng.standard_normal(n_labels).astype(dtype)
+        weights = [np.zeros((T * (T + 1) // 2, n_labels), dtype=dtype) for T in lengths]
+        live = weights[1 if dead_first else 0]
+        live[[0, 5, 6, 40, 77]] = rng.standard_normal((5, n_labels)).astype(dtype)
+
+        def run(op, proj, weights, *lengths):
+            tape = ag.Tape(dtype=dtype)
+            xs = [tape.constant(x) for x in (proj, *vecs, w2, b2)]
+            out = op(*xs, *lengths)
+            tape.backward(sum_all(mul(out, tape.constant(weights))))
+            return [out.value] + [x.grad for x in xs]
+
+        got = run(ag.span_scores, np.concatenate(projs), np.concatenate(weights),
+                  [T + 1 for T in lengths])
+        alone = [run(chain_span_scores, p, w) for p, w in zip(projs, weights)]
+        want = [np.concatenate([a[k] for a in alone]) for k in (0, 1)]
+        want += [alone[0][k] + alone[1][k] for k in range(2, 7)]
+        self.assert_same_bytes(got, want, dtype)
+
+    def test_sparse_backward_peaks_below_half_of_dense(self):
+        # with ~3% of rows live, the backward keeps the hidden rows and the
+        # gradient product over every row, and no other [spans, h] buffer
+        T, hidden, n_labels = 40, 256, 8
+
+        def peak(live_frac):
+            rng = np.random.default_rng(0)
+            tape = tape64()
+            xs = [tape.constant(rng.standard_normal(shape)) for shape in (
+                (T + 1, hidden), (hidden,), (hidden,), (hidden,), (hidden, n_labels),
+                (n_labels,))]
+            out = ag.span_scores(*xs)
+            weights = rng.standard_normal(out.shape)
+            weights[rng.random(len(weights)) >= live_frac] = 0.0
+            loss = sum_all(mul(out, tape.constant(weights)))
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(0.03) < peak(1.0) / 2
 
     @staticmethod
     def run_bucket(lengths, dtype, i, alone, hidden=32, n_labels=8):

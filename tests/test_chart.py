@@ -328,6 +328,14 @@ class TestMarginLoss:
         _, [info] = margin_loss(attached_scores(dense, VOCAB5), [self.gold()])
         assert info.loss == 3.0  # one spurious bracket per length-1 span
 
+    def test_nan_score_gives_nan_loss(self):
+        # max(0.0, nan) is 0.0: the hinge must keep the NaN, so that
+        # training sees the divergence
+        dense = np.zeros((4, 4, len(VOCAB5)))
+        dense[0, 3, VOCAB5.index("S")] = np.nan
+        _, [info] = margin_loss(attached_scores(dense, VOCAB5), [self.gold()])
+        assert np.isnan(info.loss)
+
     def test_all_zero_scores_loss_is_delta(self):
         T = 3
         dense = np.zeros((T + 1, T + 1, len(VOCAB5)))

@@ -166,6 +166,49 @@ class TestTrainLoop:
         assert not recs[0].error and recs[0].dev_f1
         assert "seed 2" in recs[1].error
 
+    def test_nan_weight_is_recorded_as_divergence(self, featurized_corpus, tmp_path, monkeypatch):
+        # a NaN in a labelled column of span.w2 after seed 1's third step
+        # makes its next margin NaN: training stops before backward spreads
+        # the NaN into the encoder, records seed 1 as diverged and trains
+        # seed 2
+        step = training.Adam.step
+        seen = []
+
+        def poisoning_step(opt):
+            step(opt)
+            if not seen:
+                seen.append(opt)
+            if opt is seen[0] and opt.t == 3:
+                w2 = next(p for p in opt.params if p.name == "span.w2")
+                w2.value[0, 1] = np.nan
+
+        monkeypatch.setattr(training.Adam, "step", poisoning_step)
+        c = featurized_corpus.sentences
+        cfg = tiny_train_config(seeds=(1, 2), batch_size=4, max_epochs=1)
+        recs = train(cfg, tiny_model_config(), SPEC, [c], c[:4], tmp_path / "r")
+        assert "step 3 for seed 1" in recs[0].error
+        assert not recs[1].error and recs[1].dev_f1
+
+    def test_non_finite_loss_var_is_divergence(self, featurized_corpus, tmp_path, monkeypatch):
+        # the batch loss Var can overflow while every MarginInfo.loss is finite
+        real = model_mod.margin_loss
+
+        def overflowing(scores, golds):
+            _, infos = real(scores, golds)
+            return scores.matrix.tape.constant(np.inf), infos
+
+        monkeypatch.setattr(model_mod, "margin_loss", overflowing)
+        c = featurized_corpus.sentences
+        model = ParserModel(
+            tiny_model_config(), training.build_provider(SPEC, c[:8]),
+            LabelVocab.from_trees([s.tree for s in c]),
+        )
+        with pytest.raises(TrainingDivergedError, match="step 0 for seed 1"):
+            training._optimize(
+                model, [c[:8]], tiny_train_config(max_epochs=1), c[:2], 1,
+                str(tmp_path / "seed1"), 4e-3,
+            )
+
     def test_zero_loss_sentences_free_their_tapes(
         self, featurized_corpus, tmp_path, monkeypatch, tape_refs
     ):
