@@ -176,6 +176,7 @@ def cmd_train(cfg, args):
     os.makedirs(cfg.output_dir, exist_ok=True)
     write_snapshot(cfg, cfg.output_dir)
 
+    store = _store_for(cfg)
     if args.fine_tune_from:
         if len(corpora) != 1:
             raise ConfigError("fine-tuning expects exactly one training corpus")
@@ -186,7 +187,7 @@ def cmd_train(cfg, args):
                 train_cfg,
                 cfg.output_dir,
                 dev,
-                store=_store_for(cfg),
+                store=store,
             )
         ]
     else:
@@ -208,7 +209,7 @@ def cmd_train(cfg, args):
                 f"{r.seed}\t{r.best_f1:.2f}\t{r.best_epoch}\t"
                 f"{r.checkpoint_path}\t{r.error}\n"
             )
-    summary = median_report(records, test_sentences=test, store=_store_for(cfg))
+    summary = median_report(records, test_sentences=test, store=store)
     with open(os.path.join(cfg.output_dir, "median.tsv"), "w", encoding="utf-8") as fh:
         fh.write("chosen_seed\tdev_f1\ttest_f1\n")
         test_f1 = "" if summary.test_f1 is None else f"{summary.test_f1:.2f}"

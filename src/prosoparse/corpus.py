@@ -1,19 +1,17 @@
 """Sentence records: trees, tokens, and per-word prosodic inputs.
 
 Featurization runs corpus-wide in one sequential pass (duration statistics,
-per-speaker track normalization), then per sentence.  A sentence's word
-frame patches are packed end to end in ``ProsodyInputs``, and the feature
-cache stores those arrays as they are, in a tensor file keyed by a content
-hash of the inputs, so repeated training runs across seeds skip
-recomputation.
+per-speaker track normalization), then per sentence: every word of a
+sentence must name one speaker, whose track ``prosody.word_features`` reads
+for all the words at once.  The feature cache stores the ``ProsodyInputs``
+arrays as they are, in a tensor file keyed by a content hash of the inputs,
+so repeated training runs across seeds skip recomputation.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import prosody as pros
 from .encoder import ProsodyInputs
@@ -60,13 +58,6 @@ def sentences_from_trees(trees, ids=None):
     return out
 
 
-def _duration_scalars(pd_list):
-    return np.array(
-        [[p.duration_norm, np.log1p(p.duration_raw)] for p in pd_list],
-        dtype=np.float32,
-    )
-
-
 def featurize(sentences, alignments, tracks):
     """Attach ProsodyInputs to each sentence from alignments and frame tracks.
 
@@ -74,7 +65,8 @@ def featurize(sentences, alignments, tracks):
     speaker_id -> FrameTrack.  Tracks are z-scored per speaker first;
     duration statistics are word-type means over all alignments.  Frame
     patches take ``prosody.CONTEXT_S`` of context and at most
-    ``prosody.MAX_FRAMES`` frames.
+    ``prosody.MAX_FRAMES`` frames.  A sentence whose words name two
+    speakers raises AlignmentError.
     Returns the list of warnings from speaker normalization.
     """
     norm_tracks, warnings = pros.normalize_speaker(tracks)
@@ -97,22 +89,19 @@ def featurize(sentences, alignments, tracks):
                     f"aligned word {ali.word!r}"
                 )
         speaker = alis[0].speaker_id
+        other = next((a.speaker_id for a in alis if a.speaker_id != speaker), None)
+        if other is not None:
+            raise AlignmentError(
+                f"sentence {sent.sentence_id!r}: words of speakers {speaker!r} "
+                f"and {other!r}; a sentence has one speaker"
+            )
         track = norm_tracks.get(speaker)
         if track is None:
             raise DataError(
                 f"sentence {sent.sentence_id!r}: no frame track for speaker {speaker!r}"
             )
-        pd_list = pros.compute_pause_duration(alis, stats)
-        frames, masks = zip(*(pros.extract_frame_patch(track, ali) for ali in alis))
         sent.speaker_id = speaker
-        sent.prosody = ProsodyInputs(
-            pause_before=np.array([p.pause_before_bucket for p in pd_list], np.int64),
-            pause_after=np.array([p.pause_after_bucket for p in pd_list], np.int64),
-            duration_scalars=_duration_scalars(pd_list),
-            frames=np.concatenate(frames),
-            mask=np.concatenate(masks),
-            patch_lens=np.array([len(m) for m in masks], np.int64),
-        )
+        sent.prosody = ProsodyInputs(**pros.word_features(alis, track, stats))
     return warnings
 
 

@@ -1,11 +1,11 @@
 """Word alignments, energy/f0 frame tracks, and pause/duration features.
 
 Raw audio never enters the package: alignments and 10 ms frame tracks are
-ingested from files.  This module turns them into (a) bucketed pause and
-normalized duration features per word and (b) an energy/f0 frame patch
-around each word, with a mask of the frames inside the word, for the
-convolutional feature extractor.  ``corpus.featurize`` packs a sentence's
-patches end to end into ``encoder.ProsodyInputs``.
+ingested from files.  ``word_features`` turns one sentence's alignments and
+its speaker's track into the arrays of ``encoder.ProsodyInputs``, with array
+ops over all its words at once: bucketed pauses and normalized durations per
+word, and each word's energy/f0 frame patch, with a mask of the frames
+inside the word, packed end to end for the convolutional feature extractor.
 """
 
 from __future__ import annotations
@@ -73,22 +73,6 @@ class FrameTrack:
         return self.start_time + self.n_frames * self.frame_period
 
 
-@dataclass(frozen=True)
-class PauseDuration:
-    pause_before_bucket: int
-    pause_after_bucket: int
-    duration_norm: float
-    duration_raw: float
-
-
-def pause_bucket(gap_s):
-    """Monotone bucketization of a pause length in seconds into 0..5."""
-    for bucket, edge in enumerate(PAUSE_BUCKET_EDGES):
-        if gap_s <= edge:
-            return bucket
-    return N_PAUSE_BUCKETS - 1
-
-
 @dataclass
 class DurationStats:
     """Per-word-type mean durations with a global fallback."""
@@ -127,65 +111,52 @@ def _check_sorted(alignments):
             )
 
 
-def compute_pause_duration(alignments, stats):
-    """Pause buckets and normalized durations for a sentence's alignments.
+def word_features(alignments, track, stats):
+    """A sentence's six ``encoder.ProsodyInputs`` arrays, by field name.
 
-    pause_before of word i is start_i - end_{i-1} (0 for the first word);
-    pause_after mirrors it.  duration_norm divides by the word type's mean
-    duration, falling back to the corpus-wide mean.
+    Pause buckets: word i's pause before is start_i - end_{i-1} (0 for the
+    first word) and its pause after mirrors it; each gap falls into the
+    bucket of the first edge >= it.  Duration scalars: the duration over its
+    word type's mean (``stats``) and log1p of the duration.  Frame patches:
+    each word's energy/f0 frames of ``track`` plus CONTEXT_S seconds each
+    side, center-cropped to MAX_FRAMES frames, zero outside the track, packed
+    end to end; the mask marks the frames inside the word.
     """
-    alignments = list(alignments)
     _check_sorted(alignments)
-    out = []
-    for i, ali in enumerate(alignments):
-        before = 0.0 if i == 0 else ali.start - alignments[i - 1].end
-        after = 0.0 if i == len(alignments) - 1 else alignments[i + 1].start - ali.end
-        mean = stats.mean_for(ali.word)
-        if mean <= 0:
-            raise DataError(f"non-positive mean duration for word {ali.word!r}")
-        out.append(
-            PauseDuration(
-                pause_before_bucket=pause_bucket(before),
-                pause_after_bucket=pause_bucket(after),
-                duration_norm=ali.duration / mean,
-                duration_raw=ali.duration,
-            )
-        )
-    return out
-
-
-def extract_frame_patch(track, alignment):
-    """(frames [n, 2], mask [n]) for a word plus CONTEXT_S seconds each side.
-
-    The energy/f0 frames are zero-padded at track edges and center-cropped
-    around the word midpoint when longer than MAX_FRAMES; the mask marks
-    the frames inside the word.
-    """
-    if alignment.end <= track.start_time or alignment.start >= track.end_time:
+    start = np.array([a.start for a in alignments])
+    end = np.array([a.end for a in alignments])
+    outside = (end <= track.start_time) | (start >= track.end_time)
+    if outside.any():
+        ali = alignments[outside.argmax()]
         raise AlignmentError(
-            f"word {alignment.word!r} [{alignment.start}, {alignment.end}] "
+            f"word {ali.word!r} [{ali.start}, {ali.end}] "
             f"lies outside track [{track.start_time}, {track.end_time}]"
         )
-    fp = track.frame_period
-    lo = alignment.start - CONTEXT_S
-    n = int(round((alignment.duration + 2.0 * CONTEXT_S) / fp))
-    n = max(1, n)
-    first = int(round((lo - track.start_time) / fp))
-    if n > MAX_FRAMES:
-        # crop symmetrically: patch midpoint == word midpoint by construction
-        drop = n - MAX_FRAMES
-        first += drop // 2
-        n = MAX_FRAMES
+    duration = end - start
+    buckets = np.searchsorted(PAUSE_BUCKET_EDGES, start[1:] - end[:-1])
+    mean = np.array([stats.mean_for(a.word) for a in alignments])
 
-    frames = np.zeros((n, 2), dtype=np.float32)
-    src_lo = max(first, 0)
-    src_hi = min(first + n, track.n_frames)
-    if src_lo < src_hi:
-        dst_lo = src_lo - first
-        frames[dst_lo : dst_lo + (src_hi - src_lo), 0] = track.energy[src_lo:src_hi]
-        frames[dst_lo : dst_lo + (src_hi - src_lo), 1] = track.f0[src_lo:src_hi]
-    times = track.start_time + (first + np.arange(n)) * fp
-    return frames, (times >= alignment.start) & (times < alignment.end)
+    fp = track.frame_period
+    lens = np.maximum(1, np.rint((duration + 2.0 * CONTEXT_S) / fp).astype(np.int64))
+    first = np.rint((start - CONTEXT_S - track.start_time) / fp).astype(np.int64)
+    # crop symmetrically: patch midpoint == word midpoint by construction
+    first += np.maximum(lens - MAX_FRAMES, 0) // 2
+    lens = np.minimum(lens, MAX_FRAMES)
+    offsets = np.cumsum(lens) - lens
+    idx = np.repeat(first - offsets, lens) + np.arange(lens.sum())
+    inside = (idx >= 0) & (idx < track.n_frames)
+    frames = np.zeros((len(idx), 2), dtype=np.float32)
+    frames[inside, 0] = track.energy[idx[inside]]
+    frames[inside, 1] = track.f0[idx[inside]]
+    times = track.start_time + idx * fp
+    return {
+        "pause_before": np.concatenate([[0], buckets]),
+        "pause_after": np.concatenate([buckets, [0]]),
+        "duration_scalars": np.stack([duration / mean, np.log1p(duration)], axis=1),
+        "frames": frames,
+        "mask": (times >= np.repeat(start, lens)) & (times < np.repeat(end, lens)),
+        "patch_lens": lens,
+    }
 
 
 def normalize_speaker(tracks):

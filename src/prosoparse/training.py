@@ -210,6 +210,10 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
                 for info in infos:
                     epoch_loss += info.loss
                 tape.backward(loss, seed=1.0 / len(batch))
+                # a NaN weight can leave the loss finite and poison every
+                # gradient; stepping on them would poison every weight
+                if not all(np.isfinite(p.grad).all() for p in params):
+                    raise TrainingDivergedError(seed, opt.t)
                 n_sentences += len(batch)
                 opt.step()
             train_loss = epoch_loss / max(n_sentences, 1)

@@ -9,11 +9,12 @@ import pytest
 
 import prosoparse
 from prosoparse import autograd as ag
+from prosoparse import prosody
 from prosoparse.chart import SpanScores, span_row
 from prosoparse.corpus import featurize
 from prosoparse.embeddings import EmbeddingProvider, VectorStore
 from prosoparse.encoder import CnnConfig, EncoderConfig
-from prosoparse.errors import CrossingSpanError, DataError, ShapeError
+from prosoparse.errors import AlignmentError, CrossingSpanError, DataError, ShapeError
 from prosoparse.model import ModelConfig, ParserModel
 from prosoparse.synthdata import overfit_corpus
 from prosoparse.treebank import (
@@ -509,6 +510,71 @@ def build_text_twin(model, seed=0):
         else:
             raise DataError(f"cannot transplant parameter {p.name}: {s.shape} -> {p.value.shape}")
     return twin
+
+
+# A sentence's prosodic features as they were computed one word at a time,
+# a pause loop and a frame patch per word: the oracle of
+# ``prosody.word_features``.  CONTEXT_S and MAX_FRAMES are read at call
+# time, as the library reads them.
+
+
+def pause_bucket(gap_s):
+    """Monotone bucketization of a pause length in seconds into 0..5."""
+    for bucket, edge in enumerate(prosody.PAUSE_BUCKET_EDGES):
+        if gap_s <= edge:
+            return bucket
+    return prosody.N_PAUSE_BUCKETS - 1
+
+
+def extract_frame_patch(track, alignment):
+    """(frames [n, 2], mask [n]) for a word plus CONTEXT_S seconds each side."""
+    if alignment.end <= track.start_time or alignment.start >= track.end_time:
+        raise AlignmentError(
+            f"word {alignment.word!r} [{alignment.start}, {alignment.end}] "
+            f"lies outside track [{track.start_time}, {track.end_time}]"
+        )
+    fp = track.frame_period
+    lo = alignment.start - prosody.CONTEXT_S
+    n = int(round((alignment.duration + 2.0 * prosody.CONTEXT_S) / fp))
+    n = max(1, n)
+    first = int(round((lo - track.start_time) / fp))
+    if n > prosody.MAX_FRAMES:
+        drop = n - prosody.MAX_FRAMES
+        first += drop // 2
+        n = prosody.MAX_FRAMES
+    frames = np.zeros((n, 2), dtype=np.float32)
+    src_lo = max(first, 0)
+    src_hi = min(first + n, track.n_frames)
+    if src_lo < src_hi:
+        dst_lo = src_lo - first
+        frames[dst_lo : dst_lo + (src_hi - src_lo), 0] = track.energy[src_lo:src_hi]
+        frames[dst_lo : dst_lo + (src_hi - src_lo), 1] = track.f0[src_lo:src_hi]
+    times = track.start_time + (first + np.arange(n)) * fp
+    return frames, (times >= alignment.start) & (times < alignment.end)
+
+
+def per_word_features(alignments, track, stats):
+    """The oracle for ``prosody.word_features``."""
+    alignments = list(alignments)
+    prosody._check_sorted(alignments)
+    before, after, durations = [], [], []
+    for i, ali in enumerate(alignments):
+        gap_before = 0.0 if i == 0 else ali.start - alignments[i - 1].end
+        last = i == len(alignments) - 1
+        gap_after = 0.0 if last else alignments[i + 1].start - ali.end
+        before.append(pause_bucket(gap_before))
+        after.append(pause_bucket(gap_after))
+        mean = stats.mean_for(ali.word)
+        durations.append([ali.duration / mean, np.log1p(ali.duration)])
+    frames, masks = zip(*(extract_frame_patch(track, ali) for ali in alignments))
+    return {
+        "pause_before": np.array(before, np.int64),
+        "pause_after": np.array(after, np.int64),
+        "duration_scalars": np.array(durations, dtype=np.float32),
+        "frames": np.concatenate(frames),
+        "mask": np.concatenate(masks),
+        "patch_lens": np.array([len(m) for m in masks], np.int64),
+    }
 
 
 # Frozen-mode vector stores: deterministic per-sentence vectors, and the

@@ -4,16 +4,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from conftest import extract_frame_patch, synthetic_vector_store, write_vector_store
 
 from prosoparse import cli
 from prosoparse import corpus as corpus_mod
+from prosoparse import embeddings
 from prosoparse.corpus import content_hash, load_feature_cache, save_feature_cache
 from prosoparse.errors import FormatError
 from prosoparse.model import ParserModel
 from prosoparse.prosody import (
-    extract_frame_patch,
     normalize_speaker,
+    read_alignment_file,
     read_frame_track_file,
+    write_alignment_file,
     write_frame_track_file,
 )
 from prosoparse.synthdata import overfit_corpus, write_corpus
@@ -228,6 +231,55 @@ class TestCliWorkflow:
         first = cache.read_bytes()
         assert cli.main(["features", "--config", str(ws["config"])]) == 0
         assert cache.read_bytes() == first
+
+    def test_features_cache_key_is_pinned(self, cli_workspace, tmp_path):
+        # renaming or reordering the key's constants would make every
+        # existing feature cache stale
+        ws = cli_workspace
+        cfg = write_cfg(ws, {"output_dir": str(tmp_path / "run")}, "exp_key.yaml")
+        assert cli.main(["features", "--config", str(cfg)]) == 0
+        meta, _ = read_tensors(tmp_path / "run" / "features.bin")
+        corpus = ws["corpus"]
+        paths = [corpus / "alignments.tsv"] + sorted((corpus / "tracks").glob("*.csv"))
+        assert meta["content_hash"] == content_hash(paths, extra="1:0.12:100")
+
+    def test_sentence_of_two_speakers_is_data_error(self, cli_workspace, tmp_path, capsys):
+        ws = cli_workspace
+        alignments = read_alignment_file(ws["corpus"] / "alignments.tsv")
+        sid, alis = next(iter(alignments.items()))
+        speaker = alis[0].speaker_id
+        other = next(a.speaker_id for b in alignments.values() for a in b
+                     if a.speaker_id != speaker)
+        alis[-1] = replace(alis[-1], speaker_id=other)
+        path = tmp_path / "alignments.tsv"
+        write_alignment_file(path, alignments)
+        updates = {"data": {"alignments": str(path)}, "output_dir": str(tmp_path / "run")}
+        cfg = write_cfg(ws, updates, "exp_two_speakers.yaml")
+        capsys.readouterr()
+        assert cli.main(["features", "--config", str(cfg)]) == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: sentence {sid!r}: words of speakers {speaker!r} and "
+            f"{other!r}; a sentence has one speaker\n"
+        )
+
+    def test_fine_tune_reads_the_vector_store_once(self, cli_workspace, tmp_path,
+                                                    monkeypatch):
+        ws = cli_workspace
+        store = tmp_path / "store.vec"
+        frozen = {"data": {"vector_store": str(store)},
+                  "model": {"embedding": {"mode": "frozen"}}, "train": {"max_epochs": 1}}
+        cfg = write_cfg(ws, {**frozen, "output_dir": str(tmp_path / "run")}, "frozen.yaml")
+        corpora, dev, test = cli._load_corpora(cli.load_config(str(cfg)))
+        write_vector_store(store, synthetic_vector_store(corpora[0] + dev + test, dim=8))
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        reads = []
+        real = embeddings.load_vector_store
+        monkeypatch.setattr(embeddings, "load_vector_store",
+                            lambda path: reads.append(path) or real(path))
+        cfg = write_cfg(ws, {**frozen, "output_dir": str(tmp_path / "ft")}, "frozen_ft.yaml")
+        ckpt = tmp_path / "run" / "seed1" / "best.ckpt"
+        assert cli.main(["train", "--config", str(cfg), "--fine-tune-from", str(ckpt)]) == 0
+        assert reads == [str(store)]
 
     def test_train_writes_run_artifacts(self, cli_workspace, trained_run1):
         ws = cli_workspace

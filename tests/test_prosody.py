@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import per_word_features
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,15 +11,18 @@ from prosoparse.prosody import (
     DurationStats,
     FrameTrack,
     WordAlignment,
-    compute_pause_duration,
-    extract_frame_patch,
     normalize_speaker,
-    pause_bucket,
     read_alignment_file,
     read_frame_track_file,
+    word_features,
     write_alignment_file,
     write_frame_track_file,
 )
+
+STATS = DurationStats(means={"cat": 0.3}, global_mean=0.25)
+# a first word this short ends where any edge (gap) after it starts exactly:
+# TINY + edge is a float, so (TINY + edge) - TINY == edge
+TINY = 2.0**-20
 
 
 def track(n=200, period=0.01, start=0.0, seed=0):
@@ -32,57 +36,63 @@ def track(n=200, period=0.01, start=0.0, seed=0):
     )
 
 
-class TestPauseDuration:
-    def stats(self):
-        return DurationStats(means={"cat": 0.3}, global_mean=0.25)
+def patch(t, ali):
+    """(frames, mask) of one word's patch."""
+    out = word_features([ali], t, STATS)
+    return out["frames"], out["mask"]
 
+
+def bucket_of(gap):
+    """The pause bucket of a gap after a TINY first word, as both words'
+    pause feature."""
+    alis = [WordAlignment("a", 0.0, TINY), WordAlignment("b", TINY + gap, TINY + gap + 0.1)]
+    out = word_features(alis, track(n=int(alis[-1].end / 0.01) + 1), STATS)
+    assert out["pause_after"][0] == out["pause_before"][1]
+    return out["pause_before"][1]
+
+
+class TestPauseDuration:
     def test_adjacent_words_bucket_zero(self):
         alis = [WordAlignment("a", 0.0, 0.3), WordAlignment("b", 0.3, 0.6)]
-        out = compute_pause_duration(alis, self.stats())
-        assert out[1].pause_before_bucket == 0
-        assert out[0].pause_after_bucket == 0
+        out = word_features(alis, track(), STATS)
+        assert out["pause_before"][1] == 0
+        assert out["pause_after"][0] == 0
 
     def test_half_second_gap_bucket_three(self):
         alis = [WordAlignment("a", 0.0, 0.3), WordAlignment("b", 0.8, 1.1)]
-        out = compute_pause_duration(alis, self.stats())
-        assert out[1].pause_before_bucket == 3
-        assert out[0].pause_after_bucket == 3
+        out = word_features(alis, track(), STATS)
+        assert out["pause_before"][1] == 3
+        assert out["pause_after"][0] == 3
 
     def test_first_and_last_word_edges(self):
-        alis = [WordAlignment("a", 0.5, 0.8)]
-        out = compute_pause_duration(alis, self.stats())
-        assert out[0].pause_before_bucket == 0
-        assert out[0].pause_after_bucket == 0
+        out = word_features([WordAlignment("a", 0.5, 0.8)], track(), STATS)
+        assert out["pause_before"][0] == 0
+        assert out["pause_after"][0] == 0
 
     def test_duration_norm_one_at_type_mean(self):
-        alis = [WordAlignment("cat", 0.0, 0.3)]
-        out = compute_pause_duration(alis, self.stats())
-        assert out[0].duration_norm == pytest.approx(1.0)
-        assert out[0].duration_raw == pytest.approx(0.3)
+        out = word_features([WordAlignment("cat", 0.0, 0.3)], track(), STATS)
+        assert out["duration_scalars"][0, 0] == pytest.approx(1.0)
+        assert np.expm1(out["duration_scalars"][0, 1]) == pytest.approx(0.3)
 
     def test_global_mean_fallback(self):
-        alis = [WordAlignment("novel", 0.0, 0.25)]
-        out = compute_pause_duration(alis, self.stats())
-        assert out[0].duration_norm == pytest.approx(1.0)
+        out = word_features([WordAlignment("novel", 0.0, 0.25)], track(), STATS)
+        assert out["duration_scalars"][0, 0] == pytest.approx(1.0)
 
     def test_overlapping_alignments_rejected(self):
         alis = [WordAlignment("a", 0.0, 0.4), WordAlignment("b", 0.3, 0.6)]
         with pytest.raises(DataError, match="index 1"):
-            compute_pause_duration(alis, self.stats())
+            word_features(alis, track(), STATS)
 
     def test_bucket_edges(self):
-        assert pause_bucket(0.0) == 0
-        assert pause_bucket(0.05) == 1
-        assert pause_bucket(0.2) == 2
-        assert pause_bucket(1.0) == 3
-        assert pause_bucket(2.0) == 4
-        assert pause_bucket(2.0001) == 5
+        edges = (0.0, 0.05, 0.2, 1.0, 2.0, 2.0001)
+        assert all((TINY + g) - TINY == g for g in edges)
+        assert [bucket_of(g) for g in edges] == [0, 1, 2, 3, 4, 5]
 
     @given(st.floats(0, 10), st.floats(0, 10))
     @settings(max_examples=200, deadline=None)
     def test_bucket_monotone(self, g1, g2):
         lo, hi = sorted((g1, g2))
-        assert pause_bucket(lo) <= pause_bucket(hi)
+        assert bucket_of(lo) <= bucket_of(hi)
 
 
 class TestFramePatch:
@@ -99,15 +109,19 @@ class TestFramePatch:
 
     def test_exact_frame_count_no_context(self, monkeypatch):
         monkeypatch.setattr(prosody, "CONTEXT_S", 0.0)
-        t = track()
-        frames, mask = extract_frame_patch(t, WordAlignment("w", 0.50, 0.60))
+        frames, mask = patch(track(), WordAlignment("w", 0.50, 0.60))
         assert frames.shape == (10, 2)
+        assert mask.all()
+
+    def test_word_under_half_a_frame_gets_one_frame(self, monkeypatch):
+        monkeypatch.setattr(prosody, "CONTEXT_S", 0.0)
+        frames, mask = patch(track(), WordAlignment("w", 0.500, 0.504))
+        assert frames.shape == (1, 2)
         assert mask.all()
 
     def test_zero_padding_at_track_start(self, monkeypatch):
         monkeypatch.setattr(prosody, "CONTEXT_S", 0.05)
-        t = track()
-        frames, mask = extract_frame_patch(t, WordAlignment("w", 0.0, 0.10))
+        frames, mask = patch(track(), WordAlignment("w", 0.0, 0.10))
         assert len(frames) == len(mask) == 20  # 5 context + 10 word + 5 context
         np.testing.assert_array_equal(frames[:5], 0.0)
         assert not mask[:5].any()
@@ -117,11 +131,11 @@ class TestFramePatch:
     def test_center_crop_long_word(self, monkeypatch):
         monkeypatch.setattr(prosody, "CONTEXT_S", 0.0)
         t = track(n=500)
-        ali = WordAlignment("w", 0.5, 3.5)
-        frames, _ = extract_frame_patch(t, ali)
+        frames, _ = patch(t, WordAlignment("w", 0.5, 3.5))
         assert len(frames) == prosody.MAX_FRAMES == 100
         # crop midpoint within half a frame of the word midpoint
         first = int(round((0.5 - t.start_time) / t.frame_period)) + (300 - 100) // 2
+        np.testing.assert_array_equal(frames[:, 0], t.energy[first : first + 100])
         mid_time = t.start_time + (first + 50) * t.frame_period
         assert abs(mid_time - 2.0) <= 0.5 * t.frame_period + 1e-9
 
@@ -133,21 +147,104 @@ class TestFramePatch:
             WordAlignment("c", 1.00, 1.50),
         ]
         assert prosody.CONTEXT_S == 0.12
-        total = sum(extract_frame_patch(t, a)[1].sum() for a in alis)
-        assert total <= t.n_frames
+        out = word_features(alis, t, STATS)
+        assert out["patch_lens"].sum() == len(out["mask"])
+        assert out["mask"].sum() <= t.n_frames
 
     def test_word_outside_track_rejected(self):
         t = track(n=50)  # covers 0.5 s
-        with pytest.raises(AlignmentError):
-            extract_frame_patch(t, WordAlignment("w", 2.0, 2.5))
+        alis = [
+            WordAlignment("in", 0.1, 0.2),
+            WordAlignment("late", 2.0, 2.5),
+            WordAlignment("later", 3.0, 3.5),
+        ]
+        with pytest.raises(AlignmentError, match=r"^word 'late' \[2.0, 2.5\] lies outside"):
+            word_features(alis, t, STATS)
 
     def test_patch_values_match_track(self, monkeypatch):
         monkeypatch.setattr(prosody, "CONTEXT_S", 0.0)
         t = track()
-        ali = WordAlignment("w", 0.20, 0.30)
-        frames, _ = extract_frame_patch(t, ali)
+        frames, _ = patch(t, WordAlignment("w", 0.20, 0.30))
         np.testing.assert_array_equal(frames[:, 0], t.energy[20:30])
         np.testing.assert_array_equal(frames[:, 1], t.f0[20:30])
+
+
+PERIODS = (0.01, 0.0125, 2.0**-6)
+EDGE_GAPS = prosody.PAUSE_BUCKET_EDGES + tuple(
+    np.nextafter(e, np.inf) for e in prosody.PAUSE_BUCKET_EDGES
+)
+
+
+@st.composite
+def sentence_on_track(draw):
+    """(alignments, track): a few words, each overlapping the track.
+
+    Words may start before the track or run past its end, be longer than
+    MAX_FRAMES frames, start or last a whole number of frames plus a half
+    (after CONTEXT_S) and follow gaps on or just past a pause-bucket edge.
+    """
+    fp = draw(st.sampled_from(PERIODS))
+    track_start = draw(st.sampled_from((0.0, 0.25, 1.0)))
+
+    def halves(lo, hi):
+        return st.integers(lo, hi).map(lambda k: (k + 0.5) * fp)
+
+    first_start = draw(st.one_of(
+        halves(0, 40).map(lambda h: track_start + h - prosody.CONTEXT_S),
+        st.floats(0.0, track_start + 1.0),
+    ))
+    gaps = st.one_of(st.sampled_from(EDGE_GAPS), st.floats(0.0, 2.5))
+    durations = st.one_of(
+        st.floats(0.001, 0.5),
+        st.floats(0.9, 3.0),  # longer than MAX_FRAMES frames
+        halves(30, 90).map(lambda h: h - 2.0 * prosody.CONTEXT_S),
+    )
+    # after a TINY first word, the next gap is exactly the edge drawn
+    alis = [WordAlignment("w0", 0.0, TINY)] if draw(st.booleans()) else []
+    start = max(first_start, 0.0)
+    for i in range(len(alis), len(alis) + draw(st.integers(1, 6))):
+        if alis:
+            start = alis[-1].end + draw(gaps)
+        alis.append(WordAlignment(f"w{i % 3}", start, start + draw(durations)))
+    if alis[0].end <= track_start:
+        track_start = alis[0].start
+    # the track ends up to 10 frames after the last word starts
+    n = max(int((alis[-1].start - track_start) / fp), 0) + 1 + draw(st.integers(0, 10))
+    rng = np.random.default_rng(n)
+    t = FrameTrack(
+        energy=rng.standard_normal(n), f0=rng.standard_normal(n),
+        frame_period=fp, start_time=track_start,
+    )
+    return alis, t
+
+
+class TestWordFeatures:
+    @given(sentence_on_track())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_word_oracle_byte_for_byte(self, sentence):
+        alis, t = sentence
+        stats = DurationStats(means={"w0": 0.2, "w1": 1.5}, global_mean=0.3)
+        got = ProsodyInputs(**word_features(alis, t, stats))
+        want = ProsodyInputs(**per_word_features(alis, t, stats))
+        for field in ("pause_before", "pause_after", "duration_scalars", "frames",
+                      "mask", "patch_lens"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            assert a.tobytes() == b.tobytes(), field
+
+    def test_half_frames_round_to_even(self):
+        # with 1/64 s frames, this word's context start lies 2.5 frames
+        # after the track start and its patch 17.5 frames long: both round
+        # to even, to 2 and 18 frames
+        fp = 2.0**-6
+        start = prosody.CONTEXT_S + 2.5 * fp
+        ali = WordAlignment("w", start, start + 17.5 * fp - 2 * prosody.CONTEXT_S)
+        t = track(n=100, period=fp)
+        assert (ali.start - prosody.CONTEXT_S) / fp == 2.5
+        assert (ali.duration + 2 * prosody.CONTEXT_S) / fp == 17.5
+        out = word_features([ali], t, STATS)
+        assert out["patch_lens"][0] == 18
+        np.testing.assert_array_equal(out["frames"][:, 0], t.energy[2:20])
 
 
 class TestNormalizeSpeaker:

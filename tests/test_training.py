@@ -166,11 +166,15 @@ class TestTrainLoop:
         assert not recs[0].error and recs[0].dev_f1
         assert "seed 2" in recs[1].error
 
-    def test_nan_weight_is_recorded_as_divergence(self, featurized_corpus, tmp_path, monkeypatch):
-        # a NaN in a labelled column of span.w2 after seed 1's third step
-        # makes its next margin NaN: training stops before backward spreads
-        # the NaN into the encoder, records seed 1 as diverged and trains
-        # seed 2
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_nan_weight_is_recorded_as_divergence(self, featurized_corpus, tmp_path,
+                                                  monkeypatch, column):
+        # a NaN in span.w2 after seed 1's third step: in a labelled column
+        # it makes the next margin NaN, and training stops before backward;
+        # in the empty label's column the margin stays finite but backward
+        # spreads the NaN into every gradient, and training stops before
+        # the step.  Either way seed 1 is recorded as diverged and seed 2
+        # trains
         step = training.Adam.step
         seen = []
 
@@ -180,7 +184,7 @@ class TestTrainLoop:
                 seen.append(opt)
             if opt is seen[0] and opt.t == 3:
                 w2 = next(p for p in opt.params if p.name == "span.w2")
-                w2.value[0, 1] = np.nan
+                w2.value[0, column] = np.nan
 
         monkeypatch.setattr(training.Adam, "step", poisoning_step)
         c = featurized_corpus.sentences
