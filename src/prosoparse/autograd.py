@@ -26,14 +26,16 @@ is float32 by default (float64 available for gradient checking); attention,
 layer_norm, span_scores and gather_sum reduce in float64 regardless.  Where
 a chain of simpler ops gives the same bits, forward and backward, one op
 does its work as one tape entry: ``attention`` covers every head,
-``matmul`` adds an optional bias, and ``layer_norm`` is affine and shares
-its backward step with ``span_scores``.
+``matmul`` adds an optional bias, ``layer_norm`` is affine and shares its
+backward step with ``span_scores``, and ``conv_pool`` convolves, max-pools
+and rectifies one filter width of the prosody CNN.
 ``gather_sum`` is signed, so a batch's margin loss reads every sentence's
 cells in one op, and adds into the gradient in place.  Ops keep what their
-backward needs and no more: ``conv1d`` takes its input as data (no gradient
-reaches it) and rebuilds its im2col windows from it, ``max_pool_time`` keeps
-the winning frames' indices and ``dropout`` a boolean mask.  There is no
-broadcasting beyond bias/vector-over-rows; shapes are validated on every op.
+backward needs and no more: ``conv_pool`` takes its input as data (no
+gradient reaches it), keeps the winning frames' indices and rebuilds its
+im2col windows from its input in backward, and ``dropout`` keeps a boolean
+mask.  There is no broadcasting beyond bias/vector-over-rows; shapes are
+validated on every op.
 
 Independent tapes share nothing except read-only parameter values, so
 separate buckets can be processed concurrently.
@@ -586,61 +588,49 @@ def _conv_windows(x, width):
     return spare
 
 
-def conv1d(x, w, b):
-    """Same-padded 1-D convolution over time, one per item.
+def conv_pool(x, lengths, w, b):
+    """One filter width of the prosody CNN: a same-padded 1-D convolution
+    over time, the max over each item's first ``lengths[i]`` frames, then
+    relu.
 
     x: [items, time, in_ch] input data, an ndarray (it gets no gradient);
-    w: [width, in_ch, out_ch] and b: [out_ch] Vars -> [items, time, out_ch].
+    w: [width, in_ch, out_ch] and b: [out_ch] Vars -> [items, out_ch].
     Zero padding of (width-1)//2 left and width//2 right guarantees at least
     one output position for any input length.  An item whose trailing frames
     are zeros therefore gives, at its leading frames, exactly what it gives
-    without them.  The op keeps no im2col matrix: backward rebuilds it from x.
+    without them.  Frames past an item's length never win; among equal
+    values the first frame wins.  relu is monotone, so rectifying the max
+    gives the values and gradients of pooling the rectified frames.  A
+    recording tape keeps only the winning frames' [items, out_ch] indices;
+    backward rebuilds the im2col windows from x.
     """
-    tape = _same_tape("conv1d", w, b)
+    tape = _same_tape("conv_pool", w, b)
+    lengths = np.asarray(lengths, dtype=np.int64)
     if x.ndim != 3 or w.value.ndim != 3 or x.shape[2] != w.value.shape[1]:
-        raise ShapeError("conv1d", x.shape, w.value.shape)
+        raise ShapeError("conv_pool", x.shape, w.value.shape)
     if b.value.ndim != 1 or b.value.shape[0] != w.value.shape[2]:
-        raise ShapeError("conv1d bias", b.value.shape, w.value.shape)
+        raise ShapeError("conv_pool bias", b.value.shape, w.value.shape)
+    if lengths.shape != x.shape[:1]:
+        raise ShapeError("conv_pool", x.shape, lengths.shape)
     n, t, cin = x.shape
     width, _, cout = w.value.shape
-    rows = n * t
-    product = _conv_windows(x, width) @ w.value.reshape(width * cin, cout)
-    out = Var((product[:rows] + b.value[None, :]).reshape(n, t, cout), tape)
-
-    def bwd():
-        g = out.grad.reshape(rows, cout)
-        _accum(b, g.sum(axis=0))
-        _accum(w, (_conv_windows(x, width)[:rows].T @ g).reshape(width, cin, cout))
-
-    tape._record(bwd, out)
-    return out
-
-
-def max_pool_time(x, lengths):
-    """Max over time of each item's first ``lengths[i]`` frames.
-
-    x: [items, time, ch] -> [items, ch].  Frames past an item's length never
-    win and get zero gradient; among equal values the first frame wins.  A
-    recording tape keeps only the winning frames' [items, ch] indices.
-    """
-    tape = x.tape
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if x.value.ndim != 3 or lengths.shape != x.value.shape[:1]:
-        raise ShapeError("max_pool_time", x.value.shape, lengths.shape)
-    n, t, c = x.value.shape
     if n and (lengths.min() < 1 or lengths.max() > t):
-        raise NumericError(f"max_pool_time: item lengths must lie in [1, {t}]")
-    padded = np.arange(t)[None, :, None] >= lengths[:, None, None]
-    masked = np.where(padded, -np.inf, x.value)
-    out = Var(masked.max(axis=1), tape)
+        raise NumericError(f"conv_pool: item lengths must lie in [1, {t}]")
+    rows = n * t
+    conv = (_conv_windows(x, width) @ w.value.reshape(width * cin, cout))[:rows]
+    conv = conv.reshape(n, t, cout)
+    conv += b.value
+    conv[np.arange(t)[None, :] >= lengths[:, None]] = -np.inf
+    out = Var(np.maximum(conv.max(axis=1), 0), tape)
     if not tape.record:
         return out
-    idx = masked.argmax(axis=1)
+    idx = conv.argmax(axis=1)
 
     def bwd():
-        g = np.zeros_like(x.value)
-        g[np.arange(n)[:, None], idx, np.arange(c)[None, :]] = out.grad
-        _accum(x, g)
+        g = np.zeros((rows, cout), dtype=out.value.dtype)
+        g[np.arange(n)[:, None] * t + idx, np.arange(cout)] = out.grad * (out.value > 0)
+        _accum(b, g.sum(axis=0))
+        _accum(w, (_conv_windows(x, width)[:rows].T @ g).reshape(width, cin, cout))
 
     tape._record(bwd, out)
     return out

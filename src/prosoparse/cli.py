@@ -199,6 +199,7 @@ def cmd_train(cfg, args):
             dev,
             cfg.output_dir,
             jobs=args.jobs,
+            store=store,
         )
 
     summary_path = os.path.join(cfg.output_dir, "summary.tsv")

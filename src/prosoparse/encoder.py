@@ -305,14 +305,12 @@ class Encoder:
 
         Energy, f0 and the word-interior mask enter as three channels.  The
         packed patches are scattered into a [T, longest patch] array, each
-        zero-padded at its end, so each filter width is one convolution
-        (same padding), max-pool over time and rectification for all the
-        words, of one sentence or of a joined bucket.  relu is monotone, so
-        pooling before rectifying gives the values and gradients of pooling
-        the rectified frames, on T rows instead of every frame.  Each word
-        pools over its own frames only, and the zero padding is exactly its
-        per-word same padding, so its row equals what its patch gives alone.
-        The per-width outputs are concatenated in ascending width order.
+        zero-padded at its end, so each filter width is one ``conv_pool`` op
+        (same-padded convolution, max-pool over each word's own frames, then
+        relu) for all the words, of one sentence or of a joined bucket.  The
+        zero padding is exactly a word's per-word same padding, so its row
+        equals what its patch gives alone.  The per-width outputs are
+        concatenated in ascending width order.
         """
         lens = prosody.patch_lens
         width = lens.max()
@@ -324,11 +322,10 @@ class Encoder:
         flat = x.reshape(-1, CNN_IN_CHANNELS)
         flat[rows, :2] = prosody.frames
         flat[rows, 2] = prosody.mask
-        pieces = []
-        for wmat, bias in self.cnn_filters:
-            conv = ag.conv1d(x, tape.watch(wmat), tape.watch(bias))
-            pieces.append(ag.relu(ag.max_pool_time(conv, lens)))
-        return ag.concat(pieces, axis=1)
+        return ag.concat(
+            [ag.conv_pool(x, lens, tape.watch(w), tape.watch(b)) for w, b in self.cnn_filters],
+            axis=1,
+        )
 
     def prosody_stream(self, tape, prosody):
         """Projected pause embeddings, duration scalars and CNN summaries."""

@@ -44,7 +44,9 @@ class EmbeddingSpec:
     vectors_path: str = ""
 
 
-def build_provider(spec, train_sentences, seed=0):
+def build_provider(spec, train_sentences, seed=0, store=None):
+    """The embedding provider of ``spec``; frozen mode uses ``store`` when
+    given, else reads the vector store at ``spec.store_path``."""
     if spec.mode == "learned":
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE)))
         return EmbeddingProvider.learned(
@@ -56,7 +58,9 @@ def build_provider(spec, train_sentences, seed=0):
     if spec.mode == "frozen":
         if not spec.store_path:
             raise ConfigError("frozen embedding mode needs store_path")
-        return EmbeddingProvider.frozen(load_vector_store(spec.store_path))
+        return EmbeddingProvider.frozen(
+            store if store is not None else load_vector_store(spec.store_path)
+        )
     if spec.mode == "finetuned":
         if not spec.vectors_path:
             raise ConfigError("finetuned embedding mode needs vectors_path")
@@ -237,9 +241,9 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
 
 
 def run_seed(seed, train_config, model_config, embedding_spec, corpora,
-             dev_sentences, run_dir):
+             dev_sentences, run_dir, store=None):
     all_train = [s for corpus in corpora for s in corpus]
-    provider = build_provider(embedding_spec, all_train, seed=seed)
+    provider = build_provider(embedding_spec, all_train, seed=seed, store=store)
     label_vocab = LabelVocab.from_trees([s.tree for s in all_train])
     model = ParserModel(model_config, provider, label_vocab, seed=seed)
     seed_dir = os.path.join(run_dir, f"seed{seed}")
@@ -255,18 +259,21 @@ def run_seed(seed, train_config, model_config, embedding_spec, corpora,
 
 
 def _seed_worker(packed):
-    seed, train_config, model_config, embedding_spec, corpora, dev, run_dir = packed
+    seed, *args = packed
     try:
-        return run_seed(
-            seed, train_config, model_config, embedding_spec, corpora, dev, run_dir
-        )
+        return run_seed(seed, *args)
     except TrainingDivergedError as exc:
         return RunRecord(seed=seed, error=str(exc))
 
 
 def train(train_config, model_config, embedding_spec, corpora, dev_sentences,
-          run_dir, jobs=1):
-    """Train one model per seed; diverged seeds are recorded, not fatal."""
+          run_dir, jobs=1, store=None):
+    """Train one model per seed; diverged seeds are recorded, not fatal.
+
+    In frozen embedding mode every seed shares ``store`` when it is given
+    (a worker process gets a pickled copy); otherwise each seed reads the
+    vector store itself.
+    """
     if not corpora or all(len(c) == 0 for c in corpora):
         raise DataError("no training sentences")
     if len(corpora) != len(train_config.corpus_weights):
@@ -275,7 +282,8 @@ def train(train_config, model_config, embedding_spec, corpora, dev_sentences,
         )
     os.makedirs(run_dir, exist_ok=True)
     jobs_args = [
-        (seed, train_config, model_config, embedding_spec, corpora, dev_sentences, run_dir)
+        (seed, train_config, model_config, embedding_spec, corpora, dev_sentences, run_dir,
+         store)
         for seed in train_config.seeds
     ]
     if jobs > 1 and len(jobs_args) > 1:

@@ -334,9 +334,29 @@ def chain_span_scores(proj, b1, gain, beta, w2, b2):
     return add_bias(ag.matmul(span_hidden(proj, b1, gain, beta), w2), b2)
 
 
-# The prosody CNN's pooling in its former order, rectify then pool, with
-# the pooling op that found each item's winning frame on the way forward:
-# the oracle for ``relu(max_pool_time(conv))``.
+# The prosody CNN as the chain it was, convolution, then rectify, then
+# pool, with the pooling op that found each item's winning frame on the way
+# forward: ``relu_then_pool(conv1d(x, w, b), lengths)`` is the oracle for
+# ``ag.conv_pool(x, lengths, w, b)``.
+
+
+def conv1d(x, w, b):
+    """Same-padded 1-D convolution over time of [items, time, in_ch] data
+    with [width, in_ch, out_ch] filters and an [out_ch] bias."""
+    tape = w.tape
+    n, t, cin = x.shape
+    width, _, cout = w.value.shape
+    rows = n * t
+    product = ag._conv_windows(x, width) @ w.value.reshape(width * cin, cout)
+    out = ag.Var((product[:rows] + b.value[None, :]).reshape(n, t, cout), tape)
+
+    def bwd():
+        g = out.grad.reshape(rows, cout)
+        ag._accum(b, g.sum(axis=0))
+        ag._accum(w, (ag._conv_windows(x, width)[:rows].T @ g).reshape(width, cin, cout))
+
+    tape._record(bwd, out)
+    return out
 
 
 def _argmax_pool_time(x, lengths):

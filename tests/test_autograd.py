@@ -9,6 +9,7 @@ from conftest import (
     chain_attention,
     chain_layer_norm,
     chain_span_scores,
+    conv1d,
     grad_check,
     mul,
     relu_then_pool,
@@ -87,30 +88,27 @@ class TestOpGradients:
             [((3, 6), 0.0), ((6,), 1.0), ((6,), 0.0), ((3, 6), 0.0)],
         )
 
-    def test_conv1d_and_pool(self):
-        # conv1d's input is data: only the filters and bias get gradients
+    def test_conv_pool(self):
+        # conv_pool's input is data: only the filters and bias get gradients
         x = np.random.default_rng(1).standard_normal((2, 9, 2))
         check_op(
-            lambda tape, ps: sum_all(ag.max_pool_time(ag.conv1d(x, ps[0], ps[1]), [9, 9])),
+            lambda tape, ps: sum_all(ag.conv_pool(x, [9, 9], ps[0], ps[1])),
             [((3, 2, 4), 0.0), ((4,), 0.0)],
             tol=1e-5,
         )
 
-    def test_conv1d_and_pool_ragged_lengths(self):
+    def test_conv_pool_ragged_lengths(self):
         lengths = [1, 6, 9]
         x = np.random.default_rng(1).standard_normal((3, 9, 2))
-        convs = []
+        outs = []
 
         def build(tape, ps):
-            convs.append(ag.conv1d(x, ps[0], ps[1]))
-            return sum_all(ag.max_pool_time(convs[-1], lengths))
+            outs.append(ag.conv_pool(x, lengths, ps[0], ps[1]))
+            return sum_all(mul(outs[-1], ps[2]))
 
-        check_op(build, [((4, 2, 5), 0.0), ((5,), 0.0)], tol=1e-5)
-        # the conv output of the first f() call, whose tape ran backward
-        grad = convs[0].grad
-        for i, n in enumerate(lengths):
-            assert (grad[i, n:] == 0).all()
-            assert (grad[i, :n] != 0).any()
+        check_op(build, [((4, 2, 5), 0.0), ((5,), 0.0), ((3, 5), 0.0)], tol=1e-5)
+        # relu cut some channels and passed others
+        assert (outs[0].value == 0).any() and (outs[0].value > 0).any()
 
     def test_take_rows_concat_slice(self):
         # [rows, cols] ids: entry [r, c] reads row ids[r, c] of column c
@@ -604,33 +602,64 @@ class TestLayerNorm:
 
 
 class TestProsodyPooling:
-    """The prosody CNN pools before it rectifies; relu is monotone, so this
-    gives the bits of rectifying every frame and then pooling."""
+    """``conv_pool`` pools before it rectifies; relu is monotone, so it gives
+    the bits of the chain it replaced: convolve, rectify every frame, then
+    pool (``relu_then_pool(conv1d(...))``), on recording tapes and on tapes
+    that record nothing."""
+
+    @staticmethod
+    def run(pool, x, lengths, w, b, weights, record):
+        tape = ag.Tape(dtype=x.dtype, record=record)
+        ps = [tape.constant(v) for v in (w, b)]
+        out = pool(x, lengths, *ps)
+        if not record:
+            return [out.value]
+        tape.backward(sum_all(mul(out, tape.constant(weights))))
+        return [out.value] + [p.grad for p in ps]
+
+    def check(self, x, lengths, w, b):
+        weights = np.random.default_rng(9).standard_normal((len(x), w.shape[2]))
+        weights = weights.astype(x.dtype)
+        for record in (True, False):
+            got = self.run(ag.conv_pool, x, lengths, w, b, weights, record)
+            want = self.run(
+                lambda x, n, w, b: relu_then_pool(conv1d(x, w, b), n),
+                x, lengths, w, b, weights, record,
+            )
+            assert (want[0] == 0).any() and (want[0] > 0).any()
+            for i, (g, v) in enumerate(zip(got, want)):
+                assert g.dtype == v.dtype == x.dtype, (record, i)
+                assert g.tobytes() == v.tobytes(), (record, i)
+        return got[0]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_pool_then_relu_bit_identical_to_relu_then_pool(self, dtype):
         rng = np.random.default_rng(4)
         lengths = [1, 3, 9, 6, 2]
         x = rng.standard_normal((5, 9, 3)).astype(dtype)
-        x[3] = np.round(x[3])  # whole-number frames: ties in the conv output
-        w = rng.standard_normal((3, 3, 6)).astype(dtype)
+        # whole numbers: item 3's max ties between frames of different windows
+        x[3] = rng.integers(-1, 2, (9, 3))
+        w = np.round(rng.standard_normal((3, 3, 6))).astype(dtype)
         # channels 4 and 5 stay negative for most items: their max is <= 0
         b = np.array([0.0, 0.5, -0.5, 1.0, -4.0, -8.0], dtype=dtype)
-        weights = rng.standard_normal((5, 6)).astype(dtype)
+        assert (self.check(x, lengths, w, b)[:, 4:] == 0).any()
 
-        def run(pool):
-            tape = ag.Tape(dtype=dtype)
-            xs = [tape.constant(v) for v in (w, b)]
-            out = pool(ag.conv1d(x, *xs), lengths)
-            tape.backward(sum_all(mul(out, tape.constant(weights))))
-            return [out.value] + [v.grad for v in xs]
-
-        got = run(lambda conv, n: ag.relu(ag.max_pool_time(conv, n)))
-        want = run(relu_then_pool)
-        assert (want[0][:, 4:] == 0).any() and (want[0] > 0).any()
-        for i, (g, v) in enumerate(zip(got, want)):
-            assert g.dtype == v.dtype == dtype, i
-            assert g.tobytes() == v.tobytes(), i
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lengths", [(1,), (23, 1, 100, 7, 54, 2), (48, 44, 56, 42)])
+    def test_bit_identical_to_the_chain_at_default_size(self, dtype, lengths):
+        # widths 3, 5 and 10 with 32 filters each, over words padded to the
+        # longest, as the prosody CNN calls it; a lone one-frame word is the
+        # spare-row case of the im2col product
+        rng = np.random.default_rng(len(lengths))
+        x = np.zeros((len(lengths), max(lengths), 3), dtype=dtype)
+        for i, n in enumerate(lengths):
+            x[i, :n, :2] = rng.standard_normal((n, 2))
+            x[i, :n, 2] = rng.random(n) < 0.6
+        for width in (3, 5, 10):
+            w = (0.3 * rng.standard_normal((width, 3, 32))).astype(dtype)
+            b = (0.5 * rng.standard_normal(32)).astype(dtype)
+            b[:16] -= 8.0  # relu cuts these channels
+            self.check(x, lengths, w, b)
 
 
 class TestOpSemantics:
@@ -681,35 +710,51 @@ class TestOpSemantics:
         assert out.value.tobytes() == y.astype(dtype).tobytes()
         assert x.grad.tobytes() == dx.astype(dtype).tobytes()
 
-    def test_conv1d_width1_identity(self):
+    def test_conv_pool_width1_is_relu_of_the_max(self):
         t = tape64()
         x = np.random.default_rng(0).standard_normal((2, 7, 2))
         w = t.constant(np.eye(2)[None, :, :])  # width 1, identity across channels
         b = t.constant(np.zeros(2))
-        out = ag.conv1d(x, w, b)
-        np.testing.assert_allclose(out.value, x)
+        out = ag.conv_pool(x, [7, 7], w, b)
+        np.testing.assert_array_equal(out.value, np.maximum(x.max(axis=1), 0))
 
-    def test_conv1d_short_input_still_valid(self):
+    def test_conv_pool_short_input_still_valid(self):
         t = tape64()
         w = t.constant(np.ones((5, 2, 3)))
         b = t.constant(np.zeros(3))
-        assert ag.conv1d(np.ones((1, 1, 2)), w, b).value.shape == (1, 1, 3)
+        out = ag.conv_pool(np.ones((1, 1, 2)), [1], w, b)
+        np.testing.assert_array_equal(out.value, [[2.0, 2.0, 2.0]])
 
-    def test_max_pool_time_ignores_padding_first_max_wins(self):
+    def test_conv_pool_ignores_padding_first_max_wins(self):
+        # channel 0 is convolved; channel 1 has zero weight and marks each
+        # frame, so its filter gradient sums the winning frames' marks
         t = tape64()
-        x = t.constant(
-            np.array([[[1.0], [3.0], [3.0], [9.0]], [[2.0], [2.0], [0.0], [0.0]]])
-        )
-        out = ag.max_pool_time(x, [3, 2])
-        np.testing.assert_array_equal(out.value, [[3.0], [2.0]])
+        values = np.array([[1.0, 3.0, 3.0, 9.0], [2.0, 2.0, 0.0, 0.0], [-1.0, -2.0, 5.0, 0.0]])
+        marks = np.broadcast_to(10.0 ** np.arange(4), values.shape)
+        x = np.stack([values, marks], axis=2)
+        w = t.constant(np.array([[[1.0], [0.0]]]))
+        b = t.constant(np.zeros(1))
+        out = ag.conv_pool(x, [3, 2, 2], w, b)
+        np.testing.assert_array_equal(out.value, [[3.0], [2.0], [0.0]])
         t.backward(sum_all(out))
-        np.testing.assert_array_equal(x.grad[:, :, 0], [[0, 1, 0, 0], [1, 0, 0, 0]])
+        # frame 1 wins item 0, frame 0 item 1; relu cuts item 2
+        np.testing.assert_array_equal(w.grad[0, :, 0], [3.0 + 2.0, 10.0 + 1.0])
+        np.testing.assert_array_equal(b.grad, [2.0])
 
     @pytest.mark.parametrize("lengths", [[0, 4], [4, 5], [4]])
-    def test_max_pool_time_rejects_bad_lengths(self, lengths):
-        x = tape64().constant(np.ones((2, 4, 3)))
-        with pytest.raises((NumericError, ShapeError), match="max_pool_time"):
-            ag.max_pool_time(x, lengths)
+    def test_conv_pool_rejects_bad_lengths(self, lengths):
+        t = tape64()
+        w, b = t.constant(np.ones((1, 3, 2))), t.constant(np.zeros(2))
+        with pytest.raises((NumericError, ShapeError), match="conv_pool"):
+            ag.conv_pool(np.ones((2, 4, 3)), lengths, w, b)
+
+    def test_conv_pool_checks_shapes(self):
+        t = tape64()
+        w, b = t.constant(np.ones((3, 3, 2))), t.constant(np.zeros(2))
+        with pytest.raises(ShapeError, match="conv_pool"):
+            ag.conv_pool(np.ones((2, 4, 2)), [4, 4], w, b)
+        with pytest.raises(ShapeError, match="conv_pool bias"):
+            ag.conv_pool(np.ones((2, 4, 3)), [4, 4], w, t.constant(np.zeros(3)))
 
     def test_dropout_eval_mode_identity(self):
         t = ag.Tape(train=False, dtype=np.float64)

@@ -8,7 +8,7 @@ from conftest import extract_frame_patch, synthetic_vector_store, write_vector_s
 
 from prosoparse import cli
 from prosoparse import corpus as corpus_mod
-from prosoparse import embeddings
+from prosoparse import embeddings, training
 from prosoparse.corpus import content_hash, load_feature_cache, save_feature_cache
 from prosoparse.errors import FormatError
 from prosoparse.model import ParserModel
@@ -280,6 +280,30 @@ class TestCliWorkflow:
         ckpt = tmp_path / "run" / "seed1" / "best.ckpt"
         assert cli.main(["train", "--config", str(cfg), "--fine-tune-from", str(ckpt)]) == 0
         assert reads == [str(store)]
+
+    def test_multi_seed_frozen_train_reads_the_vector_store_once(self, cli_workspace,
+                                                                   tmp_path, monkeypatch):
+        ws = cli_workspace
+        store = tmp_path / "store.vec"
+        cfg = write_cfg(ws, {"data": {"vector_store": str(store)},
+                             "model": {"embedding": {"mode": "frozen"}},
+                             "train": {"max_epochs": 1, "seeds": [1, 2, 3]},
+                             "output_dir": str(tmp_path / "run")}, "frozen3.yaml")
+        corpora, dev, test = cli._load_corpora(cli.load_config(str(cfg)))
+        write_vector_store(store, synthetic_vector_store(corpora[0] + dev + test, dim=8))
+        reads = []
+        real = embeddings.load_vector_store
+
+        def counted(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(embeddings, "load_vector_store", counted)
+        monkeypatch.setattr(training, "load_vector_store", counted)
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        assert reads == [str(store)]
+        for seed in (1, 2, 3):
+            assert (tmp_path / "run" / f"seed{seed}" / "best.ckpt").exists()
 
     def test_train_writes_run_artifacts(self, cli_workspace, trained_run1):
         ws = cli_workspace

@@ -9,7 +9,9 @@ from conftest import (
     build_text_twin,
     build_tiny_model,
     chain_logit_parts,
+    conv1d,
     grad_check,
+    relu_then_pool,
     zero_prosody_pathway,
 )
 from prosoparse import autograd as ag
@@ -186,9 +188,7 @@ class TestProsodyCnn:
                 [prosody.frames[end - n : end], prosody.mask[end - n : end, None]], axis=1
             )[None].astype(dtype)
             alone = [
-                ag.max_pool_time(
-                    ag.relu(ag.conv1d(x, tape.watch(w), tape.watch(b))), [n]
-                ).value[0]
+                relu_then_pool(conv1d(x, tape.watch(w), tape.watch(b)), [n]).value[0]
                 for w, b in enc.cnn_filters
             ]
             assert row.dtype == dtype
@@ -381,11 +381,11 @@ class TestTrainingTape:
         model.sentence_loss(tape, featurized_corpus.sentences[0])
         kinds = collections.Counter(fn.__qualname__.split(".")[0] for fn in tape._ops)
         assert kinds == {
-            "add": 9, "attention": 2, "concat": 7, "conv1d": 2, "dropout": 8,
-            "gather_sum": 1, "layer_norm": 12, "matmul": 31, "max_pool_time": 2,
-            "relu": 4, "slice_cols": 6, "span_scores": 1, "take_rows": 5,
+            "add": 9, "attention": 2, "concat": 7, "conv_pool": 2, "dropout": 8,
+            "gather_sum": 1, "layer_norm": 12, "matmul": 31, "relu": 2,
+            "slice_cols": 6, "span_scores": 1, "take_rows": 5,
         }
-        assert len(tape._ops) == 90
+        assert len(tape._ops) == 86
 
     def test_packed_tape_adds_only_per_sentence_scoring(self, featurized_corpus):
         # the encoder, the scorer matmul, span_scores and the margin's
@@ -398,10 +398,10 @@ class TestTrainingTape:
         _, infos = model.batch_loss(tape, sents)
         assert all(info.loss > 0 for info in infos)
         kinds = collections.Counter(fn.__qualname__.split(".")[0] for fn in tape._ops)
-        assert len(kinds) == 13
+        assert len(kinds) == 12
         assert kinds["span_scores"] == 1 and kinds["matmul"] == 31
         assert kinds["gather_sum"] == 1
-        assert len(tape._ops) == 90
+        assert len(tape._ops) == 86
 
 
 class RecordingRng:

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import (
+    conv1d,
     mul,
+    relu_then_pool,
     sum_all,
     synthetic_vector_store,
     tiny_model_config,
     write_vector_store,
 )
+from prosoparse import autograd as ag
 from prosoparse import model as model_mod
 from prosoparse import training
 from prosoparse.chart import MarginInfo
@@ -116,6 +119,21 @@ class TestTrainLoop:
         log1 = (tmp_path / "r1" / "seed1" / "metrics.log").read_bytes()
         log2 = (tmp_path / "r2" / "seed1" / "metrics.log").read_bytes()
         assert log1 == log2
+
+    def test_run_files_match_the_prosody_cnn_chain(self, featurized_corpus, tmp_path,
+                                                   monkeypatch):
+        # the prosody CNN's one op per filter width, against the chain of
+        # convolution, relu and max-pool it replaced
+        c = featurized_corpus.sentences
+        cfg = tiny_train_config(max_epochs=2)
+        train(cfg, tiny_model_config(), SPEC, [c], c[:6], tmp_path / "op")
+        monkeypatch.setattr(
+            ag, "conv_pool", lambda x, lengths, w, b: relu_then_pool(conv1d(x, w, b), lengths)
+        )
+        train(cfg, tiny_model_config(), SPEC, [c], c[:6], tmp_path / "chain")
+        for name in ("metrics.log", "best.ckpt"):
+            op = (tmp_path / "op" / "seed1" / name).read_bytes()
+            assert op == (tmp_path / "chain" / "seed1" / name).read_bytes(), name
 
     def test_different_seeds_differ(self, featurized_corpus, tmp_path):
         c = featurized_corpus.sentences
