@@ -64,9 +64,6 @@ class Parameter:
     def shape(self):
         return self.value.shape
 
-    def zero_grad(self):
-        self.grad[...] = 0
-
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 

@@ -12,7 +12,10 @@ normalizes and rectifies the span rows and multiplies them by the second
 layer a block of rows at a time, giving one [spans, labels] score matrix
 holding each sentence's spans in turn.  One decoder serves parsing and
 the margin loss: it takes the label max over all of a bucket's rows at
-once, then fills, backtracks and labels each sentence's chart.  The margin
+once, fills the bucket's charts in one call over a zero-padded stack,
+backtracks each sentence's tree and labels all the trees' cells at once.
+A cell reads only cells inside its own span, so padding leaves a chart's
+bits as they are when it is filled alone.  The margin
 loss decodes the bucket with its Hamming costs added, from one gold-label
 vector and one cost matrix, and sums the bucket's losses in one signed
 gather over the matrix.  The empty label (index 0) scores 0 whatever its
@@ -143,34 +146,43 @@ def _decode(rows, empty, lengths):
     column 0 unread; empty: the empty label's score, one per row or one for
     all.  The empty label wins a tie with the best other label.  Yields, per
     sentence, its tree's spans [(a, b)] in span order, their bucket rows,
-    their labels and the tree's total score.  Only the tree's cells look for
+    their labels and the tree's total score.  The bucket's charts are
+    filled as one zero-padded stack, and only the trees' cells look for
     their best label.
     """
     best = rows[:, 1:].max(axis=1)
     empty_wins = empty >= best
-    cell_best = np.where(empty_wins, empty, best)
-    for T, lo, hi in _bounds(lengths):
-        fence = np.arange(T + 1)
-        label_best = np.zeros((T + 1, T + 1), dtype=np.float64)
-        # the cells a < b in row-major order are the spans in row order
-        label_best[fence[:, None] < fence] = cell_best[lo:hi]
-        chart_best, split = cky_fill(label_best)
+    fence = np.arange(max(lengths) + 1)
+    label_best = np.zeros((len(lengths), len(fence), len(fence)), dtype=np.float64)
+    # a chart's cells a < b <= T in row-major order are its spans in row order
+    cells = (fence[:, None] < fence) & (fence <= np.array(lengths)[:, None, None])
+    label_best[cells] = np.where(empty_wins, empty, best)
+    chart_best, split = cky_fill(label_best)
 
+    trees, roots, at = [], [], []
+    for i, (T, lo, _) in enumerate(_bounds(lengths)):
         spans = []
         stack = [(0, T)]
         while stack:
             a, b = stack.pop()
             spans.append((a, b))
             if b - a > 1:
-                k = int(split[a, b])
+                k = int(split[i, a, b])
                 stack += [(k, b), (a, k)]
         spans.sort()
-        at = lo + span_row(T, *np.array(spans).T)
-        root = lo + T - 1
-        labels = rows[at, 1:].argmax(axis=1) + 1
-        labels[empty_wins[at] & (at != root)] = 0
-        total = float(best[root]) + (chart_best[0, T] - label_best[0, T])
-        yield spans, at, labels, float(total)
+        at += [lo + span_row(T, a, b) for a, b in spans]
+        roots.append(lo + T - 1)
+        total = float(best[roots[-1]]) + (chart_best[i, 0, T] - label_best[i, 0, T])
+        trees.append((spans, float(total)))
+    at = np.array(at)
+    labels = rows[at, 1:].argmax(axis=1) + 1
+    empty_wins[roots] = False
+    labels[empty_wins[at]] = 0
+    first = 0
+    for spans, total in trees:
+        tree = slice(first, first + len(spans))
+        yield spans, at[tree], labels[tree], total
+        first = tree.stop
 
 
 def cky_decode(scores, leaves):

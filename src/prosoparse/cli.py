@@ -20,7 +20,7 @@ from .errors import ConfigError, DataError, NumericError, ProsoparseError, utf8_
 from .model import ParserModel
 from .prosody import CONTEXT_S, MAX_FRAMES, read_alignment_file, read_frame_track_file
 from .training import fine_tune, median_report, train
-from .treebank import parse_ptb, read_tree_file, speechify, write_tree_file
+from .treebank import TRACE_TAG, parse_ptb, read_tree_file, speechify, write_tree_file
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -235,7 +235,11 @@ def _store_for(cfg):
 
 
 def _read_parse_input(path):
-    """Bracketed trees or whitespace-separated word/POS tokens, one per line."""
+    """Bracketed trees or whitespace-separated word/POS tokens, one per line.
+
+    A token's word and tag must be non-empty and free of brackets, and its
+    tag must not be the trace tag, which tree readers drop.
+    """
     sentences = []
     with utf8_text(path) as fh:
         for i, line in enumerate(fh):
@@ -254,6 +258,12 @@ def _read_parse_input(path):
                     word, sep, tag = tok.rpartition("/")
                     if not sep:
                         word, tag = tok, "XX"
+                    # a parse must be writable as a tree that reads back the same
+                    if not word or not tag or "(" in tok or ")" in tok or tag == TRACE_TAG:
+                        raise DataError(
+                            f"{path}: line {i + 1}: token {tok!r} is not a word and tag "
+                            f"that a tree file can hold"
+                        )
                     tokens.append((word, tag))
             sentences.append(
                 corpus_mod.Sentence(sentence_id=sid, tokens=tokens)

@@ -110,7 +110,15 @@ class RunRecord:
 
 
 class Adam:
-    """Adam with linear warmup then inverse-sqrt learning-rate decay."""
+    """Adam with linear warmup then inverse-sqrt learning-rate decay.
+
+    The parameters' values and gradients move into one flat buffer each,
+    ``value`` and ``grad``, and every ``Parameter.value`` and ``.grad``
+    becomes a view of it.  A step, zeroing the gradients and checking them
+    are then a few whole-array ops.  The update is elementwise, so it gives
+    the bits of a step taken parameter by parameter.  The parameters must
+    share one dtype.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -121,27 +129,43 @@ class Adam:
         self.base_lr = learning_rate
         self.warmup = warmup_steps
         self.t = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        dtypes = {p.value.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop() if dtypes else np.float32
+        self.value = np.empty(sum(p.value.size for p in self.params), dtype=dtype)
+        self.grad = np.empty_like(self.value)
+        at = 0
+        for p in self.params:
+            rows = slice(at, at + p.value.size)
+            value, grad = self.value[rows].reshape(p.shape), self.grad[rows].reshape(p.shape)
+            value[...], grad[...] = p.value, p.grad
+            p.value, p.grad = value, grad
+            at = rows.stop
+        self._m = np.zeros_like(self.value)
+        self._v = np.zeros_like(self.value)
 
     def lr(self, t):
         frac = t / self.warmup
         return self.base_lr * min(frac, 1.0 / np.sqrt(max(frac, 1e-12)))
+
+    def zero_grad(self):
+        self.grad[...] = 0
+
+    def grad_is_finite(self):
+        return bool(np.isfinite(self.grad).all())
 
     def step(self):
         self.t += 1
         lr = self.lr(self.t)
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.value -= (lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(
-                p.value.dtype
-            )
+        g, m, v = self.grad, self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        self.value -= (lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(self.value.dtype)
 
 
 def length_bucketed_batches(sentences, batch_size, rng):
@@ -183,8 +207,7 @@ def evaluate_f1(model, sentences):
 def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
     """Shared epoch loop; returns a RunRecord (checkpoint = best dev epoch)."""
     os.makedirs(seed_dir, exist_ok=True)
-    params = list(model.parameters())
-    opt = Adam(params, lr, config.warmup_steps)
+    opt = Adam(model.parameters(), lr, config.warmup_steps)
     record = RunRecord(seed=seed)
     record.checkpoint_path = os.path.join(seed_dir, "best.ckpt")
     stale = 0
@@ -198,8 +221,7 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
             epoch_loss = 0.0
             n_sentences = 0
             for bi, batch in enumerate(batches):
-                for p in params:
-                    p.zero_grad()
+                opt.zero_grad()
                 tape = ag.Tape(
                     rngs=[
                         np.random.default_rng(np.random.SeedSequence((seed, epoch, bi, si)))
@@ -216,7 +238,7 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
                 tape.backward(loss, seed=1.0 / len(batch))
                 # a NaN weight can leave the loss finite and poison every
                 # gradient; stepping on them would poison every weight
-                if not all(np.isfinite(p.grad).all() for p in params):
+                if not opt.grad_is_finite():
                     raise TrainingDivergedError(seed, opt.t)
                 n_sentences += len(batch)
                 opt.step()

@@ -29,7 +29,7 @@ from .errors import (
 CHAIN_JOIN = "+"
 EMPTY_LABEL = ""
 _WRAPPER_LABELS = {"ROOT", "TOP", "S1", ""}
-_TRACE_TAG = "-NONE-"
+TRACE_TAG = "-NONE-"
 # Tags whose leaves are dropped by speechify / optional EVALB-style deletion.
 PUNCT_TAGS = {",", ":", ".", "``", "''", "-LRB-", "-RRB-"}
 
@@ -261,7 +261,7 @@ def _prune(tree, keep_leaf, what):
 
 
 def _drop_trace(leaf):
-    return None if leaf.pos_tag == _TRACE_TAG else leaf
+    return None if leaf.pos_tag == TRACE_TAG else leaf
 
 
 def read_tree_file(path):

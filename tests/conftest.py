@@ -10,13 +10,15 @@ import pytest
 import prosoparse
 from prosoparse import autograd as ag
 from prosoparse import prosody
-from prosoparse.chart import SpanScores, span_row
+from prosoparse._kernels import _cky_fill_loops
+from prosoparse.chart import SpanScores, _bounds, span_row
 from prosoparse.corpus import featurize
 from prosoparse.embeddings import EmbeddingProvider, VectorStore
 from prosoparse.encoder import CnnConfig, EncoderConfig
 from prosoparse.errors import AlignmentError, CrossingSpanError, DataError, ShapeError
 from prosoparse.model import ModelConfig, ParserModel
 from prosoparse.synthdata import overfit_corpus
+from prosoparse.training import Adam
 from prosoparse.treebank import (
     CHAIN_JOIN,
     EMPTY_LABEL,
@@ -141,7 +143,7 @@ def grad_check(f, params, n_samples=50, h=1e-3, seed=0):
     rng = np.random.default_rng(seed)
     params = list(params)
     for p in params:
-        p.zero_grad()
+        p.grad[...] = 0
     loss = f()
     loss.tape.backward(loss)
     analytic = {p.name: p.grad.copy() for p in params}
@@ -404,6 +406,75 @@ def tree_score(scores, spans):
         row = span_row(scores.n_words, s.a, s.b)
         total += float(scores.matrix.value[row, scores.vocab.index(s.label)])
     return float(total)
+
+
+# The bucket decoder as it was when each sentence's chart was filled alone:
+# the oracle of ``chart._decode``'s one fill over a zero-padded stack.
+
+
+def per_sentence_decode(rows, empty, lengths):
+    best = rows[:, 1:].max(axis=1)
+    empty_wins = empty >= best
+    cell_best = np.where(empty_wins, empty, best)
+    for T, lo, hi in _bounds(lengths):
+        fence = np.arange(T + 1)
+        label_best = np.zeros((T + 1, T + 1), dtype=np.float64)
+        label_best[fence[:, None] < fence] = cell_best[lo:hi]
+        chart_best, split = _cky_fill_loops(label_best)
+        spans = []
+        stack = [(0, T)]
+        while stack:
+            a, b = stack.pop()
+            spans.append((a, b))
+            if b - a > 1:
+                k = int(split[a, b])
+                stack += [(k, b), (a, k)]
+        spans.sort()
+        at = lo + span_row(T, *np.array(spans).T)
+        root = lo + T - 1
+        labels = rows[at, 1:].argmax(axis=1) + 1
+        labels[empty_wins[at] & (at != root)] = 0
+        total = float(best[root]) + (chart_best[0, T] - label_best[0, T])
+        yield spans, at, labels, float(total)
+
+
+# Adam as it was when it stepped each parameter's own arrays: the oracle of
+# the step over one flat buffer.
+
+
+class ParamByParamAdam:
+    beta1, beta2, eps = Adam.beta1, Adam.beta2, Adam.eps
+    lr = Adam.lr
+
+    def __init__(self, params, learning_rate, warmup_steps):
+        self.params = list(params)
+        self.base_lr = learning_rate
+        self.warmup = warmup_steps
+        self.t = 0
+        self._m = [np.zeros_like(p.value) for p in self.params]
+        self._v = [np.zeros_like(p.value) for p in self.params]
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad[...] = 0
+
+    def grad_is_finite(self):
+        return all(np.isfinite(p.grad).all() for p in self.params)
+
+    def step(self):
+        self.t += 1
+        lr = self.lr(self.t)
+        c1 = 1.0 - self.beta1**self.t
+        c2 = 1.0 - self.beta2**self.t
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = p.grad
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.value -= (lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(
+                p.value.dtype
+            )
 
 
 # ``spans_to_tree`` as it was when each node copied the spans inside it and

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     add_bias,
@@ -10,12 +12,13 @@ from conftest import (
     chain_layer_norm,
     grad_check,
     mul,
+    per_sentence_decode,
     sub,
     sum_all,
     tree_score,
 )
 from prosoparse import autograd as ag
-from prosoparse._kernels import _cky_fill_loops, cky_fill_numba, cky_fill_numpy
+from prosoparse._kernels import _cky_fill_loops, cky_fill_numba, cky_fill_numpy, per_chart
 from prosoparse.chart import (
     HAMMING_COST,
     SpanScorer,
@@ -243,6 +246,40 @@ class TestKernels:
         label_best = np.zeros((4, 4))
         _, split = cky_fill_numpy(label_best)
         assert split[0, 3] == 1  # all-equal candidates: first split wins
+
+    @pytest.mark.parametrize("chart", ["random", "integer"])
+    def test_padded_stack_equals_loop_reference_per_chart(self, chart):
+        rng = np.random.default_rng(5)
+        lengths = [7, 1, 12, 3, 12, 2]
+        n = max(lengths) + 1
+        stack = np.zeros((len(lengths), n, n))
+        for chart_i, T in enumerate(lengths):
+            if chart == "random":
+                cells = rng.standard_normal((T + 1, T + 1))
+            else:  # ties on splits
+                cells = rng.integers(-2, 3, size=(T + 1, T + 1)).astype(np.float64)
+            stack[chart_i, : T + 1, : T + 1] = np.triu(cells, 1)
+        best, split = cky_fill_numpy(stack)
+        assert best.shape == split.shape == stack.shape
+        for chart_i, T in enumerate(lengths):
+            ref_best, ref_split = _cky_fill_loops(stack[chart_i, : T + 1, : T + 1])
+            assert best[chart_i, : T + 1, : T + 1].tobytes() == ref_best.tobytes()
+            assert split[chart_i, : T + 1, : T + 1].tobytes() == ref_split.tobytes()
+
+    def test_per_chart_fill_takes_a_stack(self):
+        # the wrapper that lets a one-chart kernel (numba's) fill a bucket,
+        # with the loop kernel standing in for the JIT-compiled one
+        fill = per_chart(_cky_fill_loops)
+        rng = np.random.default_rng(6)
+        stack = rng.integers(-2, 3, size=(2, 3, 6, 6)).astype(np.float64)
+        best, split = fill(stack)
+        want_best, want_split = cky_fill_numpy(stack)
+        assert best.dtype == np.float64 and split.dtype == np.int32
+        assert best.tobytes() == want_best.tobytes()
+        assert split.tobytes() == want_split.tobytes()
+        one_best, one_split = fill(stack[1, 2])
+        assert one_best.tobytes() == want_best[1, 2].tobytes()
+        assert one_split.tobytes() == want_split[1, 2].tobytes()
 
 
 class TestCkyDecode:
@@ -587,7 +624,7 @@ class TestScoreSpans:
 
         def run(op):
             for p in params:
-                p.zero_grad()
+                p.grad[...] = 0
             tape = ag.Tape(dtype=np.float64)
             out = op(*(tape.watch(p) for p in params))
             tape.backward(sum_all(mul(out, tape.constant(weights))))
@@ -636,6 +673,43 @@ class TestScoreSpans:
         finally:
             tracemalloc.stop()
         assert peak < T * (T + 1) // 2 * hidden * 4
+
+
+@st.composite
+def score_buckets(draw):
+    """(rows, empty, lengths) of a bucket of 1-20-word sentences in any
+    order, scored with integers (ties on labels, the empty label and
+    splits) or at random, the empty label scoring one value or one per row."""
+    lengths = draw(st.lists(st.integers(1, 20), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = sum(T * (T + 1) // 2 for T in lengths)
+    n_labels = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        rows = rng.integers(-2, 3, size=(n_rows, n_labels)).astype(np.float64)
+        per_row = rng.integers(-2, 3, size=n_rows).astype(np.float64)
+    else:
+        rows = rng.standard_normal((n_rows, n_labels))
+        per_row = rng.standard_normal(n_rows)
+    empty = per_row if draw(st.booleans()) else draw(st.sampled_from([0.0, 1.0]))
+    return rows, empty, lengths
+
+
+class TestBucketDecode:
+    """One fill over a bucket's zero-padded charts against filling each
+    sentence's chart alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(score_buckets())
+    def test_equals_per_sentence_decode(self, bucket):
+        rows, empty, lengths = bucket
+        got = list(_decode(rows, empty, lengths))
+        want = list(per_sentence_decode(rows, empty, lengths))
+        assert len(got) == len(want) == len(lengths)
+        for (spans, at, labels, total), (w_spans, w_at, w_labels, w_total) in zip(got, want):
+            assert spans == w_spans
+            assert at.tolist() == w_at.tolist()
+            assert labels.tolist() == w_labels.tolist()
+            assert total == w_total
 
 
 def decoded_cells(rows, empty, lengths):

@@ -592,8 +592,18 @@ class TestCliWorkflow:
 
     @pytest.mark.parametrize(
         "text,message",
-        [(b"(S (NN caf\xe9))\n", "not UTF-8"), (b"(S (NN a)) (S (NN b))\n", "holds 2 trees")],
-        ids=["not-utf8", "two-trees"],
+        [
+            (b"(S (NN caf\xe9))\n", "not UTF-8"),
+            (b"(S (NN a)) (S (NN b))\n", "holds 2 trees"),
+            # tokens whose parse could not be read back as a tree
+            (b"the/DT\nuh a/\n", "line 2: token 'a/'"),
+            (b"go /\n", "line 1: token '/'"),
+            (b"the (/NN\n", "line 1: token '(/NN'"),
+            (b"the dog/N)N\n", "line 1: token 'dog/N)N'"),
+            (b"x/-NONE- go\n", "line 1: token 'x/-NONE-'"),
+        ],
+        ids=["not-utf8", "two-trees", "empty-tag", "empty-word", "bracket-word",
+             "bracket-tag", "trace-tag"],
     )
     def test_malformed_parse_input_is_data_error(self, cli_workspace, trained_run1, tmp_path,
                                                  capsys, text, message):

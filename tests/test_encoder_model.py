@@ -455,7 +455,7 @@ class TestPackedBucket:
         rngs = [RecordingRng(seed) for seed in seeds]
         tape = ag.Tape(rngs=rngs, train=True, dtype=np.float64)
         for p in model.parameters():
-            p.zero_grad()
+            p.grad[...] = 0
         loss, infos = model.batch_loss(tape, sents)
         tape.backward(loss)
         monkeypatch.undo()

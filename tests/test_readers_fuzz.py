@@ -16,7 +16,7 @@ from prosoparse.config import load_config
 from prosoparse.embeddings import load_vector_store, load_word_vectors
 from prosoparse.errors import ConfigError, DataError, FormatError
 from prosoparse.prosody import read_alignment_file, read_frame_track_file
-from prosoparse.treebank import read_tree_file
+from prosoparse.treebank import LabeledSpan, parse_ptb, read_tree_file, spans_to_tree
 
 VALID = {
     "trees": (
@@ -142,6 +142,33 @@ def test_parse_input_line_of_two_trees_is_data_error(tmp_path):
     path.write_bytes(b"(S (NN a))\n(S (NN a)) (S (NN b))\n")
     with pytest.raises(DataError, match="line 2 holds 2 trees"):
         _read_parse_input(path)
+
+
+# printable ASCII with the tree file's brackets, the token separator and
+# the trace tag over-represented
+PARSE_LINE = st.lists(
+    st.one_of(
+        st.sampled_from(["(", ")", "/", " ", "-NONE-", "XX"]),
+        st.characters(min_codepoint=32, max_codepoint=126),
+    ),
+    max_size=20,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PARSE_LINE)
+def test_accepted_parse_input_round_trips_as_a_tree(tmp_path_factory, line):
+    # a sentence that reads in must be written as a tree that reads back
+    path = tmp_path_factory.mktemp("line") / "input"
+    path.write_text(line + "\n", encoding="utf-8")
+    try:
+        [sent] = _read_parse_input(path)
+    except DataError:
+        return
+    tree = spans_to_tree([LabeledSpan(0, len(sent.tokens), "S")], sent.tokens)
+    [back] = parse_ptb(tree.linearize())
+    assert back == tree
+    assert [(leaf.word, leaf.pos_tag) for leaf in back.leaves()] == sent.tokens
 
 
 VALID_CONFIG = b"""\

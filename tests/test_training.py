@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ParamByParamAdam,
     conv1d,
     mul,
+    per_sentence_decode,
     relu_then_pool,
     sum_all,
     synthetic_vector_store,
@@ -11,6 +13,7 @@ from conftest import (
     write_vector_store,
 )
 from prosoparse import autograd as ag
+from prosoparse import chart
 from prosoparse import model as model_mod
 from prosoparse import training
 from prosoparse.chart import MarginInfo
@@ -67,13 +70,84 @@ class TestAdam:
         assert opt.lr(100) == pytest.approx(1.0)
         assert opt.lr(400) == pytest.approx(0.5)  # sqrt(100/400)
 
+    def test_no_parameters(self):
+        opt = Adam([], learning_rate=1.0, warmup_steps=100)
+        opt.zero_grad()
+        opt.step()
+        assert opt.grad_is_finite() and opt.value.size == 0
+
+    def test_parameters_of_mixed_dtypes_rejected(self):
+        from prosoparse import autograd as ag
+
+        params = [ag.Parameter("a", np.zeros(2, np.float32)), ag.Parameter("b", np.zeros(2))]
+        with pytest.raises(ValueError, match="one dtype"):
+            Adam(params, learning_rate=1.0, warmup_steps=1)
+
+    @staticmethod
+    def small_model(sentences, dropout=0.1):
+        return ParserModel(
+            tiny_model_config(dropout=dropout), training.build_provider(SPEC, sentences),
+            LabelVocab.from_trees([s.tree for s in sentences]),
+        )
+
+    def test_values_and_grads_are_views_of_flat_buffers(self, featurized_corpus):
+        model = self.small_model(featurized_corpus.sentences)
+        before = {p.name: (p.value.copy(), p.grad.copy()) for p in model.parameters()}
+        opt = Adam(model.parameters(), learning_rate=1e-3, warmup_steps=4)
+        assert opt.value.size == opt.grad.size == sum(p.value.size for p in opt.params)
+        for p in model.parameters():
+            assert np.shares_memory(p.value, opt.value) and np.shares_memory(p.grad, opt.grad)
+            value, grad = before[p.name]
+            assert p.value.tobytes() == value.tobytes() and p.grad.tobytes() == grad.tobytes()
+        opt.grad[:] = 1.0
+        assert all((p.grad == 1.0).all() for p in model.parameters())
+        opt.zero_grad()
+        assert all(not p.grad.any() for p in model.parameters())
+        next(model.parameters()).grad.flat[0] = np.nan
+        assert not opt.grad_is_finite()
+
+    def test_steps_equal_per_parameter_adam(self, featurized_corpus):
+        # 20 steps through warm-up (a float learning rate) and decay (a
+        # numpy float64 one) give the same bytes as stepping each parameter
+        c = featurized_corpus.sentences
+        models = [self.small_model(c), self.small_model(c)]
+        opts = [
+            Adam(models[0].parameters(), learning_rate=8e-3, warmup_steps=5),
+            ParamByParamAdam(models[1].parameters(), learning_rate=8e-3, warmup_steps=5),
+        ]
+        for step in range(20):
+            batch = [c[(4 * step + i) % len(c)] for i in range(4)]
+            for model, opt in zip(models, opts):
+                opt.zero_grad()
+                tape = ag.Tape(
+                    rngs=[np.random.default_rng((step, i)) for i in range(len(batch))],
+                    train=True,
+                )
+                loss, _ = model.batch_loss(tape, batch)
+                tape.backward(loss, seed=1.0 / len(batch))
+                opt.step()
+            for flat, oracle in zip(models[0].parameters(), models[1].parameters()):
+                assert flat.value.tobytes() == oracle.value.tobytes(), (step, flat.name)
+
+    def test_checkpoint_bytes_unchanged(self, featurized_corpus, tmp_path):
+        model = self.small_model(featurized_corpus.sentences)
+        model.save(tmp_path / "own.ckpt")
+        Adam(model.parameters(), learning_rate=1e-3, warmup_steps=4)
+        model.save(tmp_path / "views.ckpt")
+        loaded, _ = ParserModel.load(tmp_path / "views.ckpt")
+        Adam(loaded.parameters(), learning_rate=1e-3, warmup_steps=4)
+        loaded.save(tmp_path / "loaded.ckpt")
+        own = (tmp_path / "own.ckpt").read_bytes()
+        assert (tmp_path / "views.ckpt").read_bytes() == own
+        assert (tmp_path / "loaded.ckpt").read_bytes() == own
+
     def test_step_moves_toward_minimum(self):
         from prosoparse import autograd as ag
 
         p = ag.Parameter("x", np.array([[4.0]], dtype=np.float32))
         opt = Adam([p], learning_rate=0.2, warmup_steps=5)
         for _ in range(600):
-            p.zero_grad()
+            p.grad[...] = 0
             t = ag.Tape()
             loss = sum_all(mul(t.watch(p), t.watch(p)))
             t.backward(loss)
@@ -134,6 +208,28 @@ class TestTrainLoop:
         for name in ("metrics.log", "best.ckpt"):
             op = (tmp_path / "op" / "seed1" / name).read_bytes()
             assert op == (tmp_path / "chain" / "seed1" / name).read_bytes(), name
+
+    def test_run_files_match_per_sentence_decode_and_adam(self, featurized_corpus, tmp_path,
+                                                          monkeypatch):
+        # one fill per bucket and Adam over one flat buffer, against filling
+        # each sentence's chart alone and stepping each parameter alone
+        c = featurized_corpus.sentences
+        assert len({len(s) for s in c}) > 3
+        cfg = tiny_train_config(max_epochs=2)
+        train(cfg, tiny_model_config(), SPEC, [c], c[:6], tmp_path / "bucket")
+        decoded = []
+
+        def oracle_decode(rows, empty, lengths):
+            decoded.append(lengths)
+            return per_sentence_decode(rows, empty, lengths)
+
+        monkeypatch.setattr(chart, "_decode", oracle_decode)
+        monkeypatch.setattr(training, "Adam", ParamByParamAdam)
+        train(cfg, tiny_model_config(), SPEC, [c], c[:6], tmp_path / "oracle")
+        assert any(len(set(lengths)) > 1 for lengths in decoded)
+        for name in ("metrics.log", "best.ckpt"):
+            got = (tmp_path / "bucket" / "seed1" / name).read_bytes()
+            assert got == (tmp_path / "oracle" / "seed1" / name).read_bytes(), name
 
     def test_different_seeds_differ(self, featurized_corpus, tmp_path):
         c = featurized_corpus.sentences
