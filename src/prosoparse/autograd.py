@@ -413,20 +413,23 @@ def span_scores(proj, b1, gain, beta, w2, b2, lengths=None):
     forward pass builds no [spans, h] array; each block's product has the bits
     of the full one.  Backward works one segment at a time, so its [spans, h]
     buffers never exceed one segment's: it rebuilds the segment's hidden rows
-    with the same arithmetic, takes the backward steps of the product and the
-    hidden layer in turn, and sums each start's block of span gradients back
-    onto its fenceposts.
+    with the same arithmetic and takes the backward steps of the product and
+    the hidden layer in turn.
 
-    A margin loss gives few score rows a gradient.  When fewer than half of a
-    segment's rows are live (carry a gradient), the steps after the two
-    ``w2`` products take the live rows alone: the relu mask, the ``beta``,
-    ``gain`` and ``b1`` sums, the float64 layer-norm step and the scatter
-    onto the fenceposts.  Each is row-wise or a sequential axis-0 sum, to
-    which a dead row adds exact zeros, so the bits do not change.  The two
-    products still take every row: BLAS may round a product over fewer rows
-    differently (one row is a gemv; OpenBLAS gives a few rows a small-matrix
-    kernel).  The scatter adds each live row at its end in row order, then
-    subtracts each start's rows summed from zero, as the dense loop does.
+    After the two ``w2`` products, backward takes the live rows (those with a
+    gradient) alone: the relu mask, the ``beta``, ``gain`` and ``b1`` sums,
+    the float64 layer-norm step and the scatter onto the fenceposts.  A
+    margin loss leaves at most 4T - 3 live rows of a T-word sentence's
+    T(T+1)/2, its predicted-only and gold-only spans: each tree has at most
+    2T - 1 spans, and both have the root (and the one-word spans, so for
+    T >= 2 the bound is 3T - 3).  Each of those steps is row-wise or a
+    sequential axis-0 sum, to which a dead row adds exact zeros, so the bits
+    are those of the all-rows backward; numpy keeps such a sum sequential
+    only for h >= 2 (a sum over [k, 1] is pairwise).  The products take every
+    row: BLAS may round a product over fewer rows differently (one row is a
+    gemv; OpenBLAS gives a few rows a small-matrix kernel).  The scatter adds
+    each live row at its end in row order, then subtracts each start's rows
+    summed from zero.
     """
     tape = _same_tape("span_scores", proj, b1, gain, beta, w2, b2)
     if (
@@ -476,16 +479,16 @@ def span_scores(proj, b1, gain, beta, w2, b2, lengths=None):
         y *= inv_std[lo:hi]
         return y
 
-    def hidden(y, buf):
-        """relu(y * gain + beta), written to ``buf``."""
-        np.multiply(y, gain.value, out=buf)
-        buf += beta.value
-        return np.maximum(buf, 0, out=buf)
+    def hidden(y):
+        """relu(y * gain + beta), written over ``y``."""
+        y *= gain.value
+        y += beta.value
+        return np.maximum(y, 0, out=y)
 
     out = Var(np.empty((len(starts), w2.value.shape[1]), dtype=dt), tape)
     for lo, hi in _row_blocks(len(starts)):
         y = normalized(lo, hi)
-        np.matmul(hidden(y, y), w2.value, out=out.value[lo:hi])
+        np.matmul(hidden(y), w2.value, out=out.value[lo:hi])
     out.value += b2.value
 
     def segment_bwd(row, n, span, S, dproj):
@@ -494,14 +497,8 @@ def span_scores(proj, b1, gain, beta, w2, b2, lengths=None):
         grad = out.grad[span : span + S]
         y = normalized(span, span + S)
         live = np.flatnonzero(grad.any(axis=1))
-        # both paths give the same bits; gathering the live rows pays while
-        # fewer than half of them are live
-        sparse = 2 * len(live) < S
-        if not sparse:
-            live = slice(None)  # every row, as views: nothing is copied
-        y_live = y[live]
-        # a sparse y_live is a copy, so the hidden rows may overwrite y
-        hid = hidden(y, y if sparse else np.empty_like(y))
+        y_live = y[live]  # a copy, so the hidden rows may overwrite y
+        hid = hidden(y)
         _accum(w2, hid.T @ grad)
         g = (grad @ w2.value.T)[live]
         g *= hid[live] > 0
@@ -510,22 +507,13 @@ def span_scores(proj, b1, gain, beta, w2, b2, lengths=None):
         g *= gain.value
         dx = _layer_norm_backward(g, y_live, std[span : span + S, None][live])
         _accum(b1, dx.sum(axis=0))
+        # each row at its end in row order, then each start's rows summed
+        # from zero (np.add.reduceat rounds differently)
         seg = dproj[row : row + n]
-        if sparse:
-            # as the loop below: ends first, in row order, then each start's
-            # rows summed from zero (np.add.reduceat rounds differently)
-            np.add.at(seg, ends[span : span + S][live] - row, dx)
-            start_sums = np.zeros_like(seg)
-            np.add.at(start_sums, starts[span : span + S][live] - row, dx)
-            seg -= start_sums
-            return
-        # rows of start a are contiguous and end at a+1..n-1
-        lo = 0
-        for a in range(n - 1):
-            block = dx[lo : lo + n - 1 - a]
-            seg[a] -= block.sum(axis=0)
-            seg[a + 1 :] += block
-            lo += n - 1 - a
+        np.add.at(seg, ends[span : span + S][live] - row, dx)
+        start_sums = np.zeros_like(seg)
+        np.add.at(start_sums, starts[span : span + S][live] - row, dx)
+        seg -= start_sums
 
     def bwd():
         _accum(b2, out.grad.sum(axis=0))

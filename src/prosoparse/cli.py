@@ -303,6 +303,10 @@ def cmd_parse(cfg, args):
         flags=[("--checkpoint", args.checkpoint), ("--input", args.input)],
     )
     model, _ = ParserModel.load(args.checkpoint, store=_store_for(cfg))
+    if model.uses_prosody and not cfg.data.alignments:
+        # an input sentence's id comes from its alignment block; its line id
+        # would name another sentence's features in the cache
+        raise DataError("a prosody checkpoint needs data.alignments to parse")
     sentences = _read_parse_input(args.input)
     # a sentence too long for the position table or matching no alignment block
     # fails alone: the others are still parsed, and the command exits 3
@@ -312,7 +316,7 @@ def cmd_parse(cfg, args):
         for s in sentences if len(s) > max_len
     ]
     sentences = [s for s in sentences if len(s) <= max_len]
-    if model.uses_prosody and cfg.data.alignments:
+    if model.uses_prosody:
         sentences, unmatched = _match_alignment_ids(
             sentences, read_alignment_file(cfg.data.alignments)
         )

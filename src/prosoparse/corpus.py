@@ -33,7 +33,6 @@ class Sentence:
     tree: object = None
     gold_spans: set = None
     prosody: ProsodyInputs = None
-    speaker_id: str = ""
 
     @property
     def words(self):
@@ -100,7 +99,6 @@ def featurize(sentences, alignments, tracks):
             raise DataError(
                 f"sentence {sent.sentence_id!r}: no frame track for speaker {speaker!r}"
             )
-        sent.speaker_id = speaker
         sent.prosody = ProsodyInputs(**pros.word_features(alis, track, stats))
     return warnings
 

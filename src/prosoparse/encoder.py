@@ -157,8 +157,6 @@ class ProsodyInputs:
 def join_prosody(prosodies):
     """Sentences' ProsodyInputs joined end to end: the inputs of all their
     words, in order."""
-    if len(prosodies) == 1:
-        return prosodies[0]
     return ProsodyInputs(*(
         np.concatenate([getattr(p, f.name) for p in prosodies]) for f in fields(ProsodyInputs)
     ))

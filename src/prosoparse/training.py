@@ -296,6 +296,9 @@ def train(train_config, model_config, embedding_spec, corpora, dev_sentences,
     (a worker process gets a pickled copy); otherwise each seed reads the
     vector store itself.
     """
+    if train_config.max_epochs < 1:
+        # 0 only means something to fine_tune: a copy of its checkpoint
+        raise ConfigError("train needs train.max_epochs >= 1")
     if not corpora or all(len(c) == 0 for c in corpora):
         raise DataError("no training sentences")
     if len(corpora) != len(train_config.corpus_weights):

@@ -144,23 +144,9 @@ def _strip_function_tags(label):
 
 
 def _tokenize(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c in "()":
-            tokens.append((c, i))
-            i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-    return tokens
+    """(token, offset) pairs: each bracket, and each run of other non-space
+    characters."""
+    return [(m.group(), m.start()) for m in re.finditer(r"[()]|[^\s()]+", text)]
 
 
 def parse_ptb(text):

@@ -536,6 +536,30 @@ def _children(a, b, inner, leaf_nodes, merged):
     return children
 
 
+# ``treebank._tokenize`` as it was when it walked the text one character at
+# a time: the oracle of the one-regex tokenizer.
+
+
+def char_walk_tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c in "()":
+            tokens.append((c, i))
+            i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < n and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            tokens.append((text[i:j], i))
+            i = j
+    return tokens
+
+
 # Prosody-pathway surgery: zeroing the pathway of a text+prosody model makes
 # its span scores those of the text-only twin that carries its other weights.
 

@@ -440,6 +440,26 @@ class TestSpanScores:
 
         assert peak(0.03) < peak(1.0) / 2
 
+    def test_backward_peak_with_every_row_live(self):
+        # the rebuilt hidden rows, the gradient product, the live rows'
+        # copies and the float64 layer-norm step: measured at 5.15 float64
+        # [spans, h] buffers, 5.14 with the former all-rows branch
+        T, hidden, n_labels = 40, 256, 8
+        rng = np.random.default_rng(0)
+        tape = tape64()
+        xs = [tape.constant(rng.standard_normal(shape)) for shape in (
+            (T + 1, hidden), (hidden,), (hidden,), (hidden,), (hidden, n_labels),
+            (n_labels,))]
+        out = ag.span_scores(*xs)
+        loss = sum_all(mul(out, tape.constant(rng.standard_normal(out.shape))))
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.2 * (T * (T + 1) // 2) * hidden * 8
+
     @staticmethod
     def run_bucket(lengths, dtype, i, alone, hidden=32, n_labels=8):
         """Score rows and every input gradient of a bucket of sentences of

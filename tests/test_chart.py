@@ -138,13 +138,13 @@ def hamming_augment(dense, gold_idx):
     return augment
 
 
-def random_gold(rng, T):
-    """Label indices in 1..3 for the root and about half of the other spans
-    of a random binary bracketing of [0, T)."""
+def random_gold(rng, T, keep=0.5):
+    """Label indices in 1..3 for the root and a ``keep`` share of the other
+    spans of a random binary bracketing of [0, T)."""
     gold, stack = {}, [(0, T)]
     while stack:
         a, b = stack.pop()
-        if (a, b) == (0, T) or rng.random() < 0.5:
+        if (a, b) == (0, T) or rng.random() < keep:
             gold[(a, b)] = int(rng.integers(1, 4))
         if b - a > 1:
             k = int(rng.integers(a + 1, b))
@@ -465,6 +465,40 @@ class TestMarginLoss:
             assert scores.matrix.grad.tobytes() == want_grad.tobytes()
             assert float(loss.value) == pytest.approx(float(want_loss), abs=1e-9)
         assert seen
+
+    @pytest.mark.parametrize("integer", [True, False])
+    def test_gradient_reaches_few_span_rows(self, integer):
+        # ag.span_scores' backward gathers a sentence's live rows: its
+        # predicted-only and gold-only spans.  Both trees hold the T one-word
+        # spans and the root, and at most T - 2 other spans each, so at most
+        # 3T - 3 rows are live (1 at T = 1), within 4T - 3
+        rng = np.random.default_rng(30 + integer)
+        reached = set()
+        for _ in range(60):
+            lengths = rng.integers(1, 21, size=int(rng.integers(1, 5))).tolist()
+            denses = [
+                random_dense(rng, T, len(VOCAB5)) if integer
+                else rng.standard_normal((T + 1, T + 1, len(VOCAB5))) * [0, 3, 3, 3, 3]
+                for T in lengths
+            ]
+            golds = [random_gold(rng, T, keep=rng.random()) for T in lengths]
+            golds = [{LabeledSpan(a, b, VOCAB5.value(li)) for (a, b), li in g.items()}
+                     for g in golds]
+            tape = ag.Tape(dtype=np.float64)
+            matrix = tape.constant(
+                np.concatenate([d[np.triu_indices(len(d), 1)] for d in denses])
+            )
+            loss, _ = margin_loss(SpanScores(VOCAB5, matrix, lengths), golds)
+            tape.backward(loss)
+            if matrix.grad is None:
+                continue
+            spans = np.cumsum([0] + [T * (T + 1) // 2 for T in lengths])
+            for T, lo, hi in zip(lengths, spans, spans[1:]):
+                live = int(matrix.grad[lo:hi].any(axis=1).sum())
+                assert live <= max(3 * T - 3, 1), (T, live)
+                if live == max(3 * T - 3, 1):
+                    reached.add(T)
+        assert max(reached) > 1  # the bound is tight
 
 
 class TestScoreSpans:

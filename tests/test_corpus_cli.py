@@ -96,7 +96,7 @@ class TestFeaturize:
         for sent in data.sentences:
             sid, p = sent.sentence_id, sent.prosody
             patches = [
-                extract_frame_patch(tracks[sent.speaker_id], ali)
+                extract_frame_patch(tracks[ali.speaker_id], ali)
                 for ali in data.alignments[sid]
             ]
             tensors[f"{sid}.pause_before"] = p.pause_before
@@ -441,6 +441,32 @@ class TestCliWorkflow:
         ])
         assert rc == cli.EXIT_DATA
 
+    def test_parse_prosody_checkpoint_without_alignments_is_data_error(
+        self, cli_workspace, trained_run1, capsys
+    ):
+        # the cache alone cannot tell which of its sentences an input line is
+        ws = cli_workspace
+        cfg = write_cfg(
+            ws,
+            {
+                "data": {"alignments": "", "frame_tracks": "",
+                         "features_cache": str(trained_run1 / "features.bin")},
+                "output_dir": str(ws["root"] / "run_cache_only"),
+            },
+            "exp_cache_only.yaml",
+        )
+        out = ws["root"] / "cache_only.trees"
+        capsys.readouterr()
+        rc = cli.main([
+            "parse", "--config", str(cfg),
+            "--checkpoint", str(trained_run1 / "seed1" / "best.ckpt"),
+            "--input", str(ws["corpus"] / "all.trees"),
+            "--output", str(out),
+        ])
+        assert rc == cli.EXIT_DATA
+        assert "data.alignments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_text_only_checkpoint_needs_no_prosody(self, cli_workspace, capsys):
         ws = cli_workspace
         cfg = write_cfg(
@@ -498,6 +524,15 @@ class TestCliWorkflow:
         bad = tmp_path / "bad.yaml"
         bad.write_text("output_dir: x\nmodel: {encoder: {d_content: 15}}\n")
         assert cli.main(["train", "--config", str(bad)]) == cli.EXIT_CONFIG
+
+    def test_train_without_epochs_is_config_error(self, cli_workspace, capsys):
+        ws = cli_workspace
+        run = ws["root"] / "run_no_epochs"
+        cfg = write_cfg(ws, {"train": {"max_epochs": 0}, "output_dir": str(run)},
+                        "exp_no_epochs.yaml")
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "max_epochs" in capsys.readouterr().err
+        assert not (run / "seed1").exists()
 
     def test_numeric_error_exit_code(self, cli_workspace, monkeypatch):
         from prosoparse.errors import NumericError

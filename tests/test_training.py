@@ -62,6 +62,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(corpus_weights=(0.0, 0.0))
 
+    def test_train_needs_an_epoch(self, featurized_corpus, tmp_path):
+        # fine_tune alone reads max_epochs 0, as a copy of its checkpoint
+        c = featurized_corpus.sentences
+        with pytest.raises(ConfigError, match="max_epochs"):
+            train(tiny_train_config(max_epochs=0), tiny_model_config(), SPEC, [c], c[:6],
+                  tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
 
 class TestAdam:
     def test_lr_schedule(self):

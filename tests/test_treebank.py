@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import recursive_spans_to_tree
+from conftest import char_walk_tokenize, recursive_spans_to_tree
 from prosoparse.errors import (
     CrossingSpanError,
     DataError,
@@ -20,6 +20,7 @@ from prosoparse.treebank import (
     LabelVocab,
     LabeledSpan,
     LeafNode,
+    _tokenize,
     bracket_multiset,
     classify_fluency,
     parse_ptb,
@@ -44,6 +45,12 @@ def parse_one(text):
 
 
 class TestParsePtb:
+    @given(st.text(st.sampled_from("()aé-/ \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000")))
+    @settings(max_examples=300, deadline=None)
+    def test_tokenizer_equals_the_character_walk(self, text):
+        # ASCII and Unicode whitespace, brackets and word characters
+        assert _tokenize(text) == char_walk_tokenize(text)
+
     def test_two_word_sentence(self):
         t = parse_one("(S (NP (PRP i)) (VP (VBP agree)))")
         assert t.label == "S"
