@@ -15,20 +15,21 @@ the margin loss: it takes the label max over all of a bucket's rows at
 once, fills the bucket's charts in one call over a zero-padded stack,
 backtracks each sentence's tree and labels all the trees' cells at once.
 A cell reads only cells inside its own span, so padding leaves a chart's
-bits as they are when it is filled alone.  The margin
-loss decodes the bucket with its Hamming costs added, from one gold-label
-vector and one cost matrix, and sums the bucket's losses in one signed
-gather over the matrix.  The empty label (index 0) scores 0 whatever its
-matrix column holds; it marks chart cells that vanish when the binarized
-tree is reassembled into an n-ary one.  Decoding maximizes the additive
-span score exactly; training minimizes a hinge against the cost-augmented
-argmax.
+bits as they are when it is filled alone.  The margin loss decodes the
+bucket with its Hamming costs added, from one gold-label vector and one
+cost matrix; each sentence's hinge, Hamming cost and correctness come
+from array ops over the whole bucket, and only the backtrack and the
+gold-span check run sentence by sentence.  The bucket's losses are one
+signed gather over the matrix.  The empty label (index 0) scores 0
+whatever its matrix column holds; it marks chart cells that vanish when
+the binarized tree is reassembled into an n-ary one.  Decoding maximizes
+the additive span score exactly; training minimizes a hinge against the
+cost-augmented argmax.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -133,23 +134,20 @@ class DecodedTree:
     total_score: float
 
 
-def _bounds(lengths):
-    """(T, first row, end row) of each sentence's score rows."""
-    ends = list(accumulate(T * (T + 1) // 2 for T in lengths))
-    return zip(lengths, [0] + ends, ends)
-
-
 def _decode(rows, empty, lengths):
     """Argmax tree of each sentence of a bucket; root label forced non-empty.
 
     rows: [spans, n_labels] score rows of sentences of ``lengths`` words,
     column 0 unread; empty: the empty label's score, one per row or one for
-    all.  The empty label wins a tie with the best other label.  Yields, per
-    sentence, its tree's spans [(a, b)] in span order, their bucket rows,
-    their labels and the tree's total score.  The bucket's charts are
-    filled as one zero-padded stack, and only the trees' cells look for
-    their best label.
+    all.  The empty label wins a tie with the best other label.  Returns
+    (spans, at, labels, totals): each sentence's tree spans [(a, b)] in span
+    order; the bucket rows of the trees' cells, one tree after another (a
+    tree over T words has 2T - 1 cells), and their labels; and the trees'
+    total scores.  The bucket's charts are filled as one zero-padded stack,
+    and only the trees' cells look for their best label.
     """
+    if 0 in lengths:
+        raise DataError(f"sentences of {list(lengths)} words: a sentence has no words")
     best = rows[:, 1:].max(axis=1)
     empty_wins = empty >= best
     fence = np.arange(max(lengths) + 1)
@@ -159,30 +157,27 @@ def _decode(rows, empty, lengths):
     label_best[cells] = np.where(empty_wins, empty, best)
     chart_best, split = cky_fill(label_best)
 
-    trees, roots, at = [], [], []
-    for i, (T, lo, _) in enumerate(_bounds(lengths)):
-        spans = []
+    spans, at, roots, totals, lo = [], [], [], [], 0
+    for i, T in enumerate(lengths):
+        tree = []
         stack = [(0, T)]
         while stack:
             a, b = stack.pop()
-            spans.append((a, b))
+            tree.append((a, b))
             if b - a > 1:
                 k = int(split[i, a, b])
                 stack += [(k, b), (a, k)]
-        spans.sort()
-        at += [lo + span_row(T, a, b) for a, b in spans]
+        tree.sort()
+        spans.append(tree)
+        at += [lo + span_row(T, a, b) for a, b in tree]
         roots.append(lo + T - 1)
-        total = float(best[roots[-1]]) + (chart_best[i, 0, T] - label_best[i, 0, T])
-        trees.append((spans, float(total)))
+        totals.append(best[roots[-1]] + (chart_best[i, 0, T] - label_best[i, 0, T]))
+        lo += T * (T + 1) // 2
     at = np.array(at)
     labels = rows[at, 1:].argmax(axis=1) + 1
     empty_wins[roots] = False
     labels[empty_wins[at]] = 0
-    first = 0
-    for spans, total in trees:
-        tree = slice(first, first + len(spans))
-        yield spans, at[tree], labels[tree], total
-        first = tree.stop
+    return spans, at, labels, np.array(totals)
 
 
 def cky_decode(scores, leaves):
@@ -193,19 +188,19 @@ def cky_decode(scores, leaves):
     assigned the empty label vanish on reconstruction; unary chains collapsed
     in composite labels are expanded back.
     """
-    if [len(x) for x in leaves] != list(scores.lengths) or 0 in scores.lengths:
+    if [len(x) for x in leaves] != list(scores.lengths):
         raise DataError(
             f"scores cover sentences of {scores.lengths} words but "
             f"{[len(x) for x in leaves]} leaves given"
         )
     vocab = scores.vocab
+    spans, _, labels, totals = _decode(scores.matrix.value, 0.0, scores.lengths)
+    labels = iter(labels.tolist())
     decoded = []
-    for (spans, _, labels, total), sent_leaves in zip(
-        _decode(scores.matrix.value, 0.0, scores.lengths), leaves
-    ):
+    for tree, total, sent_leaves in zip(spans, totals.tolist(), leaves):
+        # zip draws from ``tree`` first, so it takes only this tree's labels
         cells = [
-            LabeledSpan(a, b, vocab.value(li))
-            for (a, b), li in zip(spans, labels.tolist()) if li != 0
+            LabeledSpan(a, b, vocab.value(li)) for (a, b), li in zip(tree, labels) if li != 0
         ]
         decoded.append(DecodedTree(tree=spans_to_tree(cells, sent_leaves), total_score=total))
     return decoded
@@ -251,41 +246,41 @@ def margin_loss(scores, golds):
     if len(golds) != len(lengths):
         raise DataError(f"{len(golds)} gold trees for {len(lengths)} sentences")
     rows = scores.matrix.value.astype(np.float64)
-    bounds = list(_bounds(lengths))
-    gold_label = np.zeros(len(rows), dtype=np.int64)
-    gold_rows = []
-    for (T, lo, _), gold_spans in zip(bounds, golds):
+    gold_at, gold_labels, lo = [], [], 0
+    for T, gold_spans in zip(lengths, golds):
         gold = _check_gold_spans(gold_spans, T)
-        a, b = np.array([(s.a, s.b) for s in gold], dtype=np.int64).reshape(-1, 2).T
-        at = lo + span_row(T, a, b)
-        gold_label[at] = [scores.vocab.index(s.label) for s in gold]
-        gold_rows.append(at)
+        gold_at += [lo + span_row(T, s.a, s.b) for s in gold]
+        gold_labels += [scores.vocab.index(s.label) for s in gold]
+        lo += T * (T + 1) // 2
+    gold_at = np.array(gold_at, dtype=np.int64)
+    gold_label = np.zeros(len(rows), dtype=np.int64)
+    gold_label[gold_at] = gold_labels
     cost = np.full(rows.shape, HAMMING_COST)
     cost[np.arange(len(rows)), gold_label] = 0.0
-
+    _, at, labels, _ = _decode(rows + cost, cost[:, 0], lengths)
     pred_label = np.zeros_like(gold_label)
-    infos, live, deltas = [], np.zeros(len(rows), dtype=bool), 0.0
-    for (T, lo, hi), gold_at, (_, at, labels, _) in zip(
-        bounds, gold_rows, _decode(rows + cost, cost[:, 0], lengths)
-    ):
-        pred_label[at] = labels
-        pred_raw = sum(rows[at[labels != 0], labels[labels != 0]])
-        delta = float(cost[at, labels].sum())
-        loss_value = pred_raw + delta - sum(rows[gold_at, gold_label[gold_at]])
-        correct = np.array_equal(pred_label[lo:hi], gold_label[lo:hi])
-        # a NaN loss stays NaN, so that training sees it diverge
-        hinge = 0.0 if loss_value <= 0.0 else float(loss_value)
-        infos.append(MarginInfo(loss=hinge, delta=delta, correct=correct))
-        if correct or loss_value <= 0.0:
-            continue
-        live[lo:hi] = True
-        deltas += delta
+    pred_label[at] = labels
+
+    # each row's sentence; bincount adds in index order, so each sentence's
+    # scores are summed left to right
+    n = len(lengths)
+    owner = np.repeat(np.arange(n), [T * (T + 1) // 2 for T in lengths])
+    pred_at = at[labels != 0]
+    pred_raw = np.bincount(owner[pred_at], rows[pred_at, pred_label[pred_at]], n)
+    delta = np.bincount(owner[at], cost[at, labels], n)
+    loss = pred_raw + delta - np.bincount(owner[gold_at], rows[gold_at, gold_label[gold_at]], n)
+    wrong = pred_label != gold_label
+    correct = np.bincount(owner, wrong, n) == 0
+    # a NaN loss stays NaN and live, so that training sees it diverge
+    hinge = np.where(loss <= 0.0, 0.0, loss)
+    live = ~(correct | (loss <= 0.0))
+    infos = list(map(MarginInfo, hinge.tolist(), delta.tolist(), correct.tolist()))
     # sentences' cells are disjoint, and so are each one's two trees', so
     # each cell's gradient is +-seed
     tape = scores.matrix.tape
     if not live.any():
         return tape.constant(0.0), infos
-    wrong = live & (pred_label != gold_label)
+    wrong &= live[owner]
     pred_only = np.flatnonzero(wrong & (pred_label != 0))
     gold_only = np.flatnonzero(wrong & (gold_label != 0))
     scored = ag.gather_sum(
@@ -294,4 +289,5 @@ def margin_loss(scores, golds):
         np.concatenate([pred_label[pred_only], gold_label[gold_only]]),
         np.repeat([1.0, -1.0], [len(pred_only), len(gold_only)]),
     )
-    return ag.add(scored, tape.constant(deltas)), infos
+    # the costs are whole numbers, so their sum is exact in any order
+    return ag.add(scored, tape.constant(float(delta[live].sum()))), infos

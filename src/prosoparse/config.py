@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .encoder import CnnConfig, EncoderConfig
+from .encoder import CnnConfig, EncoderConfig, check_sizes
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import EmbeddingSpec, TrainConfig
@@ -149,6 +149,11 @@ def load_config(path):
 
 
 def _validate(cfg):
+    for name, flag in [("data.speechify", cfg.data.speechify),
+                       ("eval.delete_punctuation", cfg.eval.delete_punctuation)]:
+        if not isinstance(flag, bool):  # a quoted 'no' is a truthy string
+            raise ConfigError(f"{name} must be true or false, got {flag!r}")
+    check_sizes(1, **{"eval.n_resamples": cfg.eval.n_resamples})
     if len(cfg.data.train_trees) not in (0, len(cfg.train.corpus_weights)):
         raise ConfigError(
             f"{len(cfg.data.train_trees)} train tree files but "

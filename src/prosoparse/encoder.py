@@ -42,12 +42,12 @@ PHI_DIM = 2 * PAUSE_EMB_DIM + N_DURATION_SCALARS
 CNN_IN_CHANNELS = 3  # energy, f0, word-interior mask
 
 
-def check_sizes(**sizes):
-    """Model sizes are ints: a float or a bool passes the range checks but
-    fails once arrays are built from it."""
+def check_sizes(minimum, **sizes):
+    """Sizes and counts are ints of at least ``minimum``: a float or a bool
+    passes a range check but fails once arrays or loops are built from it."""
     for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+            raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,10 @@ class CnnConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "widths", tuple(self.widths))
-        check_sizes(filters_per_width=self.filters_per_width,
-                     **{f"widths[{i}]": w for i, w in enumerate(self.widths)})
-        if len(set(self.widths)) != len(self.widths) or any(w < 1 for w in self.widths):
-            raise ConfigError(f"cnn widths must be distinct and >= 1: {self.widths}")
-        if self.filters_per_width < 1:
-            raise ConfigError("filters_per_width must be >= 1")
+        check_sizes(1, filters_per_width=self.filters_per_width,
+                    **{f"widths[{i}]": w for i, w in enumerate(self.widths)})
+        if len(set(self.widths)) != len(self.widths):
+            raise ConfigError(f"cnn widths must be distinct: {self.widths}")
 
     @property
     def output_dim(self):
@@ -81,26 +79,17 @@ class EncoderConfig:
     max_len: int = 300
 
     def __post_init__(self):
-        check_sizes(layers=self.layers, heads=self.heads, d_content=self.d_content,
-                     d_position=self.d_position, d_prosody=self.d_prosody,
-                     d_ff=self.d_ff, max_len=self.max_len)
-        if self.layers < 1 or self.heads < 1 or self.d_ff < 1:
-            raise ConfigError("layers, heads and d_ff must be >= 1")
-        for name in ("d_content", "d_position"):
-            self._check_stream(name, getattr(self, name), required=True)
-        self._check_stream("d_prosody", self.d_prosody, required=False)
+        check_sizes(1, layers=self.layers, heads=self.heads, d_ff=self.d_ff,
+                    d_content=self.d_content, d_position=self.d_position)
+        check_sizes(0, d_prosody=self.d_prosody, max_len=self.max_len)
+        for name in ("d_content", "d_position", "d_prosody"):
+            width = getattr(self, name)
+            if width % self.heads != 0:
+                raise ConfigError(f"{name}={width} not divisible by heads={self.heads}")
+            if width % 2 != 0:
+                raise ConfigError(f"{name}={width} must be even for fencepost splitting")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1): {self.dropout}")
-
-    def _check_stream(self, name, width, required):
-        if width == 0 and not required:
-            return
-        if width < 1:
-            raise ConfigError(f"{name} must be positive, got {width}")
-        if width % self.heads != 0:
-            raise ConfigError(f"{name}={width} not divisible by heads={self.heads}")
-        if width % 2 != 0:
-            raise ConfigError(f"{name}={width} must be even for fencepost splitting")
 
     @property
     def use_prosody(self):

@@ -44,9 +44,12 @@ class ModelConfig:
     span_hidden: int = 256
 
     def __post_init__(self):
-        check_sizes(span_hidden=self.span_hidden)
-        if self.span_hidden < 1:
-            raise ConfigError(f"span_hidden must be >= 1, got {self.span_hidden}")
+        check_sizes(1, span_hidden=self.span_hidden)
+        if self.span_hidden < 2:
+            raise ConfigError(
+                "span_hidden must be >= 2, got 1: a layer norm over one hidden unit "
+                "maps every span to 0, so every span would score the same"
+            )
 
     def to_dict(self):
         return asdict(self)

@@ -27,6 +27,7 @@ from .embeddings import (
     EmbeddingProvider,
     load_vector_store,
 )
+from .encoder import check_sizes
 from .errors import ConfigError, DataError, TrainingDivergedError, VocabularyError
 from .evaluation import parseval
 from .model import ParserModel
@@ -87,16 +88,18 @@ class TrainConfig:
         object.__setattr__(self, "corpus_weights", tuple(self.corpus_weights))
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.batch_size < 1 or self.max_epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and max_epochs >= 0")
+        check_sizes(1, batch_size=self.batch_size, patience=self.patience,
+                    warmup_steps=self.warmup_steps)
+        check_sizes(0, max_epochs=self.max_epochs,
+                    **{f"seeds[{i}]": s for i, s in enumerate(self.seeds)})
+        lr = self.learning_rate
+        number = isinstance(lr, (int, float, np.integer, np.floating)) and not isinstance(lr, bool)
+        if not (number and 0 < lr < np.inf):
+            raise ConfigError(f"learning_rate must be a finite number > 0, got {lr!r}")
         if any(w < 0 for w in self.corpus_weights) or not any(
             w > 0 for w in self.corpus_weights
         ):
             raise ConfigError("corpus weights must be non-negative and not all zero")
-        if self.warmup_steps < 1:
-            raise ConfigError("warmup_steps must be >= 1")
 
 
 @dataclass

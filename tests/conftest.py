@@ -9,9 +9,15 @@ import pytest
 
 import prosoparse
 from prosoparse import autograd as ag
-from prosoparse import prosody
+from prosoparse import chart, prosody
 from prosoparse._kernels import _cky_fill_loops
-from prosoparse.chart import SpanScores, _bounds, span_row
+from prosoparse.chart import (
+    HAMMING_COST,
+    MarginInfo,
+    SpanScores,
+    _check_gold_spans,
+    span_row,
+)
 from prosoparse.corpus import featurize
 from prosoparse.embeddings import EmbeddingProvider, VectorStore
 from prosoparse.encoder import CnnConfig, EncoderConfig
@@ -408,15 +414,24 @@ def tree_score(scores, spans):
     return float(total)
 
 
-# The bucket decoder as it was when each sentence's chart was filled alone:
-# the oracle of ``chart._decode``'s one fill over a zero-padded stack.
+# The bucket decoder as it was when each sentence's chart was filled alone,
+# and the margin loss as it was when it summed each sentence's scores in a
+# Python loop: the oracles of ``chart._decode``'s one fill over a
+# zero-padded stack and of ``chart.margin_loss``'s sums over the bucket.
 
 
-def per_sentence_decode(rows, empty, lengths):
+def sentence_bounds(lengths):
+    """(T, first row, end row) of each sentence's score rows."""
+    ends = np.cumsum([T * (T + 1) // 2 for T in lengths]).tolist()
+    return zip(lengths, [0] + ends, ends)
+
+
+def per_sentence_trees(rows, empty, lengths):
+    """Yields each sentence's (spans, rows, labels, total)."""
     best = rows[:, 1:].max(axis=1)
     empty_wins = empty >= best
     cell_best = np.where(empty_wins, empty, best)
-    for T, lo, hi in _bounds(lengths):
+    for T, lo, hi in sentence_bounds(lengths):
         fence = np.arange(T + 1)
         label_best = np.zeros((T + 1, T + 1), dtype=np.float64)
         label_best[fence[:, None] < fence] = cell_best[lo:hi]
@@ -436,6 +451,63 @@ def per_sentence_decode(rows, empty, lengths):
         labels[empty_wins[at] & (at != root)] = 0
         total = float(best[root]) + (chart_best[0, T] - label_best[0, T])
         yield spans, at, labels, float(total)
+
+
+def per_sentence_decode(rows, empty, lengths):
+    """``chart._decode``'s (spans, at, labels, totals), sentence by sentence."""
+    spans, at, labels, totals = zip(*per_sentence_trees(rows, empty, lengths))
+    return list(spans), np.concatenate(at), np.concatenate(labels), np.array(totals)
+
+
+def per_sentence_margin_loss(scores, golds):
+    lengths = scores.lengths
+    if len(golds) != len(lengths):
+        raise DataError(f"{len(golds)} gold trees for {len(lengths)} sentences")
+    rows = scores.matrix.value.astype(np.float64)
+    bounds = list(sentence_bounds(lengths))
+    gold_label = np.zeros(len(rows), dtype=np.int64)
+    gold_rows = []
+    for (T, lo, _), gold_spans in zip(bounds, golds):
+        gold = _check_gold_spans(gold_spans, T)
+        a, b = np.array([(s.a, s.b) for s in gold], dtype=np.int64).reshape(-1, 2).T
+        at = lo + span_row(T, a, b)
+        gold_label[at] = [scores.vocab.index(s.label) for s in gold]
+        gold_rows.append(at)
+    cost = np.full(rows.shape, HAMMING_COST)
+    cost[np.arange(len(rows)), gold_label] = 0.0
+
+    # looked up on the module, so that a test can swap in the oracle decoder
+    _, bucket_at, bucket_labels, _ = chart._decode(rows + cost, cost[:, 0], lengths)
+    pred_label = np.zeros_like(gold_label)
+    infos, live, deltas, first = [], np.zeros(len(rows), dtype=bool), 0.0, 0
+    for (T, lo, hi), gold_at in zip(bounds, gold_rows):
+        tree = slice(first, first + 2 * T - 1)
+        first = tree.stop
+        at, labels = bucket_at[tree], bucket_labels[tree]
+        pred_label[at] = labels
+        pred_raw = sum(rows[at[labels != 0], labels[labels != 0]])
+        delta = float(cost[at, labels].sum())
+        loss_value = pred_raw + delta - sum(rows[gold_at, gold_label[gold_at]])
+        correct = np.array_equal(pred_label[lo:hi], gold_label[lo:hi])
+        hinge = 0.0 if loss_value <= 0.0 else float(loss_value)
+        infos.append(MarginInfo(loss=hinge, delta=delta, correct=correct))
+        if correct or loss_value <= 0.0:
+            continue
+        live[lo:hi] = True
+        deltas += delta
+    tape = scores.matrix.tape
+    if not live.any():
+        return tape.constant(0.0), infos
+    wrong = live & (pred_label != gold_label)
+    pred_only = np.flatnonzero(wrong & (pred_label != 0))
+    gold_only = np.flatnonzero(wrong & (gold_label != 0))
+    scored = ag.gather_sum(
+        scores.matrix,
+        np.concatenate([pred_only, gold_only]),
+        np.concatenate([pred_label[pred_only], gold_label[gold_only]]),
+        np.repeat([1.0, -1.0], [len(pred_only), len(gold_only)]),
+    )
+    return ag.add(scored, tape.constant(deltas)), infos
 
 
 # Adam as it was when it stepped each parameter's own arrays: the oracle of

@@ -13,6 +13,7 @@ from conftest import (
     grad_check,
     mul,
     per_sentence_decode,
+    per_sentence_margin_loss,
     sub,
     sum_all,
     tree_score,
@@ -620,6 +621,15 @@ class TestScoreSpans:
         with pytest.raises(DataError, match="3 sentences"):
             margin_loss(scores, [set(), set()])
 
+    def test_sentence_without_words_is_data_error(self):
+        # the empty sentence has no rows, so its loss would be read from
+        # its neighbour's
+        scores = SpanScores(VOCAB5, ag.Tape().constant(np.zeros((6, len(VOCAB5)))), [3, 0])
+        with pytest.raises(DataError, match="no words"):
+            margin_loss(scores, [{LabeledSpan(0, 3, "S")}, set()])
+        with pytest.raises(DataError, match="no words"):
+            cky_decode(scores, [leaves(3), []])
+
     def test_grad_check_fenceposts_and_first_layer(self):
         T = 6
         fenceposts, scorer = encoded_and_scorer(T, seed=4)
@@ -736,21 +746,79 @@ class TestBucketDecode:
     @given(score_buckets())
     def test_equals_per_sentence_decode(self, bucket):
         rows, empty, lengths = bucket
-        got = list(_decode(rows, empty, lengths))
-        want = list(per_sentence_decode(rows, empty, lengths))
-        assert len(got) == len(want) == len(lengths)
-        for (spans, at, labels, total), (w_spans, w_at, w_labels, w_total) in zip(got, want):
-            assert spans == w_spans
-            assert at.tolist() == w_at.tolist()
-            assert labels.tolist() == w_labels.tolist()
-            assert total == w_total
+        spans, at, labels, totals = _decode(rows, empty, lengths)
+        w_spans, w_at, w_labels, w_totals = per_sentence_decode(rows, empty, lengths)
+        assert spans == w_spans
+        assert [len(tree) for tree in spans] == [2 * T - 1 for T in lengths]
+        assert at.tolist() == w_at.tolist()
+        assert labels.tolist() == w_labels.tolist()
+        assert totals.tobytes() == w_totals.tobytes()
+
+
+@st.composite
+def margin_buckets(draw):
+    """(matrix values, lengths, golds) of a bucket of 1-20-word sentences,
+    float32 or float64, each scored with integers (ties), at random, so
+    that its gold tree wins by the margin (loss 0), so that it ties the
+    margin (loss 0, yet the augmented argmax labels the gold spans empty),
+    or with a NaN."""
+    lengths = draw(st.lists(st.integers(1, 20), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, golds = [], []
+    for T in lengths:
+        n_rows = T * (T + 1) // 2
+        gold_idx = random_gold(rng, T, keep=rng.random())
+        kind = draw(st.sampled_from(["integer", "random", "gold wins", "gold ties", "nan"]))
+        if kind == "integer":
+            rows = rng.integers(-2, 3, size=(n_rows, len(VOCAB5))).astype(np.float64)
+        elif kind.startswith("gold"):
+            low, high = (-2.0, 10.0) if kind == "gold wins" else (-HAMMING_COST, HAMMING_COST)
+            rows = np.full((n_rows, len(VOCAB5)), low)
+            for (a, b), li in gold_idx.items():
+                rows[span_row(T, a, b), li] = high
+        else:
+            rows = rng.standard_normal((n_rows, len(VOCAB5))) * 3
+        if kind == "nan":
+            rows[rng.integers(n_rows), rng.integers(1, len(VOCAB5))] = np.nan
+        blocks.append(rows)
+        golds.append({LabeledSpan(a, b, VOCAB5.value(li)) for (a, b), li in gold_idx.items()})
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return np.concatenate(blocks).astype(dtype), lengths, golds
+
+
+class TestBucketMargin:
+    """The margin loss's sums over the bucket against summing each
+    sentence's scores in a Python loop."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(margin_buckets())
+    def test_equals_per_sentence_margin_loss(self, bucket):
+        values, lengths, golds = bucket
+
+        def run(margin):
+            tape = ag.Tape(dtype=values.dtype)
+            matrix = tape.constant(values.copy())
+            loss, infos = margin(SpanScores(VOCAB5, matrix, lengths), golds)
+            tape.backward(loss, seed=0.25)
+            grad = None if matrix.grad is None else matrix.grad.tobytes()
+            fields = [
+                (np.float64(i.loss).tobytes(), np.float64(i.delta).tobytes(), i.correct)
+                for i in infos
+            ]
+            assert all(type(i.loss) is type(i.delta) is float for i in infos)
+            assert all(type(i.correct) is bool for i in infos)
+            return fields, loss.value.tobytes(), grad
+
+        assert run(margin_loss) == run(per_sentence_margin_loss)
 
 
 def decoded_cells(rows, empty, lengths):
     """Each sentence's (cells [(a, b, label)], total) from the bucket decoder."""
+    spans, _, labels, totals = _decode(rows, empty, lengths)
+    labels = iter(labels.tolist())
     return [
-        ([(a, b, li) for (a, b), li in zip(spans, labels.tolist())], total)
-        for spans, _, labels, total in _decode(rows, empty, lengths)
+        ([(a, b, li) for (a, b), li in zip(tree, labels)], total)
+        for tree, total in zip(spans, totals.tolist())
     ]
 
 

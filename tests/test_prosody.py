@@ -208,8 +208,13 @@ def sentence_on_track(draw):
         alis.append(WordAlignment(f"w{i % 3}", start, start + draw(durations)))
     if alis[0].end <= track_start:
         track_start = alis[0].start
-    # the track ends up to 10 frames after the last word starts
-    n = max(int((alis[-1].start - track_start) / fp), 0) + 1 + draw(st.integers(0, 10))
+    # the track ends up to 10 frames after the last word starts; the frame
+    # count is checked against ``end_time``'s own sum, since the quotient
+    # can round one frame short (0.3 - 0.25 is just under 5 frames of 0.01)
+    n = max(int((alis[-1].start - track_start) / fp), 0) + 1
+    if track_start + n * fp <= alis[-1].start:
+        n += 1
+    n += draw(st.integers(0, 10))
     rng = np.random.default_rng(n)
     t = FrameTrack(
         energy=rng.standard_normal(n), f0=rng.standard_normal(n),

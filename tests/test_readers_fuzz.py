@@ -7,6 +7,7 @@ likewise load a mutated config or raise ConfigError (exit 2).
 """
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -213,17 +214,73 @@ def test_valid_config_loads(tmp_path):
         (b"span_hidden: 64", b"span_hidden: true"),
         (b"train: {", b"trian: {"),
         (b"span_hidden: 64", b"span_hiden: 64"),
+        (b"span_hidden: 64", b"span_hidden: 1"),
+        (b"batch_size: 32", b"batch_size: 2.5"),
+        (b"batch_size: 32", b"batch_size: 32, max_epochs: 1.5"),
+        (b"seeds: [1, 2, 3]", b"seeds: [1.5]"),
+        (b"learning_rate: 0.004", b"learning_rate: abc"),
+        (b"learning_rate: 0.004", b"learning_rate: 1e-3"),
+        (b"learning_rate: 0.004", b"learning_rate: .inf"),
+        (b"learning_rate: 0.004", b"learning_rate: 0"),
+        (b"batch_size: 32", b"batch_size: 32, patience: true"),
+        (b"batch_size: 32", b"batch_size: 32, warmup_steps: 4.0"),
+        (b"n_resamples: 5000", b"n_resamples: 0"),
+        (b"n_resamples: 5000", b"n_resamples: 5e3"),
+        (b"n_resamples: 5000", b"n_resamples: 5000, delete_punctuation: 'no'"),
+        (b"frame_tracks: tracks", b"frame_tracks: tracks\n  speechify: 'no'"),
     ],
     ids=["span-hidden-text", "seeds-int", "train-trees-int", "zero-heads", "not-utf8",
          "d-ff-float", "layers-float", "d-content-float", "d-ff-bool", "filters-float",
          "width-float", "span-hidden-float", "span-hidden-bool", "unknown-section",
-         "unknown-model-key"],
+         "unknown-model-key", "span-hidden-one", "batch-size-float", "max-epochs-float",
+         "seed-float", "learning-rate-text", "learning-rate-no-dot", "learning-rate-inf",
+         "learning-rate-zero", "patience-bool", "warmup-float", "resamples-zero",
+         "resamples-text", "delete-punctuation-text", "speechify-text"],
 )
 def test_bad_config_value_is_config_error(tmp_path, edit):
     path = tmp_path / "config.yaml"
     path.write_bytes(VALID_CONFIG.replace(*edit))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_wrong_type_exits_2_and_is_named(tmp_path, capsys):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(VALID_CONFIG.replace(b"batch_size: 32", b"batch_size: 2.5"))
+    assert cli.main(["train", "--config", str(path)]) == 2
+    assert "batch_size must be an integer >= 1, got 2.5" in capsys.readouterr().err
+
+
+# the documented type of each scalar the train, eval and data sections read
+CONFIG_TYPES = {
+    ("train", "batch_size"): (int,),
+    ("train", "learning_rate"): (int, float),
+    ("train", "warmup_steps"): (int,),
+    ("train", "max_epochs"): (int,),
+    ("train", "patience"): (int,),
+    ("eval", "n_resamples"): (int,),
+    ("eval", "delete_punctuation"): (bool,),
+    ("data", "speechify"): (bool,),
+}
+YAML_SCALARS = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.text(max_size=8), st.none(),
+    st.lists(st.integers(), max_size=3),
+)
+
+
+@given(field=st.sampled_from(sorted(CONFIG_TYPES)), value=YAML_SCALARS)
+@settings(max_examples=300, deadline=None)
+def test_config_scalar_is_config_error_or_its_type(tmp_path_factory, field, value):
+    section, key = field
+    raw = yaml.safe_load(VALID_CONFIG)
+    raw[section][key] = value
+    path = tmp_path_factory.getbasetemp() / "typed-config.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    assert type(getattr(getattr(cfg, section), key)) in CONFIG_TYPES[field]
 
 
 @pytest.mark.parametrize(

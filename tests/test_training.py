@@ -6,6 +6,7 @@ from conftest import (
     conv1d,
     mul,
     per_sentence_decode,
+    per_sentence_margin_loss,
     relu_then_pool,
     sum_all,
     synthetic_vector_store,
@@ -219,8 +220,9 @@ class TestTrainLoop:
 
     def test_run_files_match_per_sentence_decode_and_adam(self, featurized_corpus, tmp_path,
                                                           monkeypatch):
-        # one fill per bucket and Adam over one flat buffer, against filling
-        # each sentence's chart alone and stepping each parameter alone
+        # one fill per bucket, margin sums over the bucket and Adam over one
+        # flat buffer, against filling each sentence's chart alone, summing
+        # each sentence's margin alone and stepping each parameter alone
         c = featurized_corpus.sentences
         assert len({len(s) for s in c}) > 3
         cfg = tiny_train_config(max_epochs=2)
@@ -231,7 +233,10 @@ class TestTrainLoop:
             decoded.append(lengths)
             return per_sentence_decode(rows, empty, lengths)
 
+        # the oracle margin loss sums each sentence's scores in a Python
+        # loop over the oracle decoder's trees
         monkeypatch.setattr(chart, "_decode", oracle_decode)
+        monkeypatch.setattr(model_mod, "margin_loss", per_sentence_margin_loss)
         monkeypatch.setattr(training, "Adam", ParamByParamAdam)
         train(cfg, tiny_model_config(), SPEC, [c], c[:6], tmp_path / "oracle")
         assert any(len(set(lengths)) > 1 for lengths in decoded)
