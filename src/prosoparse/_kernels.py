@@ -23,8 +23,9 @@ def _cky_fill_loops(label_best):
 
     best[a, b] = label_best[a, b] for length-1 spans, else
     label_best[a, b] + max_k(best[a, k] + best[k, b]); ties prefer the
-    smallest split k.  label_best must already incorporate per-span label
-    maximization.
+    smallest split k, and a NaN candidate wins, the first of them, as in
+    numpy's max and argmax.  label_best must already incorporate per-span
+    label maximization.
     """
     n = label_best.shape[0]  # fenceposts: T + 1
     best = np.zeros((n, n), dtype=np.float64)
@@ -38,7 +39,7 @@ def _cky_fill_loops(label_best):
             best_k = a + 1
             for k in range(a + 2, b):
                 cand = best[a, k] + best[k, b]
-                if cand > best_sub:
+                if cand > best_sub or (cand != cand and best_sub == best_sub):
                     best_sub = cand
                     best_k = k
             best[a, b] = label_best[a, b] + best_sub

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autograd as ag
 from ._kernels import cky_fill
-from .errors import CrossingSpanError, DataError
+from .errors import CrossingSpanError, DataError, NumericError
 from .treebank import EMPTY_LABEL, LabeledSpan, spans_to_tree
 
 HAMMING_COST = 1.0
@@ -186,7 +186,8 @@ def cky_decode(scores, leaves):
     leaves: each sentence's (word, tag) leaves.  Ties break toward the empty
     label, then the lowest label index, then the smallest split point.  Cells
     assigned the empty label vanish on reconstruction; unary chains collapsed
-    in composite labels are expanded back.
+    in composite labels are expanded back.  A tree whose total score is not
+    finite raises NumericError.
     """
     if [len(x) for x in leaves] != list(scores.lengths):
         raise DataError(
@@ -195,6 +196,9 @@ def cky_decode(scores, leaves):
         )
     vocab = scores.vocab
     spans, _, labels, totals = _decode(scores.matrix.value, 0.0, scores.lengths)
+    bad = np.flatnonzero(~np.isfinite(totals))
+    if len(bad):
+        raise NumericError(f"sentence {bad[0]} of the bucket: best tree scores {totals[bad[0]]}")
     labels = iter(labels.tolist())
     decoded = []
     for tree, total, sent_leaves in zip(spans, totals.tolist(), leaves):

@@ -131,8 +131,8 @@ def load_config(path):
     eval_cfg = _build(EvalConfig, _section(raw, "eval"), "eval")
 
     output_dir = raw.get("output_dir", "")
-    if not output_dir:
-        raise ConfigError(f"{path}: output_dir is required")
+    if not (isinstance(output_dir, str) and output_dir):
+        raise ConfigError(f"{path}: output_dir must be a non-empty string, got {output_dir!r}")
 
     cfg = ExperimentConfig(
         data=data,
@@ -159,10 +159,6 @@ def _validate(cfg):
             f"{len(cfg.data.train_trees)} train tree files but "
             f"{len(cfg.train.corpus_weights)} corpus weights"
         )
-    if cfg.embedding.mode == "frozen" and not cfg.embedding.store_path:
-        raise ConfigError("embedding mode 'frozen' needs data.vector_store")
-    if cfg.embedding.mode == "finetuned" and not cfg.embedding.vectors_path:
-        raise ConfigError("embedding mode 'finetuned' needs data.word_vectors")
 
 
 def validate_paths(cfg, need=(), flags=()):

@@ -6,19 +6,39 @@ are excluded, and scores are micro-averaged over the corpus.  Punctuation
 deletion is off by default (speech-style input has none left) and
 available behind a flag for written-text evaluation.  Breakdowns cover
 fluent/disfluent sentences (from the gold trees) and length buckets
-[0,5], [6,10], [11,inf).
+[0,5], [6,10], [11,inf).  Each sentence's brackets are counted once, into
+one table; reports sum its rows, the bootstrap resamples them, and both
+score counts with ``prf``, so the bootstrap's observed delta is exactly
+the difference of the two systems' ``parseval`` F1 scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentError, DataError
-from .treebank import bracket_multiset, classify_fluency, sentence_of, strip_punctuation
+from .treebank import (
+    PUNCT_TAGS,
+    bracket_multiset,
+    classify_fluency,
+    sentence_of,
+    strip_punctuation,
+)
 
 LENGTH_BUCKETS = (("[0,5]", 0, 5), ("[6,10]", 6, 10), ("[11,-]", 11, None))
+
+
+def prf(matched, gold, predicted):
+    """Precision, recall and F1 in percent from bracket counts, for scalars
+    or elementwise over arrays; a zero denominator scores 0."""
+    m, g, p = (np.asarray(x, dtype=np.float64) for x in (matched, gold, predicted))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = np.where(p > 0, 100.0 * m / p, 0.0)
+        recall = np.where(g > 0, 100.0 * m / g, 0.0)
+        total = precision + recall
+        return precision, recall, np.where(total > 0, 2 * precision * recall / total, 0.0)
 
 
 @dataclass
@@ -29,25 +49,15 @@ class BucketReport:
     n_sentences: int = 0
     exact_match: int = 0
 
-    @property
-    def precision(self):
-        return 100.0 * self.matched / self.predicted if self.predicted else 0.0
+    @classmethod
+    def of(cls, counts):
+        """The report of sentences' (matched, gold, predicted) count rows."""
+        exact = (counts[:, 0] == counts[:, 1]) & (counts[:, 1] == counts[:, 2])
+        return cls(*counts.sum(axis=0).tolist(), len(counts), int(exact.sum()))
 
-    @property
-    def recall(self):
-        return 100.0 * self.matched / self.gold if self.gold else 0.0
-
-    @property
-    def f1(self):
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r > 0 else 0.0
-
-    def add(self, matched, gold, predicted, exact):
-        self.matched += matched
-        self.gold += gold
-        self.predicted += predicted
-        self.n_sentences += 1
-        self.exact_match += int(exact)
+    precision = property(lambda self: float(prf(self.matched, self.gold, self.predicted)[0]))
+    recall = property(lambda self: float(prf(self.matched, self.gold, self.predicted)[1]))
+    f1 = property(lambda self: float(prf(self.matched, self.gold, self.predicted)[2]))
 
 
 @dataclass
@@ -69,106 +79,90 @@ class SignificanceResult:
 
 
 def length_bucket(n_words):
-    for name, lo, hi in LENGTH_BUCKETS:
-        if n_words >= lo and (hi is None or n_words <= hi):
-            return name
-    raise AssertionError("length buckets must partition the integers")
+    return next(name for name, lo, _ in reversed(LENGTH_BUCKETS) if n_words >= lo)
 
 
-def _sentence_counts(gold_tree, pred_tree, index, delete_punctuation):
-    gold_words = [w.lower() for w, _ in sentence_of(gold_tree)]
-    pred_words = [w.lower() for w, _ in sentence_of(pred_tree)]
-    if gold_words != pred_words:
-        raise AlignmentError(
-            f"sentence {index}: predicted words do not match gold "
-            f"({pred_words} vs {gold_words})"
-        )
-    gold_brackets = bracket_multiset(gold_tree, ignore_punctuation=delete_punctuation)
-    pred_brackets = bracket_multiset(pred_tree, ignore_punctuation=delete_punctuation)
-    matched = sum(
-        min(count, pred_brackets.get(key, 0)) for key, count in gold_brackets.items()
-    )
-    return matched, sum(gold_brackets.values()), sum(pred_brackets.values())
+def _count_table(gold_trees, systems, delete_punctuation):
+    """Each sentence's bracket counts against its gold tree.
+
+    systems: lists of predicted trees, each aligned with ``gold_trees``.
+    Returns the [sentences, systems, 3] int32 table of (matched, gold,
+    predicted) counts (int32 halves what a bootstrap resample gathers), and
+    each sentence's fluency class and length bucket (of its gold tree).
+    """
+    gold_trees, systems = list(gold_trees), [list(preds) for preds in systems]
+    for preds in systems:
+        if len(preds) != len(gold_trees):
+            raise DataError(f"{len(gold_trees)} gold trees but {len(preds)} predictions")
+    rows, groups = [], []
+    for i, (gold, *preds) in enumerate(zip(gold_trees, *systems)):
+        leaves = sentence_of(gold)
+        words = [w.lower() for w, _ in leaves]
+        for pred in preds:
+            pred_words = [w.lower() for w, _ in sentence_of(pred)]
+            if pred_words != words:
+                raise AlignmentError(
+                    f"sentence {i}: predicted words do not match gold "
+                    f"({pred_words} vs {words})"
+                )
+        fluency = classify_fluency(gold)
+        if delete_punctuation:
+            gold, preds = strip_punctuation(gold), [strip_punctuation(p) for p in preds]
+            leaves = [(w, tag) for w, tag in leaves if tag not in PUNCT_TAGS]
+        groups.append((fluency, length_bucket(len(leaves))))
+        gold_brackets = bracket_multiset(gold)
+        for pred in preds:
+            pred_brackets = bracket_multiset(pred)
+            matched = sum(
+                min(count, pred_brackets.get(key, 0)) for key, count in gold_brackets.items()
+            )
+            rows.append((matched, sum(gold_brackets.values()), sum(pred_brackets.values())))
+    counts = np.array(rows, dtype=np.int32).reshape(len(gold_trees), len(systems), 3)
+    return counts, np.array(groups, dtype=object).reshape(-1, 2)
 
 
 def parseval(gold_trees, pred_trees, delete_punctuation=False):
     """Micro-averaged labeled P/R/F1 with fluency and length breakdowns."""
-    gold_trees = list(gold_trees)
-    pred_trees = list(pred_trees)
-    if len(gold_trees) != len(pred_trees):
-        raise DataError(
-            f"{len(gold_trees)} gold trees but {len(pred_trees)} predictions"
-        )
-    report = EvalReport()
-    for name, _, _ in LENGTH_BUCKETS:
-        report.length[name] = BucketReport()
-    for name in ("fluent", "disfluent"):
-        report.fluency[name] = BucketReport()
-
-    for i, (gold, pred) in enumerate(zip(gold_trees, pred_trees)):
-        matched, n_gold, n_pred = _sentence_counts(gold, pred, i, delete_punctuation)
-        exact = matched == n_gold == n_pred
-        scored = strip_punctuation(gold) if delete_punctuation else gold
-        n_words = sum(1 for _ in scored.leaves())
-        report.overall.add(matched, n_gold, n_pred, exact)
-        report.fluency[classify_fluency(gold)].add(matched, n_gold, n_pred, exact)
-        report.length[length_bucket(n_words)].add(matched, n_gold, n_pred, exact)
-    return report
+    counts, groups = _count_table(gold_trees, [pred_trees], delete_punctuation)
+    counts = counts[:, 0]
+    return EvalReport(
+        overall=BucketReport.of(counts),
+        fluency={name: BucketReport.of(counts[groups[:, 0] == name])
+                 for name in ("fluent", "disfluent")},
+        length={name: BucketReport.of(counts[groups[:, 1] == name])
+                for name, _, _ in LENGTH_BUCKETS},
+    )
 
 
 def paired_bootstrap(gold_trees, pred_a, pred_b, n_resamples=10000, seed=0,
                      delete_punctuation=False):
     """Paired bootstrap over sentences for the F1 difference of two systems.
 
-    delta = F1(A) - F1(B) on the full set.  Each resample redraws sentences
-    with replacement and recomputes micro-averaged F1 from the resampled
-    bracket counts; the p-value is the fraction of resamples whose delta
-    exceeds twice the observed one.  System A is the putatively better one.
+    delta = F1(A) - F1(B) on the full set, each as ``parseval`` scores it.
+    Each resample redraws sentences with replacement and recomputes
+    micro-averaged F1 from the resampled bracket counts; the p-value is the
+    fraction of resamples whose delta exceeds twice the observed one.
+    System A is the putatively better one.
     """
     if n_resamples < 1:
         raise DataError(f"n_resamples must be >= 1, got {n_resamples}")
-    gold_trees = list(gold_trees)
-    pred_a = list(pred_a)
-    pred_b = list(pred_b)
-    if not (len(gold_trees) == len(pred_a) == len(pred_b)):
-        raise DataError("gold and both prediction sets must align one-to-one")
-    n = len(gold_trees)
+    counts = _count_table(gold_trees, [pred_a, pred_b], delete_punctuation)[0]
+    n = len(counts)
     if n == 0:
         raise DataError("cannot bootstrap an empty test set")
 
-    counts = np.zeros((n, 5), dtype=np.int64)  # mA, pA, mB, pB, gold
-    for i, (g, a, b) in enumerate(zip(gold_trees, pred_a, pred_b)):
-        ma, ng, na = _sentence_counts(g, a, i, delete_punctuation)
-        mb, ng2, nb = _sentence_counts(g, b, i, delete_punctuation)
-        assert ng == ng2
-        counts[i] = (ma, na, mb, nb, ng)
+    def delta(sums):  # [..., 2 systems, 3 counts] -> F1(A) - F1(B)
+        f1 = prf(sums[..., 0], sums[..., 1], sums[..., 2])[2]
+        return f1[..., 0] - f1[..., 1]
 
-    def micro_f1(m, p, g):
-        prec = np.where(p > 0, m / np.maximum(p, 1), 0.0)
-        rec = np.where(g > 0, m / np.maximum(g, 1), 0.0)
-        denom = prec + rec
-        return np.where(denom > 0, 200.0 * prec * rec / np.maximum(denom, 1e-12), 0.0)
-
-    t = counts.sum(axis=0).astype(np.float64)
-    delta = float(
-        micro_f1(t[0:1], t[1:2], t[4:5])[0] - micro_f1(t[2:3], t[3:4], t[4:5])[0]
-    )
-
+    observed = float(delta(counts.sum(axis=0)))
     rng = np.random.default_rng(seed)
     exceed = 0
-    chunk = max(1, min(n_resamples, 2_000_000 // max(n, 1)))
-    done = 0
-    while done < n_resamples:
-        m = min(chunk, n_resamples - done)
-        idx = rng.integers(0, n, size=(m, n))
-        sums = counts[idx].sum(axis=1).astype(np.float64)  # [m, 5]
-        f1_a = micro_f1(sums[:, 0], sums[:, 1], sums[:, 4])
-        f1_b = micro_f1(sums[:, 2], sums[:, 3], sums[:, 4])
-        exceed += int(np.sum((f1_a - f1_b) > 2.0 * delta))
-        done += m
-    return SignificanceResult(
-        observed_delta=delta, p_value=exceed / n_resamples, n_resamples=n_resamples
-    )
+    chunk = max(1, min(n_resamples, 2_000_000 // n))
+    for done in range(0, n_resamples, chunk):
+        idx = rng.integers(0, n, size=(min(chunk, n_resamples - done), n))
+        exceed += int(np.sum(delta(counts[idx].sum(axis=1)) > 2.0 * observed))
+    return SignificanceResult(observed, exceed / n_resamples, n_resamples)
 
 
 def significance_marker(p_value):
@@ -187,17 +181,8 @@ _BUCKET_COLS = ("P", "R", "F1", "match", "gold", "pred", "sents", "exact")
 
 
 def _bucket_row(name, b):
-    return [
-        name,
-        f"{b.precision:.2f}",
-        f"{b.recall:.2f}",
-        f"{b.f1:.2f}",
-        str(b.matched),
-        str(b.gold),
-        str(b.predicted),
-        str(b.n_sentences),
-        str(b.exact_match),
-    ]
+    # the report's fields, in order, are the count columns
+    return [name, *(f"{x:.2f}" for x in (b.precision, b.recall, b.f1)), *map(str, astuple(b))]
 
 
 def report_rows(report):

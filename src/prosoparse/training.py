@@ -24,11 +24,12 @@ from . import autograd as ag
 from .embeddings import (
     DEFAULT_LEARNED_DIM,
     DEFAULT_MIN_COUNT,
+    MODES,
     EmbeddingProvider,
     load_vector_store,
 )
 from .encoder import check_sizes
-from .errors import ConfigError, DataError, TrainingDivergedError, VocabularyError
+from .errors import ConfigError, DataError, NumericError, TrainingDivergedError, VocabularyError
 from .evaluation import parseval
 from .model import ParserModel
 from .treebank import LabelVocab
@@ -41,8 +42,18 @@ class EmbeddingSpec:
     mode: str = "learned"
     dim: int = DEFAULT_LEARNED_DIM
     min_count: int = DEFAULT_MIN_COUNT
-    store_path: str = ""
-    vectors_path: str = ""
+    store_path: str = ""  # data.vector_store in a config file
+    vectors_path: str = ""  # data.word_vectors
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown embedding mode {self.mode!r} (known: {', '.join(MODES)})")
+        check_sizes(1, **{"model.embedding.dim": self.dim,
+                          "model.embedding.min_count": self.min_count})
+        if self.mode == "frozen" and not self.store_path:
+            raise ConfigError("embedding mode 'frozen' needs data.vector_store (store_path)")
+        if self.mode == "finetuned" and not self.vectors_path:
+            raise ConfigError("embedding mode 'finetuned' needs data.word_vectors (vectors_path)")
 
 
 def build_provider(spec, train_sentences, seed=0, store=None):
@@ -57,16 +68,10 @@ def build_provider(spec, train_sentences, seed=0, store=None):
             rng=rng,
         )
     if spec.mode == "frozen":
-        if not spec.store_path:
-            raise ConfigError("frozen embedding mode needs store_path")
         return EmbeddingProvider.frozen(
             store if store is not None else load_vector_store(spec.store_path)
         )
-    if spec.mode == "finetuned":
-        if not spec.vectors_path:
-            raise ConfigError("finetuned embedding mode needs vectors_path")
-        return EmbeddingProvider.finetuned(spec.vectors_path)
-    raise ConfigError(f"unknown embedding mode {spec.mode!r}")
+    return EmbeddingProvider.finetuned(spec.vectors_path)
 
 
 # fine-tuning continues a checkpoint at this fraction of the learning rate
@@ -93,13 +98,18 @@ class TrainConfig:
         check_sizes(0, max_epochs=self.max_epochs,
                     **{f"seeds[{i}]": s for i, s in enumerate(self.seeds)})
         lr = self.learning_rate
-        number = isinstance(lr, (int, float, np.integer, np.floating)) and not isinstance(lr, bool)
-        if not (number and 0 < lr < np.inf):
+        if not (_finite_number(lr) and lr > 0):
             raise ConfigError(f"learning_rate must be a finite number > 0, got {lr!r}")
-        if any(w < 0 for w in self.corpus_weights) or not any(
-            w > 0 for w in self.corpus_weights
-        ):
-            raise ConfigError("corpus weights must be non-negative and not all zero")
+        weights = self.corpus_weights
+        if not all(_finite_number(w) and w >= 0 for w in weights) or not any(weights):
+            raise ConfigError(
+                f"corpus_weights must be finite numbers >= 0, not all zero, got {list(weights)!r}"
+            )
+
+
+def _finite_number(x):
+    number = isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+    return number and -np.inf < x < np.inf
 
 
 @dataclass
@@ -246,7 +256,10 @@ def _optimize(model, corpora, config, dev_sentences, seed, seed_dir, lr):
                 n_sentences += len(batch)
                 opt.step()
             train_loss = epoch_loss / max(n_sentences, 1)
-            dev_f1 = evaluate_f1(model, dev_sentences)
+            try:
+                dev_f1 = evaluate_f1(model, dev_sentences)
+            except NumericError:  # a dev tree's score is not finite
+                raise TrainingDivergedError(seed, opt.t) from None
             record.dev_f1.append(dev_f1)
             log.write(f"{epoch}\t{train_loss:.6f}\t{dev_f1:.2f}\n")
             log.flush()

@@ -467,11 +467,9 @@ class LabelVocab:
         return isinstance(other, LabelVocab) and self.symbols == other.symbols
 
 
-def bracket_multiset(tree, ignore_punctuation=False):
+def bracket_multiset(tree):
     """EVALB-style brackets: every internal node (chains NOT collapsed),
     preterminals excluded, as a multiset of (a, b, label)."""
-    if ignore_punctuation:
-        tree = strip_punctuation(tree)
     counts = {}
     for key in brackets(tree):
         counts[key] = counts.get(key, 0) + 1

@@ -2,7 +2,7 @@ import gc
 import os
 import weakref
 import zlib
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,10 @@ from prosoparse.treebank import (
     LabelVocab,
     LeafNode,
     _expand_chain,
+    bracket_multiset,
+    classify_fluency,
+    sentence_of,
+    strip_punctuation,
 )
 
 
@@ -825,3 +829,115 @@ def tape_refs(monkeypatch):
         yield refs
     finally:
         gc.enable()
+
+
+# Parseval and the paired bootstrap as they were when each sentence's
+# brackets were counted once per system, summed into report objects one
+# sentence at a time, and the bootstrap scored F1 with its own formula: the
+# oracles of the evaluation over one count table.
+
+ORACLE_LENGTH_BUCKETS = (("[0,5]", 0, 5), ("[6,10]", 6, 10), ("[11,-]", 11, None))
+
+
+@dataclass
+class OracleBucket:
+    matched: int = 0
+    gold: int = 0
+    predicted: int = 0
+    n_sentences: int = 0
+    exact_match: int = 0
+
+    @property
+    def precision(self):
+        return 100.0 * self.matched / self.predicted if self.predicted else 0.0
+
+    @property
+    def recall(self):
+        return 100.0 * self.matched / self.gold if self.gold else 0.0
+
+    @property
+    def f1(self):
+        p, r = self.precision, self.recall
+        return 2 * p * r / (p + r) if p + r > 0 else 0.0
+
+    def add(self, matched, gold, predicted, exact):
+        self.matched += matched
+        self.gold += gold
+        self.predicted += predicted
+        self.n_sentences += 1
+        self.exact_match += int(exact)
+
+
+def oracle_sentence_counts(gold_tree, pred_tree, index, delete_punctuation):
+    gold_words = [w.lower() for w, _ in sentence_of(gold_tree)]
+    pred_words = [w.lower() for w, _ in sentence_of(pred_tree)]
+    if gold_words != pred_words:
+        raise AlignmentError(
+            f"sentence {index}: predicted words do not match gold "
+            f"({pred_words} vs {gold_words})"
+        )
+    if delete_punctuation:
+        gold_tree, pred_tree = strip_punctuation(gold_tree), strip_punctuation(pred_tree)
+    gold_brackets = bracket_multiset(gold_tree)
+    pred_brackets = bracket_multiset(pred_tree)
+    matched = sum(
+        min(count, pred_brackets.get(key, 0)) for key, count in gold_brackets.items()
+    )
+    return matched, sum(gold_brackets.values()), sum(pred_brackets.values())
+
+
+def oracle_parseval(gold_trees, pred_trees, delete_punctuation=False):
+    """(overall, fluency, length) OracleBuckets of the pairs."""
+    overall = OracleBucket()
+    fluency = {name: OracleBucket() for name in ("fluent", "disfluent")}
+    length = {name: OracleBucket() for name, _, _ in ORACLE_LENGTH_BUCKETS}
+    for i, (gold, pred) in enumerate(zip(gold_trees, pred_trees)):
+        matched, n_gold, n_pred = oracle_sentence_counts(gold, pred, i, delete_punctuation)
+        exact = matched == n_gold == n_pred
+        scored = strip_punctuation(gold) if delete_punctuation else gold
+        n_words = sum(1 for _ in scored.leaves())
+        overall.add(matched, n_gold, n_pred, exact)
+        fluency[classify_fluency(gold)].add(matched, n_gold, n_pred, exact)
+        bucket = next(
+            name for name, lo, hi in ORACLE_LENGTH_BUCKETS
+            if n_words >= lo and (hi is None or n_words <= hi)
+        )
+        length[bucket].add(matched, n_gold, n_pred, exact)
+    return overall, fluency, length
+
+
+def oracle_paired_bootstrap(gold_trees, pred_a, pred_b, n_resamples=10000, seed=0,
+                            delete_punctuation=False):
+    """(observed delta, p-value, [n_resamples] resampled deltas)."""
+    n = len(gold_trees)
+    counts = np.zeros((n, 5), dtype=np.int64)  # mA, pA, mB, pB, gold
+    for i, (g, a, b) in enumerate(zip(gold_trees, pred_a, pred_b)):
+        ma, ng, na = oracle_sentence_counts(g, a, i, delete_punctuation)
+        mb, ng2, nb = oracle_sentence_counts(g, b, i, delete_punctuation)
+        assert ng == ng2
+        counts[i] = (ma, na, mb, nb, ng)
+
+    def micro_f1(m, p, g):
+        prec = np.where(p > 0, m / np.maximum(p, 1), 0.0)
+        rec = np.where(g > 0, m / np.maximum(g, 1), 0.0)
+        denom = prec + rec
+        return np.where(denom > 0, 200.0 * prec * rec / np.maximum(denom, 1e-12), 0.0)
+
+    t = counts.sum(axis=0).astype(np.float64)
+    delta = float(
+        micro_f1(t[0:1], t[1:2], t[4:5])[0] - micro_f1(t[2:3], t[3:4], t[4:5])[0]
+    )
+    rng = np.random.default_rng(seed)
+    chunk = max(1, min(n_resamples, 2_000_000 // max(n, 1)))
+    resampled, done = [], 0
+    while done < n_resamples:
+        m = min(chunk, n_resamples - done)
+        idx = rng.integers(0, n, size=(m, n))
+        sums = counts[idx].sum(axis=1).astype(np.float64)  # [m, 5]
+        resampled.append(
+            micro_f1(sums[:, 0], sums[:, 1], sums[:, 4])
+            - micro_f1(sums[:, 2], sums[:, 3], sums[:, 4])
+        )
+        done += m
+    resampled = np.concatenate(resampled)
+    return delta, int(np.sum(resampled > 2.0 * delta)) / n_resamples, resampled

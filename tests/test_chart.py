@@ -30,7 +30,7 @@ from prosoparse.chart import (
     score_spans,
     span_row,
 )
-from prosoparse.errors import CrossingSpanError, DataError, ShapeError
+from prosoparse.errors import CrossingSpanError, DataError, NumericError, ShapeError
 from prosoparse.treebank import LabelVocab, LabeledSpan, tree_to_spans
 
 VOCAB5 = LabelVocab(["S", "NP", "VP", "PP"])
@@ -231,13 +231,17 @@ class TestKernels:
             np.testing.assert_array_equal(np_split, nb_split)
 
     @pytest.mark.parametrize("T", [1, 2, 3, 5, 17, 40, 80])
-    @pytest.mark.parametrize("chart", ["random", "integer"])
+    @pytest.mark.parametrize("chart", ["random", "integer", "non-finite"])
     def test_numpy_fill_equals_loop_reference(self, T, chart):
         rng = np.random.default_rng(T)
         if chart == "random":
             label_best = rng.standard_normal((T + 1, T + 1))
-        else:  # few distinct values: most cells have tied split candidates
+        elif chart == "integer":  # few distinct values: most cells have tied split candidates
             label_best = rng.integers(-2, 3, size=(T + 1, T + 1)).astype(np.float64)
+        else:  # NaN and +inf cells: the first NaN candidate wins in both kernels
+            label_best = rng.standard_normal((T + 1, T + 1))
+            label_best[rng.random(label_best.shape) < 0.1] = np.nan
+            label_best[rng.random(label_best.shape) < 0.1] = np.inf
         np_best, np_split = cky_fill_numpy(label_best)
         ref_best, ref_split = _cky_fill_loops(label_best)
         assert np_best.tobytes() == ref_best.tobytes()
@@ -322,6 +326,26 @@ class TestCkyDecode:
         # leaving a flat tree
         assert decoded.tree.label == "S"
         assert all(child.is_leaf() for child in decoded.tree.children)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf at the root
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tree_total_is_numeric_error(self, bad):
+        # a NaN or +inf label score in any cell of the second sentence's
+        # chart reaches its tree's total; column 0 is never read
+        lengths = [2, 4, 3]
+        rows = np.random.default_rng(3).standard_normal((3 + 10 + 6, len(VOCAB5)))
+        rows[:, 0] = np.nan
+
+        def decode(rows):
+            matrix = ag.Tape(dtype=np.float64).constant(rows)
+            return cky_decode(SpanScores(VOCAB5, matrix, lengths), [leaves(T) for T in lengths])
+
+        assert all(np.isfinite(d.total_score) for d in decode(rows))
+        for row in range(3, 13):  # the second sentence's spans
+            poisoned = rows.copy()
+            poisoned[row, 2] = bad
+            with pytest.raises(NumericError, match="sentence 1 of the bucket"):
+                decode(poisoned)
 
     def test_score_consistency_and_span_round_trip(self):
         rng = np.random.default_rng(23)

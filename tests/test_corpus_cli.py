@@ -761,6 +761,18 @@ class TestCliWorkflow:
         )
         assert not (tmp_path / "run").exists()
 
+    def test_unknown_embedding_mode_exits_2_and_creates_nothing(self, cli_workspace,
+                                                                 tmp_path, capsys):
+        cfg = write_cfg(
+            cli_workspace,
+            {"output_dir": str(tmp_path / "run"), "model": {"embedding": {"mode": "glove"}}},
+            f"exp_glove_{tmp_path.name}.yaml",
+        )
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "unknown embedding mode 'glove'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_path_exit_code(self, cli_workspace):
         ws = cli_workspace
         cfg = write_cfg(

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import attached_scores
+from conftest import attached_scores, oracle_paired_bootstrap, oracle_parseval
 from prosoparse.chart import cky_decode
 from prosoparse.errors import AlignmentError, DataError
 from prosoparse.evaluation import (
@@ -12,7 +14,16 @@ from prosoparse.evaluation import (
     significance_marker,
 )
 from prosoparse.synthdata import random_tree
-from prosoparse.treebank import LabelVocab, parse_ptb, sentence_of
+from prosoparse.treebank import (
+    InternalNode,
+    LabeledSpan,
+    LabelVocab,
+    LeafNode,
+    parse_ptb,
+    sentence_of,
+    spans_to_tree,
+    tree_to_spans,
+)
 
 
 def one(text):
@@ -127,6 +138,116 @@ class TestParseval:
         assert length_bucket(6) == "[6,10]"
         assert length_bucket(10) == "[6,10]"
         assert length_bucket(11) == "[11,-]"
+
+
+# random gold/prediction pairs over the same words: punctuation leaves,
+# unary chains and disfluency nodes, and predictions that may tag a word
+# differently or change its case
+
+LABELS = st.sampled_from(["S", "NP", "VP", "INTJ", "EDITED"])
+WORD_TAGS = st.sampled_from(
+    [("a", "NN"), ("B", "VB"), ("uh", "UH"), (",", ","), (".", "."), ("--", ":")]
+)
+
+
+def rebracket(draw, leaves, depth=0):
+    """A random tree over ``leaves`` in order: its children are runs of
+    leaves, a run of one sometimes a bare leaf; a node may sit in a unary
+    chain."""
+    label = draw(LABELS)
+    if depth >= 3:
+        return InternalNode(label, list(leaves))
+    cuts = sorted(draw(st.sets(st.integers(1, len(leaves) - 1), max_size=3))) if len(leaves) > 1 else []
+    runs = [leaves[a:b] for a, b in zip([0, *cuts], [*cuts, len(leaves)])]
+    children = [
+        run[0] if len(run) == 1 and draw(st.booleans()) else rebracket(draw, run, depth + 1)
+        for run in runs
+    ]
+    node = InternalNode(label, children)
+    return InternalNode(draw(LABELS), [node]) if draw(st.integers(0, 4)) == 0 else node
+
+
+@st.composite
+def tree_pairs(draw):
+    golds, preds = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        words = draw(st.lists(WORD_TAGS, min_size=1, max_size=12))
+        golds.append(rebracket(draw, [LeafNode(w, t) for w, t in words]))
+        retagged = [
+            LeafNode(w.upper() if draw(st.booleans()) else w, draw(WORD_TAGS)[1]
+                     if draw(st.integers(0, 5)) == 0 else t)
+            for w, t in words
+        ]
+        preds.append(rebracket(draw, retagged))
+    return golds, preds
+
+
+BUCKET_FIELDS = ("matched", "gold", "predicted", "n_sentences", "exact_match")
+
+
+def assert_same_bucket(report, oracle):
+    for name in BUCKET_FIELDS:
+        assert getattr(report, name) == getattr(oracle, name), name
+    for name in ("precision", "recall", "f1"):
+        assert getattr(report, name).hex() == getattr(oracle, name).hex(), name
+
+
+class TestAgainstOracle:
+    @given(tree_pairs(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_reports_equal_oracle_bit_for_bit(self, pairs, delete_punctuation):
+        golds, preds = pairs
+        try:
+            overall, fluency, length = oracle_parseval(golds, preds, delete_punctuation)
+        except DataError as exc:  # a sentence of punctuation alone
+            with pytest.raises(type(exc)):
+                parseval(golds, preds, delete_punctuation)
+            return
+        report = parseval(golds, preds, delete_punctuation)
+        assert_same_bucket(report.overall, overall)
+        assert list(report.fluency) == list(fluency)
+        assert list(report.length) == list(length)
+        for name in fluency:
+            assert_same_bucket(report.fluency[name], fluency[name])
+        for name in length:
+            assert_same_bucket(report.length[name], length[name])
+
+    @staticmethod
+    def seeded_set(seed):
+        """Random trees and two predictions of each, from dropping and
+        relabeling some of its spans; every third set has punctuation."""
+        rng = np.random.default_rng(seed)
+        golds, pa, pb = [], [], []
+        for _ in range(int(rng.integers(5, 60))):
+            gold = random_tree(rng, max_words=14)
+            if seed % 3 == 0:
+                gold = spans_to_tree(tree_to_spans(gold), [
+                    (",", ",") if i and rng.random() < 0.2 else leaf
+                    for i, leaf in enumerate(sentence_of(gold))
+                ])
+            golds.append(gold)
+            for preds in (pa, pb):
+                T = len(sentence_of(gold))
+                spans = {
+                    s if rng.random() < 0.8 else LabeledSpan(s.a, s.b, "X")
+                    for s in sorted(tree_to_spans(gold))
+                    if rng.random() < 0.75 or (s.a, s.b) == (0, T)
+                }
+                preds.append(spans_to_tree(spans, sentence_of(gold)))
+        return golds, pa, pb
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bootstrap_delta_is_parseval_difference_and_p_is_oracles(self, seed):
+        golds, pa, pb = self.seeded_set(seed)
+        delete_punctuation = seed % 2 == 1
+        res = paired_bootstrap(golds, pa, pb, n_resamples=2000, seed=seed,
+                               delete_punctuation=delete_punctuation)
+        f1_a = parseval(golds, pa, delete_punctuation).f1
+        f1_b = parseval(golds, pb, delete_punctuation).f1
+        assert res.observed_delta == f1_a - f1_b
+        _, p_value, _ = oracle_paired_bootstrap(golds, pa, pb, n_resamples=2000, seed=seed,
+                                                delete_punctuation=delete_punctuation)
+        assert res.p_value == p_value
 
 
 def chain_sentences(n, extra_bracket_for_a=True):

@@ -6,6 +6,8 @@ the CLI turns into exit 3), never another exception.  The config loader must
 likewise load a mutated config or raise ConfigError (exit 2).
 """
 
+import functools
+
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -228,6 +230,17 @@ def test_valid_config_loads(tmp_path):
         (b"n_resamples: 5000", b"n_resamples: 5e3"),
         (b"n_resamples: 5000", b"n_resamples: 5000, delete_punctuation: 'no'"),
         (b"frame_tracks: tracks", b"frame_tracks: tracks\n  speechify: 'no'"),
+        (b"mode: learned", b"mode: glove"),
+        (b"mode: learned", b"mode: frozen"),
+        (b"mode: learned", b"mode: finetuned"),
+        (b"dim: 32", b"dim: 2.5"),
+        (b"dim: 32", b"dim: -3"),
+        (b"dim: 32", b"dim: 0"),
+        (b"min_count: 1", b"min_count: x"),
+        (b"min_count: 1", b"min_count: -1"),
+        (b"corpus_weights: [1.0]", b"corpus_weights: [.inf]"),
+        (b"corpus_weights: [1.0]", b"corpus_weights: [true]"),
+        (b"output_dir: run", b"output_dir: 5"),
     ],
     ids=["span-hidden-text", "seeds-int", "train-trees-int", "zero-heads", "not-utf8",
          "d-ff-float", "layers-float", "d-content-float", "d-ff-bool", "filters-float",
@@ -235,12 +248,24 @@ def test_valid_config_loads(tmp_path):
          "unknown-model-key", "span-hidden-one", "batch-size-float", "max-epochs-float",
          "seed-float", "learning-rate-text", "learning-rate-no-dot", "learning-rate-inf",
          "learning-rate-zero", "patience-bool", "warmup-float", "resamples-zero",
-         "resamples-text", "delete-punctuation-text", "speechify-text"],
+         "resamples-text", "delete-punctuation-text", "speechify-text", "embedding-mode-glove",
+         "frozen-without-store", "finetuned-without-vectors", "embedding-dim-float",
+         "embedding-dim-negative", "embedding-dim-zero", "min-count-text",
+         "min-count-negative", "corpus-weight-inf", "corpus-weight-bool", "output-dir-int"],
 )
 def test_bad_config_value_is_config_error(tmp_path, edit):
     path = tmp_path / "config.yaml"
     path.write_bytes(VALID_CONFIG.replace(*edit))
     with pytest.raises(ConfigError):
+        load_config(path)
+
+
+@pytest.mark.parametrize("weights", ["[1.0, .nan]", "[.inf, 1.0]", "[1.0, true]"])
+def test_corpus_weights_must_be_finite_numbers(tmp_path, weights):
+    path = tmp_path / "config.yaml"
+    text = VALID_CONFIG.replace(b"train_trees: train.trees", b"train_trees: [a.trees, b.trees]")
+    path.write_bytes(text.replace(b"[1.0]", weights.encode()))
+    with pytest.raises(ConfigError, match="corpus_weights must be finite numbers"):
         load_config(path)
 
 
@@ -251,8 +276,12 @@ def test_wrong_type_exits_2_and_is_named(tmp_path, capsys):
     assert "batch_size must be an integer >= 1, got 2.5" in capsys.readouterr().err
 
 
-# the documented type of each scalar the train, eval and data sections read
+# the documented type of each scalar a config file holds, by its keys
 CONFIG_TYPES = {
+    ("model", "embedding", "dim"): (int,),
+    ("model", "embedding", "min_count"): (int,),
+    ("model", "embedding", "mode"): (str,),
+    ("output_dir",): (str,),
     ("train", "batch_size"): (int,),
     ("train", "learning_rate"): (int, float),
     ("train", "warmup_steps"): (int,),
@@ -271,16 +300,18 @@ YAML_SCALARS = st.one_of(
 @given(field=st.sampled_from(sorted(CONFIG_TYPES)), value=YAML_SCALARS)
 @settings(max_examples=300, deadline=None)
 def test_config_scalar_is_config_error_or_its_type(tmp_path_factory, field, value):
-    section, key = field
+    *sections, key = field
     raw = yaml.safe_load(VALID_CONFIG)
-    raw[section][key] = value
+    functools.reduce(dict.__getitem__, sections, raw)[key] = value
     path = tmp_path_factory.getbasetemp() / "typed-config.yaml"
     path.write_text(yaml.safe_dump(raw), encoding="utf-8")
     try:
         cfg = load_config(path)
     except ConfigError:
         return
-    assert type(getattr(getattr(cfg, section), key)) in CONFIG_TYPES[field]
+    # model.embedding is read into cfg.embedding
+    attrs = field[1:] if field[:2] == ("model", "embedding") else field
+    assert type(functools.reduce(getattr, attrs, cfg)) in CONFIG_TYPES[field]
 
 
 @pytest.mark.parametrize(

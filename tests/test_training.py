@@ -320,6 +320,25 @@ class TestTrainLoop:
         assert "step 3 for seed 1" in recs[0].error
         assert not recs[1].error and recs[1].dev_f1
 
+    def test_non_finite_dev_tree_is_divergence(self, featurized_corpus, tmp_path, monkeypatch):
+        # a NaN weight that appears after the epoch's last step reaches the
+        # dev parse before any loss sees it
+        real = training.evaluate_f1
+        calls = []
+
+        def overflowing(model, sentences):
+            if not calls:  # seed 1's
+                model.scorer.w2.value[:, 1] = np.nan
+            calls.append(model)
+            return real(model, sentences)
+
+        monkeypatch.setattr(training, "evaluate_f1", overflowing)
+        c = featurized_corpus.sentences
+        cfg = tiny_train_config(seeds=(1, 2), max_epochs=1)
+        recs = train(cfg, tiny_model_config(), SPEC, [c], c[:4], tmp_path / "r")
+        assert "seed 1" in recs[0].error
+        assert not recs[1].error and recs[1].dev_f1
+
     def test_non_finite_loss_var_is_divergence(self, featurized_corpus, tmp_path, monkeypatch):
         # the batch loss Var can overflow while every MarginInfo.loss is finite
         real = model_mod.margin_loss

@@ -276,7 +276,7 @@ class TestDeepTrees:
         }
         kept_before = np.cumsum([0] + [i % 7 != 3 for i in range(n)])
         m = kept_before[-1]
-        assert bracket_multiset(t, ignore_punctuation=True) == Counter(
+        assert bracket_multiset(strip_punctuation(t)) == Counter(
             [(kept_before[i], m, "S") for i in range(n - 1)]
             + [(m - 1, m, "EDITED"), (m - 1, m, "NP")]
         )
