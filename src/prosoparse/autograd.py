@@ -47,7 +47,7 @@ import itertools
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import CheckpointError, NumericError, ShapeError
 
 
 class Parameter:
@@ -66,6 +66,58 @@ class Parameter:
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
+
+
+class Init:
+    """Makes a model's parameters, one call each, and lists them in ``made``
+    in the order made.  Without ``tensors``, a value is drawn from ``rng``
+    or is a constant.  With ``tensors`` (name -> array), it is a copy of the
+    tensor of its name, cast to ``dtype``, and nothing is drawn; a missing or
+    reshaped tensor gets a zero placeholder and is noted for ``check``."""
+
+    def __init__(self, dtype, rng=None, tensors=None):
+        self.dtype = np.dtype(dtype)
+        self.rng = rng
+        self.tensors = tensors
+        self.made = []
+        self.missing = []
+        self.reshaped = []
+
+    def __call__(self, name, shape, fill=None):
+        """Parameter ``name`` of ``shape``: a copy of its tensor, else
+        ``fill(z)`` for a standard-normal draw ``z`` of that shape if
+        ``fill`` is callable, else an array of the number ``fill``."""
+        shape = tuple(shape)
+        if self.tensors is None:
+            value = fill(self.rng.standard_normal(shape)) if callable(fill) else np.full(shape, fill)
+            value = value.astype(self.dtype)
+        elif name not in self.tensors:
+            self.missing.append(name)
+            value = np.zeros(shape, self.dtype)
+        elif self.tensors[name].shape != shape:
+            self.reshaped.append(f"{name}: checkpoint {self.tensors[name].shape} vs model {shape}")
+            value = np.zeros(shape, self.dtype)
+        else:
+            value = self.tensors[name].astype(self.dtype)
+        param = Parameter(name, value)
+        self.made.append(param)
+        return param
+
+    def xavier(self, name, fan_in, fan_out):
+        """A [fan_in, fan_out] weight drawn with Xavier (Glorot) scaling."""
+        scale = np.sqrt(2.0 / (fan_in + fan_out))
+        return self(name, (fan_in, fan_out), lambda z: z * scale)
+
+    def check(self, source):
+        """Raise CheckpointError naming every missing, extra and reshaped
+        tensor of ``tensors``."""
+        made = {p.name for p in self.made}
+        extra = [name for name in self.tensors if name not in made]
+        if self.missing or extra or self.reshaped:
+            raise CheckpointError(
+                f"{source}: architecture mismatch; "
+                f"missing={self.missing} extra={extra} shape_diffs={self.reshaped}"
+            )
 
 
 class Var:

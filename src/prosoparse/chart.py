@@ -90,27 +90,17 @@ def span_row(T, a, b):
 
 
 class SpanScorer:
-    """Two-layer feed-forward from span representations to label scores."""
+    """Two-layer feed-forward from span representations to label scores;
+    ``init`` (an ``autograd.Init``) makes its parameters."""
 
-    def __init__(self, d_in, n_labels, hidden=256, rng=None, dtype=np.float32):
-        rng = rng or np.random.default_rng(0)
-        dt = np.dtype(dtype)
-        scale1 = np.sqrt(2.0 / (d_in + hidden))
-        scale2 = np.sqrt(2.0 / (hidden + n_labels))
-        self.w1 = ag.Parameter(
-            "span.w1", (rng.standard_normal((d_in, hidden)) * scale1).astype(dt)
-        )
-        self.b1 = ag.Parameter("span.b1", np.zeros(hidden, dtype=dt))
-        self.ln_gain = ag.Parameter("span.ln_gain", np.ones(hidden, dtype=dt))
-        self.ln_bias = ag.Parameter("span.ln_bias", np.zeros(hidden, dtype=dt))
-        self.w2 = ag.Parameter(
-            "span.w2", (rng.standard_normal((hidden, n_labels)) * scale2).astype(dt)
-        )
-        self.b2 = ag.Parameter("span.b2", np.zeros(n_labels, dtype=dt))
+    def __init__(self, d_in, n_labels, hidden, init):
+        self.w1 = init.xavier("span.w1", d_in, hidden)
+        self.b1 = init("span.b1", (hidden,), 0.0)
+        self.ln_gain = init("span.ln_gain", (hidden,), 1.0)
+        self.ln_bias = init("span.ln_bias", (hidden,), 0.0)
+        self.w2 = init.xavier("span.w2", hidden, n_labels)
+        self.b2 = init("span.b2", (n_labels,), 0.0)
         self.n_labels = n_labels
-
-    def parameters(self):
-        yield from (self.w1, self.b1, self.ln_gain, self.ln_bias, self.w2, self.b2)
 
 
 def score_spans(tape, fenceposts, scorer, vocab, lengths):
@@ -157,7 +147,7 @@ def _decode(rows, empty, lengths):
     label_best[cells] = np.where(empty_wins, empty, best)
     chart_best, split = cky_fill(label_best)
 
-    spans, at, roots, totals, lo = [], [], [], [], 0
+    spans, at, roots, lo = [], [], [], 0
     for i, T in enumerate(lengths):
         tree = []
         stack = [(0, T)]
@@ -171,13 +161,16 @@ def _decode(rows, empty, lengths):
         spans.append(tree)
         at += [lo + span_row(T, a, b) for a, b in tree]
         roots.append(lo + T - 1)
-        totals.append(best[roots[-1]] + (chart_best[i, 0, T] - label_best[i, 0, T]))
         lo += T * (T + 1) // 2
+    sent = np.arange(len(lengths))
+    # an infinite root gives inf - inf = NaN, which cky_decode reports
+    with np.errstate(invalid="ignore"):
+        totals = best[roots] + (chart_best[sent, 0, lengths] - label_best[sent, 0, lengths])
     at = np.array(at)
     labels = rows[at, 1:].argmax(axis=1) + 1
     empty_wins[roots] = False
     labels[empty_wins[at]] = 0
-    return spans, at, labels, np.array(totals)
+    return spans, at, labels, totals
 
 
 def cky_decode(scores, leaves):

@@ -16,6 +16,7 @@ from dataclasses import replace
 from . import corpus as corpus_mod
 from . import evaluation as ev
 from .config import load_config, validate_paths, write_snapshot
+from .encoder import check_sizes
 from .errors import ConfigError, DataError, NumericError, ProsoparseError, utf8_text
 from .model import ParserModel
 from .prosody import CONTEXT_S, MAX_FRAMES, read_alignment_file, read_frame_track_file
@@ -151,6 +152,9 @@ def cmd_features(cfg, args):
 
 
 def cmd_train(cfg, args):
+    train_cfg = cfg.train
+    if args.seed is not None:
+        train_cfg = replace(train_cfg, seeds=(args.seed,))
     validate_paths(
         cfg,
         need=("train", "dev", "test", "prosody", "embedding"),
@@ -170,9 +174,6 @@ def cmd_train(cfg, args):
         every = [s for c in corpora for s in c] + dev + (test or [])
         _attach_features(cfg, every)
 
-    train_cfg = cfg.train
-    if args.seed is not None:
-        train_cfg = replace(train_cfg, seeds=(args.seed,))
     os.makedirs(cfg.output_dir, exist_ok=True)
     write_snapshot(cfg, cfg.output_dir)
 
@@ -354,6 +355,7 @@ def cmd_evaluate(cfg, args):
 
 
 def cmd_significance(cfg, args):
+    check_sizes(0, **{"--seed": args.seed, "--resamples": args.resamples})
     validate_paths(
         cfg,
         flags=[("--gold", args.gold), ("--pred-a", args.pred_a), ("--pred-b", args.pred_b)],

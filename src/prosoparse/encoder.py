@@ -151,54 +151,38 @@ def join_prosody(prosodies):
     ))
 
 
-def _xavier(rng, fan_in, fan_out, dtype):
-    scale = np.sqrt(2.0 / (fan_in + fan_out))
-    return (rng.standard_normal((fan_in, fan_out)) * scale).astype(dtype)
+def _small(z):
+    """A standard-normal draw scaled to a standard deviation of 0.1."""
+    return z * 0.1
 
 
 class _StreamAttention:
-    def __init__(self, name, dim, rng, dtype):
-        self.wq = ag.Parameter(f"{name}.wq", _xavier(rng, dim, dim, dtype))
-        self.wk = ag.Parameter(f"{name}.wk", _xavier(rng, dim, dim, dtype))
-        self.wv = ag.Parameter(f"{name}.wv", _xavier(rng, dim, dim, dtype))
-        self.wo = ag.Parameter(f"{name}.wo", _xavier(rng, dim, dim, dtype))
-
-    def parameters(self):
-        yield from (self.wq, self.wk, self.wv, self.wo)
+    def __init__(self, name, dim, init):
+        self.wq, self.wk, self.wv, self.wo = (
+            init.xavier(f"{name}.{w}", dim, dim) for w in ("wq", "wk", "wv", "wo")
+        )
 
 
 class _StreamNorm:
-    def __init__(self, name, dim, dtype):
-        self.gain = ag.Parameter(f"{name}.gain", np.ones(dim, dtype=dtype))
-        self.bias = ag.Parameter(f"{name}.bias", np.zeros(dim, dtype=dtype))
-
-    def parameters(self):
-        yield from (self.gain, self.bias)
+    def __init__(self, name, dim, init):
+        self.gain = init(f"{name}.gain", (dim,), 1.0)
+        self.bias = init(f"{name}.bias", (dim,), 0.0)
 
     def __call__(self, tape, x):
         return ag.layer_norm(x, tape.watch(self.gain), tape.watch(self.bias))
 
 
 class _Layer:
-    def __init__(self, name, config, rng, dtype):
-        dims = config.stream_dims
-        names = _stream_names(config)
-        self.attn = [
-            _StreamAttention(f"{name}.attn.{s}", d, rng, dtype)
-            for s, d in zip(names, dims)
-        ]
-        self.norm1 = [_StreamNorm(f"{name}.norm1.{s}", d, dtype) for s, d in zip(names, dims)]
-        self.norm2 = [_StreamNorm(f"{name}.norm2.{s}", d, dtype) for s, d in zip(names, dims)]
-        d_total = config.d_total
-        self.ff_w1 = ag.Parameter(f"{name}.ff.w1", _xavier(rng, d_total, config.d_ff, dtype))
-        self.ff_b1 = ag.Parameter(f"{name}.ff.b1", np.zeros(config.d_ff, dtype=dtype))
-        self.ff_w2 = ag.Parameter(f"{name}.ff.w2", _xavier(rng, config.d_ff, d_total, dtype))
-        self.ff_b2 = ag.Parameter(f"{name}.ff.b2", np.zeros(d_total, dtype=dtype))
-
-    def parameters(self):
-        for group in (*self.attn, *self.norm1, *self.norm2):
-            yield from group.parameters()
-        yield from (self.ff_w1, self.ff_b1, self.ff_w2, self.ff_b2)
+    def __init__(self, name, config, init):
+        streams = list(zip(_stream_names(config), config.stream_dims))
+        self.attn = [_StreamAttention(f"{name}.attn.{s}", d, init) for s, d in streams]
+        self.norm1 = [_StreamNorm(f"{name}.norm1.{s}", d, init) for s, d in streams]
+        self.norm2 = [_StreamNorm(f"{name}.norm2.{s}", d, init) for s, d in streams]
+        d_total, d_ff = config.d_total, config.d_ff
+        self.ff_w1 = init.xavier(f"{name}.ff.w1", d_total, d_ff)
+        self.ff_b1 = init(f"{name}.ff.b1", (d_ff,), 0.0)
+        self.ff_w2 = init.xavier(f"{name}.ff.w2", d_ff, d_total)
+        self.ff_b2 = init(f"{name}.ff.b2", (d_total,), 0.0)
 
 
 def _stream_names(config):
@@ -206,83 +190,42 @@ def _stream_names(config):
 
 
 class Encoder:
-    """Parameters and forward pass from input features to fencepost vectors."""
+    """Parameters, made by ``init`` (an ``autograd.Init``), and forward pass
+    from input features to fencepost vectors."""
 
-    def __init__(self, config, cnn_config, embed_dim, rng=None, dtype=np.float32):
+    def __init__(self, config, cnn_config, embed_dim, init):
         self.config = config
-        self.cnn_config = cnn_config
         self.embed_dim = embed_dim
-        rng = rng or np.random.default_rng(0)
-        dt = np.dtype(dtype)
 
-        self.w_content = ag.Parameter(
-            "encoder.input.content.w", _xavier(rng, embed_dim, config.d_content, dt)
-        )
-        self.b_content = ag.Parameter(
-            "encoder.input.content.b", np.zeros(config.d_content, dtype=dt)
-        )
-        self.pos_table = ag.Parameter(
-            "encoder.positions",
-            (rng.standard_normal((config.max_len, config.d_position))
-             / np.sqrt(config.d_position)).astype(dt),
+        self.w_content = init.xavier("encoder.input.content.w", embed_dim, config.d_content)
+        self.b_content = init("encoder.input.content.b", (config.d_content,), 0.0)
+        d_pos = config.d_position
+        self.pos_table = init(
+            "encoder.positions", (config.max_len, d_pos), lambda z: z / np.sqrt(d_pos)
         )
 
         if config.use_prosody:
-            self.pause_before_table = ag.Parameter(
-                "encoder.pause_before",
-                (rng.standard_normal((N_PAUSE_BUCKETS, PAUSE_EMB_DIM)) * 0.1).astype(dt),
-            )
-            self.pause_after_table = ag.Parameter(
-                "encoder.pause_after",
-                (rng.standard_normal((N_PAUSE_BUCKETS, PAUSE_EMB_DIM)) * 0.1).astype(dt),
-            )
-            self.cnn_filters = []
-            for w in cnn_config.widths:
-                wmat = ag.Parameter(
-                    f"encoder.cnn.w{w}.filters",
-                    (rng.standard_normal((w, CNN_IN_CHANNELS, cnn_config.filters_per_width))
-                     * np.sqrt(2.0 / (w * CNN_IN_CHANNELS))).astype(dt),
-                )
-                bias = ag.Parameter(
-                    f"encoder.cnn.w{w}.bias",
-                    np.zeros(cnn_config.filters_per_width, dtype=dt),
-                )
-                self.cnn_filters.append((wmat, bias))
+            pause_shape = (N_PAUSE_BUCKETS, PAUSE_EMB_DIM)
+            self.pause_before_table = init("encoder.pause_before", pause_shape, _small)
+            self.pause_after_table = init("encoder.pause_after", pause_shape, _small)
+            n = cnn_config.filters_per_width
+            self.cnn_filters = [
+                (init(f"encoder.cnn.w{w}.filters", (w, CNN_IN_CHANNELS, n),
+                      lambda z: z * np.sqrt(2.0 / (w * CNN_IN_CHANNELS))),
+                 init(f"encoder.cnn.w{w}.bias", (n,), 0.0))
+                for w in cnn_config.widths
+            ]
             pros_in = PHI_DIM + cnn_config.output_dim
-            self.w_prosody = ag.Parameter(
-                "encoder.input.prosody.w", _xavier(rng, pros_in, config.d_prosody, dt)
-            )
-            self.b_prosody = ag.Parameter(
-                "encoder.input.prosody.b", np.zeros(config.d_prosody, dtype=dt)
-            )
+            self.w_prosody = init.xavier("encoder.input.prosody.w", pros_in, config.d_prosody)
+            self.b_prosody = init("encoder.input.prosody.b", (config.d_prosody,), 0.0)
 
-        self.layers = [
-            _Layer(f"encoder.layer{i}", config, rng, dt) for i in range(config.layers)
+        self.layers = [_Layer(f"encoder.layer{i}", config, init) for i in range(config.layers)]
+
+        self.sentinels = [
+            tuple(init(f"encoder.sentinel.{name}.{end}", (1, dim // 2), _small)
+                  for end in ("start", "stop"))
+            for name, dim in zip(_stream_names(config), config.stream_dims)
         ]
-
-        self.sentinels = []
-        for name, dim in zip(_stream_names(config), config.stream_dims):
-            start = ag.Parameter(
-                f"encoder.sentinel.{name}.start",
-                (rng.standard_normal((1, dim // 2)) * 0.1).astype(dt),
-            )
-            stop = ag.Parameter(
-                f"encoder.sentinel.{name}.stop",
-                (rng.standard_normal((1, dim // 2)) * 0.1).astype(dt),
-            )
-            self.sentinels.append((start, stop))
-
-    def parameters(self):
-        yield from (self.w_content, self.b_content, self.pos_table)
-        if self.config.use_prosody:
-            yield from (self.pause_before_table, self.pause_after_table)
-            for wmat, bias in self.cnn_filters:
-                yield from (wmat, bias)
-            yield from (self.w_prosody, self.b_prosody)
-        for layer in self.layers:
-            yield from layer.parameters()
-        for start, stop in self.sentinels:
-            yield from (start, stop)
 
     # ------------------------------------------------------------------
     # prosodic feature sub-networks

@@ -1,7 +1,11 @@
 """Full parser model: embedding provider + encoder + span scorer.
 
-Also owns checkpoint I/O (named parameters against an architecture
-signature) and ``clone_model``, a structural copy at another precision.
+An ``autograd.Init`` makes each encoder and span-scorer parameter with one
+call.  A fresh model's draws its values from the model's seed; the one that
+``ParserModel.load`` and ``clone_model`` pass copies the tensor of each
+name, from a checkpoint or from another model, so a loaded or cloned model
+draws nothing.  Checkpoints hold the named tensors and metadata: the model
+config, the label and word vocabularies and the embedding mode.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import numpy as np
 
 from . import autograd as ag
 from .chart import SpanScorer, cky_decode, margin_loss, score_spans
-from .embeddings import EmbeddingProvider, WordVocab
+from .embeddings import MODES, EmbeddingProvider, WordVocab
 from .encoder import CnnConfig, Encoder, EncoderConfig, check_sizes
 from .errors import AlignmentError, CheckpointError, ConfigError, DataError
 from .tensorfile import read_tensors, write_tensors
@@ -50,6 +54,8 @@ class ModelConfig:
                 "span_hidden must be >= 2, got 1: a layer norm over one hidden unit "
                 "maps every span to 0, so every span would score the same"
             )
+        if self.encoder.use_prosody and not self.cnn.widths:
+            raise ConfigError("cnn widths must not be empty when d_prosody > 0")
 
     def to_dict(self):
         return asdict(self)
@@ -64,22 +70,23 @@ class ModelConfig:
 
 
 class ParserModel:
-    def __init__(self, config, provider, label_vocab, seed=0, dtype=np.float32):
+    """Embedding provider, encoder and span scorer.  ``init`` (an
+    ``autograd.Init``) makes the encoder's and span scorer's parameters; by
+    default, one that draws them from ``seed`` at ``dtype``."""
+
+    def __init__(self, config, provider, label_vocab, seed=0, dtype=np.float32, init=None):
+        if init is None:
+            init = ag.Init(dtype, rng=np.random.default_rng(seed))
+        first = len(init.made)  # load makes a trainable provider's table first
         self.config = config
         self.provider = provider
         self.label_vocab = label_vocab
-        self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        self.encoder = Encoder(
-            config.encoder, config.cnn, provider.dim, rng=rng, dtype=dtype
-        )
+        self.dtype = init.dtype
+        self.encoder = Encoder(config.encoder, config.cnn, provider.dim, init)
         self.scorer = SpanScorer(
-            config.encoder.d_total,
-            len(label_vocab),
-            hidden=config.span_hidden,
-            rng=rng,
-            dtype=dtype,
+            config.encoder.d_total, len(label_vocab), config.span_hidden, init
         )
+        self._made = init.made[first:]
 
     @property
     def uses_prosody(self):
@@ -87,11 +94,7 @@ class ParserModel:
 
     def parameters(self):
         yield from self.provider.parameters()
-        yield from self.encoder.parameters()
-        yield from self.scorer.parameters()
-
-    def param_dict(self):
-        return {p.name: p for p in self.parameters()}
+        yield from self._made
 
     # ------------------------------------------------------------------
 
@@ -168,6 +171,10 @@ class ParserModel:
 
     @classmethod
     def load(cls, path, store=None, dtype=np.float32):
+        """(model, meta) of a checkpoint.  Each parameter is a copy of the
+        checkpoint tensor of its name, cast to ``dtype``; nothing is drawn.
+        Bad metadata, or a missing, extra or reshaped tensor, raises
+        CheckpointError."""
         meta, tensors = read_tensors(path)
         if meta.get("kind") != CHECKPOINT_KIND:
             raise CheckpointError(f"{path}: not a parser checkpoint")
@@ -177,9 +184,15 @@ class ParserModel:
             config = ModelConfig.from_dict(meta["model"])
             emb = meta["embedding"]
             mode, dim, words = emb["mode"], emb["dim"], emb["words"]
-            labels = meta["labels"][1:]
+            if mode not in MODES:
+                raise ConfigError(f"unknown embedding mode {mode!r}")
+            check_sizes(1, **{"embedding.dim": dim})
+            _check_strings("labels", meta["labels"])
+            if mode != "frozen":
+                _check_strings("embedding.words", words)
         except (KeyError, TypeError, ConfigError) as exc:
             raise CheckpointError(f"{path}: bad checkpoint metadata ({exc!r})") from None
+        init = ag.Init(dtype, tensors=tensors)
         if mode == "frozen":
             if store is None:
                 raise CheckpointError(
@@ -192,51 +205,24 @@ class ParserModel:
             provider = EmbeddingProvider.frozen(store)
         else:
             vocab = WordVocab(words[1:])  # index 0 is UNK already
-            table = ag.Parameter(
-                "embeddings.table", np.zeros((len(vocab), dim), dtype=dtype)
-            )
+            table = init("embeddings.table", (len(vocab), dim))
             provider = EmbeddingProvider(mode, dim, vocab=vocab, table=table)
-        label_vocab = LabelVocab(labels)
-        model = cls(config, provider, label_vocab, seed=0, dtype=dtype)
-        load_parameters(model, tensors, source=str(path))
+        model = cls(config, provider, LabelVocab(meta["labels"][1:]), init=init)
+        init.check(str(path))
         return model, meta
 
 
-def load_parameters(model, tensors, source="checkpoint"):
-    """Overwrite model parameters from named tensors; shapes must agree."""
-    params = model.param_dict()
-    mismatches = []
-    missing = [name for name in params if name not in tensors]
-    extra = [name for name in tensors if name not in params]
-    for name, param in params.items():
-        if name in tensors and tensors[name].shape != param.value.shape:
-            mismatches.append(
-                f"{name}: checkpoint {tensors[name].shape} vs model {param.value.shape}"
-            )
-    if missing or extra or mismatches:
-        raise CheckpointError(
-            f"{source}: architecture mismatch; "
-            f"missing={missing} extra={extra} shape_diffs={mismatches}"
-        )
-    for name, param in params.items():
-        param.value[...] = tensors[name].astype(param.value.dtype)
+def _check_strings(name, value):
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ConfigError(f"{name} is not a list of strings")
 
 
 def clone_model(model, dtype=None):
-    """Structural copy of a model, optionally at a different precision."""
-    dtype = np.dtype(dtype or model.dtype)
+    """Copy of a model, optionally at another precision: each parameter is a
+    copy of the model's, cast to ``dtype``; nothing is drawn."""
+    init = ag.Init(dtype or model.dtype, tensors={p.name: p.value for p in model.parameters()})
     provider = model.provider
     if provider.trainable:
-        new_provider = EmbeddingProvider(
-            provider.mode,
-            provider.dim,
-            vocab=provider.vocab,
-            table=ag.Parameter(provider.table.name, provider.table.value.astype(dtype)),
-        )
-    else:
-        new_provider = provider
-    twin = ParserModel(model.config, new_provider, model.label_vocab, dtype=dtype)
-    src = {p.name: p for p in model.parameters()}
-    for p in twin.parameters():
-        p.value[...] = src[p.name].value.astype(dtype)
-    return twin
+        table = init(provider.table.name, provider.table.shape)
+        provider = EmbeddingProvider(provider.mode, provider.dim, vocab=provider.vocab, table=table)
+    return ParserModel(model.config, provider, model.label_vocab, init=init)

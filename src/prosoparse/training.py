@@ -97,6 +97,8 @@ class TrainConfig:
                     warmup_steps=self.warmup_steps)
         check_sizes(0, max_epochs=self.max_epochs,
                     **{f"seeds[{i}]": s for i, s in enumerate(self.seeds)})
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         lr = self.learning_rate
         if not (_finite_number(lr) and lr > 0):
             raise ConfigError(f"learning_rate must be a finite number > 0, got {lr!r}")

@@ -6,6 +6,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import prosoparse
 from prosoparse import autograd as ag
@@ -20,7 +21,14 @@ from prosoparse.chart import (
 )
 from prosoparse.corpus import featurize
 from prosoparse.embeddings import EmbeddingProvider, VectorStore
-from prosoparse.encoder import CnnConfig, EncoderConfig
+from prosoparse.encoder import (
+    CNN_IN_CHANNELS,
+    N_PAUSE_BUCKETS,
+    PAUSE_EMB_DIM,
+    PHI_DIM,
+    CnnConfig,
+    EncoderConfig,
+)
 from prosoparse.errors import AlignmentError, CrossingSpanError, DataError, ShapeError
 from prosoparse.model import ModelConfig, ParserModel
 from prosoparse.synthdata import overfit_corpus
@@ -36,6 +44,12 @@ from prosoparse.treebank import (
     sentence_of,
     strip_punctuation,
 )
+
+# Tier-1 draws the same examples on every run; ``--hypothesis-profile=fuzz``
+# draws fresh ones, at the same example counts.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("fuzz", derandomize=False)
+settings.load_profile("tier1")
 
 
 def tiny_model_config(prosody=True, dropout=0.0):
@@ -829,6 +843,73 @@ def tape_refs(monkeypatch):
         yield refs
     finally:
         gc.enable()
+
+
+# The encoder's and span scorer's parameters as they were made when each
+# class drew its own with a private Xavier helper and listed them in a
+# hand-kept ``parameters()`` method (in the order it drew them): the oracle
+# of the models that ``autograd.Init`` makes.
+
+
+def _oracle_xavier(rng, fan_in, fan_out, dtype):
+    scale = np.sqrt(2.0 / (fan_in + fan_out))
+    return (rng.standard_normal((fan_in, fan_out)) * scale).astype(dtype)
+
+
+def oracle_parameters(config, embed_dim, n_labels, seed, dtype):
+    """[(name, value)] of a fresh model's encoder and span scorer."""
+    rng = np.random.default_rng(seed)
+    enc, dt = config.encoder, np.dtype(dtype)
+    out = []
+
+    def add(name, value):
+        out.append((name, value))
+
+    add("encoder.input.content.w", _oracle_xavier(rng, embed_dim, enc.d_content, dt))
+    add("encoder.input.content.b", np.zeros(enc.d_content, dtype=dt))
+    add("encoder.positions", (rng.standard_normal((enc.max_len, enc.d_position))
+                              / np.sqrt(enc.d_position)).astype(dt))
+    if enc.use_prosody:
+        for side in ("before", "after"):
+            add(f"encoder.pause_{side}",
+                (rng.standard_normal((N_PAUSE_BUCKETS, PAUSE_EMB_DIM)) * 0.1).astype(dt))
+        n = config.cnn.filters_per_width
+        for w in config.cnn.widths:
+            add(f"encoder.cnn.w{w}.filters",
+                (rng.standard_normal((w, CNN_IN_CHANNELS, n))
+                 * np.sqrt(2.0 / (w * CNN_IN_CHANNELS))).astype(dt))
+            add(f"encoder.cnn.w{w}.bias", np.zeros(n, dtype=dt))
+        pros_in = PHI_DIM + config.cnn.output_dim
+        add("encoder.input.prosody.w", _oracle_xavier(rng, pros_in, enc.d_prosody, dt))
+        add("encoder.input.prosody.b", np.zeros(enc.d_prosody, dtype=dt))
+    streams = list(zip(("content", "position", "prosody"), enc.stream_dims))
+    for i in range(enc.layers):
+        name = f"encoder.layer{i}"
+        for s, d in streams:
+            for w in ("wq", "wk", "wv", "wo"):
+                add(f"{name}.attn.{s}.{w}", _oracle_xavier(rng, d, d, dt))
+        for norm in ("norm1", "norm2"):
+            for s, d in streams:
+                add(f"{name}.{norm}.{s}.gain", np.ones(d, dtype=dt))
+                add(f"{name}.{norm}.{s}.bias", np.zeros(d, dtype=dt))
+        add(f"{name}.ff.w1", _oracle_xavier(rng, enc.d_total, enc.d_ff, dt))
+        add(f"{name}.ff.b1", np.zeros(enc.d_ff, dtype=dt))
+        add(f"{name}.ff.w2", _oracle_xavier(rng, enc.d_ff, enc.d_total, dt))
+        add(f"{name}.ff.b2", np.zeros(enc.d_total, dtype=dt))
+    for s, d in streams:
+        for end in ("start", "stop"):
+            add(f"encoder.sentinel.{s}.{end}",
+                (rng.standard_normal((1, d // 2)) * 0.1).astype(dt))
+    hidden = config.span_hidden
+    scale1 = np.sqrt(2.0 / (enc.d_total + hidden))
+    scale2 = np.sqrt(2.0 / (hidden + n_labels))
+    add("span.w1", (rng.standard_normal((enc.d_total, hidden)) * scale1).astype(dt))
+    add("span.b1", np.zeros(hidden, dtype=dt))
+    add("span.ln_gain", np.ones(hidden, dtype=dt))
+    add("span.ln_bias", np.zeros(hidden, dtype=dt))
+    add("span.w2", (rng.standard_normal((hidden, n_labels)) * scale2).astype(dt))
+    add("span.b2", np.zeros(n_labels, dtype=dt))
+    return out
 
 
 # Parseval and the paired bootstrap as they were when each sentence's

@@ -773,6 +773,30 @@ class TestCliWorkflow:
         assert "unknown embedding mode 'glove'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["train", "--seed", "-1"], "seeds[0] must be an integer >= 0, got -1"),
+            (["significance", "--seed", "-1", "--gold", "{file}", "--pred-a", "{file}",
+              "--pred-b", "{file}"], "--seed must be an integer >= 0, got -1"),
+            (["significance", "--resamples", "-5", "--gold", "{file}", "--pred-a", "{file}",
+              "--pred-b", "{file}"], "--resamples must be an integer >= 0, got -5"),
+        ],
+        ids=["train-seed", "significance-seed", "significance-resamples"],
+    )
+    def test_negative_flag_is_config_error(self, cli_workspace, tmp_path, capsys, argv,
+                                           message):
+        # exit 2 naming the flag, before anything is read or written
+        run = tmp_path / "run"
+        cfg = write_cfg(cli_workspace, {"output_dir": str(run)},
+                        f"exp_flag_{tmp_path.name}.yaml")
+        trees = str(cli_workspace["corpus"] / "all.trees")
+        argv = [argv[0], "--config", str(cfg)] + [trees if a == "{file}" else a for a in argv[1:]]
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not run.exists()
+
     def test_missing_path_exit_code(self, cli_workspace):
         ws = cli_workspace
         cfg = write_cfg(

@@ -11,11 +11,13 @@ from conftest import (
     chain_logit_parts,
     conv1d,
     grad_check,
+    oracle_parameters,
     relu_then_pool,
     zero_prosody_pathway,
 )
 from prosoparse import autograd as ag
 from prosoparse.chart import cky_decode, margin_loss
+from prosoparse.embeddings import EmbeddingProvider, VectorStore
 from prosoparse.encoder import CnnConfig, Encoder, EncoderConfig, ProsodyInputs
 from prosoparse.errors import (
     CheckpointError,
@@ -26,7 +28,8 @@ from prosoparse.errors import (
 )
 from prosoparse import model as model_mod
 from prosoparse.model import ModelConfig, ParserModel, clone_model
-from prosoparse.treebank import parse_ptb
+from prosoparse.tensorfile import read_tensors, write_tensors
+from prosoparse.treebank import LabelVocab, parse_ptb
 
 
 def sent_scores(model, sent):
@@ -144,7 +147,7 @@ class TestProsodyCnn:
         )
         return Encoder(
             cfg, CnnConfig(widths=widths, filters_per_width=n), embed_dim=6,
-            rng=np.random.default_rng(seed),
+            init=ag.Init(np.float32, rng=np.random.default_rng(seed)),
         )
 
     @staticmethod
@@ -172,7 +175,7 @@ class TestProsodyCnn:
         enc = Encoder(
             EncoderConfig(layers=1, heads=2, d_content=8, d_position=4, d_prosody=4,
                           d_ff=8, dropout=0.0, max_len=20),
-            CnnConfig(), embed_dim=6, rng=np.random.default_rng(4), dtype=dtype,
+            CnnConfig(), embed_dim=6, init=ag.Init(dtype, rng=np.random.default_rng(4)),
         )
         rng = np.random.default_rng(5)
         lens = (23, 1, 100, 7, 54, 2)
@@ -527,8 +530,6 @@ class TestCheckpoints:
         model = build_tiny_model(sents)
         path = tmp_path / "m.ckpt"
         model.save(path)
-        from prosoparse.tensorfile import read_tensors, write_tensors
-
         meta, tensors = read_tensors(path)
         meta["model"]["span_hidden"] = 48  # widens span.w1/w2
         write_tensors(path, tensors, meta)
@@ -544,3 +545,143 @@ class TestCheckpoints:
         )
         with pytest.raises(DataError):
             sent_scores(model, bare)
+
+    def test_missing_extra_and_reshaped_tensors_are_all_named(self, featurized_corpus, tmp_path):
+        path = tmp_path / "m.ckpt"
+        build_tiny_model(featurized_corpus.sentences).save(path)
+        meta, tensors = read_tensors(path)
+        del tensors["encoder.layer1.ff.b1"]
+        tensors["encoder.layer9.ff.b1"] = np.zeros(3, np.float32)
+        tensors["span.b2"] = tensors["span.b2"][:-1]
+        write_tensors(path, tensors, meta)
+        with pytest.raises(CheckpointError) as err:
+            ParserModel.load(path)
+        message = str(err.value)
+        assert "missing=['encoder.layer1.ff.b1']" in message
+        assert "extra=['encoder.layer9.ff.b1']" in message
+        assert "span.b2: checkpoint" in message
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_and_clone_copy_every_bit(self, featurized_corpus, tmp_path, dtype):
+        model = build_tiny_model(featurized_corpus.sentences)
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        loaded, _ = ParserModel.load(path, dtype=dtype)
+        twin = clone_model(model, dtype=dtype)
+        want = [(p.name, p.value.astype(dtype).tobytes()) for p in model.parameters()]
+        for copy in (loaded, twin):
+            assert copy.dtype == dtype
+            assert [(p.name, p.value.tobytes()) for p in copy.parameters()] == want
+        # a clone owns its arrays, even at the source's dtype
+        same = clone_model(model)
+        for p, q in zip(same.parameters(), model.parameters()):
+            assert not np.shares_memory(p.value, q.value)
+
+    def test_load_and_clone_draw_nothing(self, featurized_corpus, tmp_path, monkeypatch):
+        model = build_tiny_model(featurized_corpus.sentences)
+        path = tmp_path / "m.ckpt"
+        model.save(path)
+        inits = []
+        made = ag.Init.__init__
+
+        def recording(self, *args, **kwargs):
+            made(self, *args, **kwargs)
+            inits.append(self)
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a random generator was made")
+
+        monkeypatch.setattr(ag.Init, "__init__", recording)
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        loaded, _ = ParserModel.load(path)
+        clone_model(loaded, dtype=np.float64)
+        assert len(inits) == 2 and all(init.rng is None for init in inits)
+
+
+def _edit(path, value):
+    """Checkpoint metadata edit: set the value at ``path`` (keys joined by
+    dots), or delete the key when ``value`` is DELETE."""
+    def apply(meta):
+        *parents, key = path.split(".")
+        for k in parents:
+            meta = meta[k]
+        if value is DELETE:
+            del meta[key]
+        else:
+            meta[key] = value(meta[key]) if callable(value) else value
+    return apply
+
+
+DELETE = object()
+METADATA_EDITS = {
+    "dim-text": _edit("embedding.dim", "8"),
+    "dim-zero": _edit("embedding.dim", 0),
+    "dim-float": _edit("embedding.dim", 12.0),
+    "dim-bool": _edit("embedding.dim", True),
+    "dim-wrong": _edit("embedding.dim", 13),
+    "dim-gone": _edit("embedding.dim", DELETE),
+    "words-null": _edit("embedding.words", None),
+    "words-text": _edit("embedding.words", "abc"),
+    "words-ints": _edit("embedding.words", lambda w: [0] + w[1:]),
+    "words-empty": _edit("embedding.words", []),
+    "words-repeated": _edit("embedding.words", lambda w: w + w[-1:]),
+    "words-reversed": _edit("embedding.words", lambda w: w[:1] + w[:0:-1]),
+    "mode-unknown": _edit("embedding.mode", "glove"),
+    "mode-list": _edit("embedding.mode", ["learned"]),
+    "mode-frozen": _edit("embedding.mode", "frozen"),
+    "mode-finetuned": _edit("embedding.mode", "finetuned"),
+    "embedding-null": _edit("embedding", None),
+    "labels-null": _edit("labels", None),
+    "labels-text": _edit("labels", "S"),
+    "labels-ints": _edit("labels", lambda ls: ls[:1] + [7] + ls[2:]),
+    "labels-empty": _edit("labels", []),
+    "labels-reversed": _edit("labels", lambda ls: ls[:1] + ls[:0:-1]),
+    "labels-gone": _edit("labels", DELETE),
+    "model-null": _edit("model", None),
+    "layers-text": _edit("model.encoder.layers", "2"),
+    "layers-more": _edit("model.encoder.layers", 3),
+    "dropout-text": _edit("model.encoder.dropout", "0.1"),
+    "text-only": _edit("model.encoder.d_prosody", 0),
+    "encoder-extra-key": _edit("model.encoder.depth", 2),
+    "widths-empty": _edit("model.cnn.widths", []),
+    "widths-int": _edit("model.cnn.widths", 3),
+    "span-hidden-text": _edit("model.span_hidden", "24"),
+    "kind": _edit("kind", "tree"),
+    "version": _edit("version", 2),
+}
+
+
+@pytest.mark.parametrize("edit", METADATA_EDITS.values(), ids=METADATA_EDITS.keys())
+def test_edited_checkpoint_metadata_loads_or_is_checkpoint_error(featurized_corpus, tmp_path,
+                                                                  edit):
+    path = tmp_path / "m.ckpt"
+    build_tiny_model(featurized_corpus.sentences).save(path)
+    meta, tensors = read_tensors(path)
+    edit(meta)
+    write_tensors(path, tensors, meta)
+    try:
+        ParserModel.load(path)
+    except CheckpointError:
+        pass
+
+
+class TestParameterInit:
+    @pytest.mark.parametrize("prosody", [True, False], ids=["prosody", "text-only"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed,widths", [(0, (3, 5, 10)), (7, (1,)), (123, (2, 9, 4))])
+    def test_fresh_parameters_equal_oracle(self, prosody, dtype, seed, widths):
+        config = ModelConfig(
+            encoder=EncoderConfig(layers=2, heads=2, d_content=12, d_position=8,
+                                  d_prosody=8 if prosody else 0, d_ff=20, max_len=30),
+            cnn=CnnConfig(widths=widths, filters_per_width=3),
+            span_hidden=10,
+        )
+        provider = EmbeddingProvider.frozen(VectorStore(dim=6))
+        labels = LabelVocab(["S", "NP", "VP"])
+        model = ParserModel(config, provider, labels, seed=seed, dtype=dtype)
+        got = [(p.name, p.value.dtype, p.value.tobytes()) for p in model.parameters()]
+        want = [
+            (name, value.dtype, value.tobytes())
+            for name, value in oracle_parameters(config, 6, len(labels), seed, dtype)
+        ]
+        assert got == want

@@ -241,6 +241,8 @@ def test_valid_config_loads(tmp_path):
         (b"corpus_weights: [1.0]", b"corpus_weights: [.inf]"),
         (b"corpus_weights: [1.0]", b"corpus_weights: [true]"),
         (b"output_dir: run", b"output_dir: 5"),
+        (b"widths: [3, 5]", b"widths: []"),
+        (b"seeds: [1, 2, 3]", b"seeds: [1, 2, 1]"),
     ],
     ids=["span-hidden-text", "seeds-int", "train-trees-int", "zero-heads", "not-utf8",
          "d-ff-float", "layers-float", "d-content-float", "d-ff-bool", "filters-float",
@@ -251,7 +253,8 @@ def test_valid_config_loads(tmp_path):
          "resamples-text", "delete-punctuation-text", "speechify-text", "embedding-mode-glove",
          "frozen-without-store", "finetuned-without-vectors", "embedding-dim-float",
          "embedding-dim-negative", "embedding-dim-zero", "min-count-text",
-         "min-count-negative", "corpus-weight-inf", "corpus-weight-bool", "output-dir-int"],
+         "min-count-negative", "corpus-weight-inf", "corpus-weight-bool", "output-dir-int",
+         "prosody-cnn-without-widths", "seeds-repeated"],
 )
 def test_bad_config_value_is_config_error(tmp_path, edit):
     path = tmp_path / "config.yaml"
